@@ -15,7 +15,7 @@ output ports, but rather rely on the adaptive routing mechanism").
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.sim.channel import Channel
 from repro.sim.packet import Packet
@@ -31,17 +31,27 @@ class MinimalAdaptiveRouting:
     def __init__(self, network: "FbflyNetwork"):
         self.network = network
         self.topology = network.topology
+        # (switch, destination switch) -> its minimal-hop channels in
+        # dimension order.  The wiring never changes after the network is
+        # built, so only channel objects are cached; their usability is
+        # read live on every call.
+        self._minimal: Dict[Tuple["Switch", int], Tuple[Channel, ...]] = {}
 
     def __call__(self, switch: "Switch", packet: Packet) -> List[Channel]:
+        key = (switch, self.topology.host_switch(packet.dst))
+        hops = self._minimal.get(key)
+        if hops is None:
+            hops = self._minimal[key] = self._minimal_hops(*key)
+        return [channel for channel in hops if channel.usable]
+
+    def _minimal_hops(self, switch: "Switch",
+                      dst_switch: int) -> Tuple[Channel, ...]:
+        """One channel per dimension in which ``switch`` and
+        ``dst_switch`` differ, lowest dimension first."""
         topo = self.topology
-        dst_switch = topo.host_switch(packet.dst)
         here = topo.coordinate(switch.id)
         target = topo.coordinate(dst_switch)
-        candidates: List[Channel] = []
-        for dim in range(topo.dimensions):
-            if here[dim] != target[dim]:
-                peer = topo.peer_in_dimension(switch.id, dim, target[dim])
-                channel = switch.switch_out[peer]
-                if channel.usable:
-                    candidates.append(channel)
-        return candidates
+        return tuple(
+            switch.switch_out[topo.peer_in_dimension(switch.id, dim,
+                                                     target[dim])]
+            for dim in range(topo.dimensions) if here[dim] != target[dim])

@@ -44,6 +44,9 @@ class ChannelState(enum.Enum):
     OFF = "off"
 
 
+_ACTIVE = ChannelState.ACTIVE
+
+
 class Channel:
     """One unidirectional channel of a link.
 
@@ -186,7 +189,8 @@ class Channel:
         self._queue_bytes += packet.size_bytes
         if self.probe is not None:
             self.probe.on_enqueue(self)
-        self._try_send()
+        if not self._sending:
+            self._try_send()
 
     # ------------------------------------------------------------------
     # Rate control (used by the epoch controller)
@@ -270,7 +274,9 @@ class Channel:
     def release_credits(self, size_bytes: int) -> None:
         """Downstream freed input-buffer space; the credit flies back over
         the reverse wire before it can enable a new transmission."""
-        self.sim.schedule(self.propagation_ns, self._on_credits, size_bytes)
+        sim = self.sim
+        sim.schedule_at(sim._now + self.propagation_ns, self._on_credits,
+                        size_bytes)
 
     def _on_credits(self, size_bytes: int) -> None:
         self._credits += size_bytes
@@ -285,29 +291,40 @@ class Channel:
     # Serializer internals
     # ------------------------------------------------------------------
 
+    # The hot callers below schedule with ``sim.schedule_at(sim._now +
+    # delay, ...)``: the very sum ``Simulator.schedule`` computes, minus
+    # its call frame.
+
     def _try_send(self) -> None:
-        if self._sending or self.state is not ChannelState.ACTIVE:
+        if self._sending or self.state is not _ACTIVE:
             return
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
-        head = self._queue[0]
-        if self._credits < head.size_bytes:
+        head = queue[0]
+        size = head.size_bytes
+        if self._credits < size:
             self.stats.credit_stalls += 1
             return
-        self._queue.popleft()
-        self._queue_bytes -= head.size_bytes
-        self._credits -= head.size_bytes
+        queue.popleft()
+        self._queue_bytes -= size
+        self._credits -= size
         self._sending = True
-        self._tx_start = self.sim.now
-        tx_ns = serialization_ns(head.size_bytes, self._rate)
-        self.sim.schedule(tx_ns, self._on_tx_done, head)
+        sim = self.sim
+        now = self._tx_start = sim._now
+        sim.schedule_at(now + serialization_ns(size, self._rate),
+                        self._on_tx_done, head)
 
     def _on_tx_done(self, packet: Packet) -> None:
         self._sending = False
-        self.stats.busy_ns += self.sim.now - self._tx_start
-        self.stats.bytes_sent += packet.size_bytes
-        self.stats.packets_sent += 1
-        self.sim.schedule(self.propagation_ns, self.dst.receive, packet, self)
+        sim = self.sim
+        now = sim._now
+        stats = self.stats
+        stats.busy_ns += now - self._tx_start
+        stats.bytes_sent += packet.size_bytes
+        stats.packets_sent += 1
+        sim.schedule_at(now + self.propagation_ns, self.dst.receive, packet,
+                        self)
         if self.src is not None:
             self.src.on_output_space(self)
         if self._pending_rate is not None:

@@ -115,7 +115,10 @@ class Switch:
         if tracer is not None:
             from repro.sim.tracing import SWITCH_ARRIVAL
             tracer.record(self.sim.now, SWITCH_ARRIVAL, self.id, packet)
-        self.sim.schedule(self.router_latency_ns, self._route, packet, channel)
+        sim = self.sim
+        # The sum Simulator.schedule computes, minus its call frame.
+        sim.schedule_at(sim._now + self.router_latency_ns, self._route,
+                        packet, channel)
 
     def on_output_space(self, channel: Channel) -> None:
         """An outgoing channel freed queue space; see Node."""
@@ -157,19 +160,35 @@ class Switch:
                 self.escape_timeout_ns, self._escape, entry)
 
     def _candidates(self, packet: Packet) -> List[Channel]:
-        if self.network.topology.host_switch(packet.dst) == self.id:
-            return [self.host_out[packet.dst]]
+        # host_out holds exactly the hosts attached to this switch.
+        local = self.host_out.get(packet.dst)
+        if local is not None:
+            return [local]
         return self.routing(self, packet)
 
     def _choose(self, candidates: List[Channel],
                 size_bytes: int) -> Optional[Channel]:
-        """Least-occupied candidate with room, ties broken randomly."""
-        available = [c for c in candidates if c.can_enqueue(size_bytes)]
-        if not available:
-            return None
-        best_depth = min(c.queue_bytes for c in available)
-        best = [c for c in available if c.queue_bytes == best_depth]
-        return best[0] if len(best) == 1 else self.rng.choice(best)
+        """Least-occupied candidate with room, ties broken randomly.
+
+        One pass; the tie list holds every least-occupied candidate with
+        room, in candidate order, so ``rng.choice`` draws as it would
+        from a filter-then-min selection.
+        """
+        best = None
+        best_depth = 0
+        ties = None
+        for channel in candidates:
+            if not channel.can_enqueue(size_bytes):
+                continue
+            depth = channel.queue_bytes
+            if best is None or depth < best_depth:
+                best, best_depth, ties = channel, depth, None
+            elif depth == best_depth:
+                if ties is None:
+                    ties = [best, channel]
+                else:
+                    ties.append(channel)
+        return best if ties is None else self.rng.choice(ties)
 
     def _dispatch(self, packet: Packet, out: Channel,
                   in_channel: Channel, force: bool = False) -> None:

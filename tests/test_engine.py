@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.controller import ControllerConfig, EpochController
 from repro.sim.engine import Simulator
+from repro.sim.network import FbflyNetwork, NetworkConfig
+from repro.topology.flattened_butterfly import FlattenedButterfly
 
 
 class TestScheduling:
@@ -190,3 +193,64 @@ class TestDaemonEvents:
         event = sim.schedule(10.0, lambda: None, daemon=True)
         event.cancel()
         assert sim.live_events == 0
+
+
+class TestEntryPoint:
+    """Every event enters through ``Simulator.schedule_at``: the hot
+    callers skip ``schedule`` but never the queue's front door, which
+    per-layer tracing patches to attribute callbacks."""
+
+    def test_every_fabric_event_goes_through_schedule_at(self, monkeypatch):
+        original = Simulator.schedule_at
+        scheduled = []
+
+        def counting(sim, time_ns, fn, *args, daemon=False):
+            event = original(sim, time_ns, fn, *args, daemon=daemon)
+            scheduled.append(event)
+            return event
+
+        monkeypatch.setattr(Simulator, "schedule_at", counting)
+        # No escape valve, so no event is ever cancelled and every
+        # scheduled event either fired or is still queued.
+        net = FbflyNetwork(FlattenedButterfly(k=4, n=2),
+                           NetworkConfig(seed=3, escape_timeout_ns=None))
+        EpochController(net, config=ControllerConfig(
+            independent_channels=True))
+        hosts = net.topology.num_hosts
+        for i in range(40):
+            net.submit(i * 200.0, i % hosts, (i * 7 + 3) % hosts, 8192)
+        net.run(until_ns=20_000.0)
+
+        assert net.sim.events_fired > 1000
+        assert net.sim.pending_events > 0
+        assert not any(event.cancelled for event in scheduled)
+        assert len(scheduled) == (net.sim.events_fired
+                                  + net.sim.pending_events)
+
+    def test_fifo_at_equal_times_across_entry_points_and_drivers(self):
+        sim = Simulator()
+        fired = []
+
+        def spawn(tag):
+            # Scheduled at the same timestamp from inside an event, by
+            # both entry points: they queue behind everything already
+            # waiting at t=10, in call order.
+            fired.append(tag)
+            sim.schedule(0.0, fired.append, tag + "-schedule")
+            sim.schedule_at(sim.now, fired.append, tag + "-schedule_at")
+
+        sim.schedule(10.0, spawn, "a")
+        sim.schedule_at(10.0, fired.append, "b")
+        sim.schedule(10.0, spawn, "c")
+        sim.schedule_at(10.0, fired.append, "d")
+        sim.schedule(20.0, fired.append, "late")
+
+        assert sim.step()                  # a
+        sim.run(until_ns=10.0)             # b, c, d, then the spawned
+        assert sim.now == 10.0
+        sim.schedule_at(10.0, fired.append, "e")
+        assert sim.step()                  # e
+        sim.run(until_ns=30.0)
+        assert fired == ["a", "b", "c", "d", "a-schedule", "a-schedule_at",
+                         "c-schedule", "c-schedule_at", "e", "late"]
+        assert sim.events_fired == 10

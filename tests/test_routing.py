@@ -1,10 +1,12 @@
 """Routing strategies: minimal adaptive, dimension-order, restricted."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.restricted import RestrictedAdaptiveRouting
+from repro.sim.channel import ChannelState
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.sim.packet import Message
 from repro.topology.flattened_butterfly import FlattenedButterfly
@@ -177,3 +179,112 @@ class TestRestrictedRouting:
                     if here[d] != there[d]:
                         assert abs(target[d] - there[d]) < \
                             abs(target[d] - here[d])
+
+
+def packet_to(net, dst_host):
+    """A packet for ``dst_host`` (routing ignores the source)."""
+    return packet_for(net, (dst_host + 1) % net.topology.num_hosts, dst_host)
+
+
+def reference_minimal(net, switch, dst_host):
+    """Minimal adaptive candidates derived from coordinates on every
+    call: the form the cached routing must reproduce."""
+    topo = net.topology
+    here = topo.coordinate(switch.id)
+    target = topo.coordinate(topo.host_switch(dst_host))
+    candidates = []
+    for dim in range(topo.dimensions):
+        if here[dim] != target[dim]:
+            peer = topo.peer_in_dimension(switch.id, dim, target[dim])
+            channel = switch.switch_out[peer]
+            if channel.usable:
+                candidates.append(channel)
+    return candidates
+
+
+@st.composite
+def routing_case(draw):
+    """A small FBFLY, routing queries, and channels to take out."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+    hosts = k ** n
+    switches = k ** (n - 1)
+    queries = draw(st.lists(
+        st.tuples(st.integers(0, switches - 1), st.integers(0, hosts - 1)),
+        min_size=1, max_size=30))
+    links = switches * (k - 1) * (n - 1)
+    disabled = draw(st.lists(
+        st.tuples(st.integers(0, max(links - 1, 0)),
+                  st.sampled_from(["draining", "off"])),
+        max_size=links))
+    return k, n, queries, disabled if links else []
+
+
+class TestMinimalHopCache:
+    """The routing caches channel objects per (switch, destination
+    switch); usability is read live, so faults, draining and topology
+    control act on the very next call."""
+
+    @given(routing_case())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_routing_matches_coordinate_derivation(self, case):
+        k, n, queries, disabled = case
+        net = make_network(k=k, n=n)
+        routing = MinimalAdaptiveRouting(net)
+
+        def check():
+            for switch_id, dst_host in queries:
+                switch = net.switches[switch_id]
+                packet = packet_to(net, dst_host)
+                got = routing(switch, packet)
+                want = reference_minimal(net, switch, dst_host)
+                assert [id(ch) for ch in got] == [id(ch) for ch in want]
+
+        channels = net.inter_switch_channels
+
+        def disable():
+            for index, how in disabled:
+                if how == "draining":
+                    channels[index].draining = True
+                elif not channels[index].is_off:
+                    channels[index].power_off()
+
+        def restore():
+            for index, _ in disabled:
+                channels[index].draining = False
+                channels[index].state = ChannelState.ACTIVE
+
+        # The cache fills while channels are out, so a cached usability
+        # would show once they come back, and again when they go.
+        disable()
+        check()
+        restore()
+        check()
+        disable()
+        check()
+
+    def test_usability_is_never_cached(self):
+        net = make_network(k=4, n=3)
+        routing = MinimalAdaptiveRouting(net)
+        topo = net.topology
+        dst_host = topo.hosts_of_switch(topo.switch_index((3, 2)))[0]
+        packet = packet_to(net, dst_host)
+        switch = net.switches[0]
+        first = net.switch_channel(0, topo.switch_index((3, 0)))
+        second = net.switch_channel(0, topo.switch_index((0, 2)))
+        first.draining = True
+        assert routing(switch, packet) == [second]
+        first.draining = False
+        assert routing(switch, packet) == [first, second]
+        second.power_off()
+        assert routing(switch, packet) == [first]
+        second.state = ChannelState.ACTIVE
+        assert routing(switch, packet) == [first, second]
+
+    def test_cache_is_bounded_by_switch_pairs(self):
+        net = make_network(k=4, n=3)
+        routing = MinimalAdaptiveRouting(net)
+        for switch in net.switches:
+            for dst_host in range(net.topology.num_hosts):
+                routing(switch, packet_to(net, dst_host))
+        assert len(routing._minimal) == 16 * 16 == 256

@@ -1,9 +1,15 @@
 """Switch routing pipeline and host NIC behaviour."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.channel import Channel, ChannelState
+from repro.sim.engine import Simulator
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.sim.packet import Message
+from repro.sim.switch import Switch
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
 
@@ -124,3 +130,54 @@ class TestEscapeValve:
         stats = net.run()
         assert stats.escapes == 0
         assert stats.messages_delivered == 10
+
+
+def filtered_choice(candidates, size_bytes, rng):
+    """The least-occupied-candidate rule as filter -> min -> filter."""
+    available = [c for c in candidates if c.can_enqueue(size_bytes)]
+    if not available:
+        return None
+    best_depth = min(c.queue_bytes for c in available)
+    best = [c for c in available if c.queue_bytes == best_depth]
+    return best[0] if len(best) == 1 else rng.choice(best)
+
+
+@st.composite
+def choice_case(draw):
+    """Candidate channels with random depth, capacity and usability."""
+    channels = draw(st.lists(
+        st.tuples(
+            st.integers(0, 4).map(lambda units: units * 1024),   # depth
+            st.sampled_from([2048, 4096, 8192]),                 # capacity
+            st.sampled_from(["active", "draining", "off"]),
+        ),
+        max_size=6))
+    size_bytes = draw(st.sampled_from([512, 1024, 2048]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return channels, size_bytes, seed
+
+
+class TestChoose:
+    @given(choice_case())
+    @settings(max_examples=200, deadline=None)
+    def test_single_pass_matches_filter_min_filter(self, case):
+        specs, size_bytes, seed = case
+        sim = Simulator()
+        candidates = []
+        for i, (depth, capacity, usability) in enumerate(specs):
+            channel = Channel(sim, f"c{i}", dst=None,
+                              queue_capacity_bytes=capacity)
+            channel._queue_bytes = depth
+            channel.draining = usability == "draining"
+            if usability == "off":
+                channel.state = ChannelState.OFF
+            candidates.append(channel)
+        switch = Switch(sim, 0, network=None, routing=None,
+                        rng=random.Random(seed))
+        reference_rng = random.Random(seed)
+
+        for _ in range(3):   # repeated draws keep the streams in step
+            chosen = switch._choose(candidates, size_bytes)
+            assert chosen is filtered_choice(candidates, size_bytes,
+                                             reference_rng)
+            assert switch.rng.getstate() == reference_rng.getstate()
