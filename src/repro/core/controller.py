@@ -167,7 +167,7 @@ class EpochController:
                     log.record(Decision(
                         time_ns=now, controller=self.name,
                         group=group.name,
-                        channels=tuple(ch.name for ch in group.channels),
+                        channels=group.channel_names,
                         old_rate=None, new_rate=None,
                         reason=POWERED_OFF, changed=False,
                         utilization=reading.utilization,
@@ -201,7 +201,7 @@ class EpochController:
         if log is not None:
             log.record(Decision(
                 time_ns=now, controller=self.name, group=group.name,
-                channels=tuple(ch.name for ch in group.channels),
+                channels=group.channel_names,
                 old_rate=current, new_rate=new_rate,
                 reason=classify_reason(current, new_rate, changed,
                                        estimate, ladder, self.policy),

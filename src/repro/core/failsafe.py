@@ -141,6 +141,7 @@ class GuardedGroup:
         self._guard = guard
         self.name = inner.name
         self.channels = inner.channels
+        self.channel_names = tuple(ch.name for ch in self.channels)
         self._st = _GroupState()
 
     @property
@@ -457,7 +458,7 @@ class FailsafeGuard:
         self.decision_log.record(Decision(
             time_ns=self.sim.now, controller="failsafe",
             group=group.name,
-            channels=tuple(ch.name for ch in group.channels),
+            channels=group.channel_names,
             old_rate=old_rate, new_rate=new_rate, reason=reason,
             changed=changed))
 

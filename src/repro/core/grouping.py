@@ -26,13 +26,17 @@ if TYPE_CHECKING:  # pragma: no cover
 class ChannelGroup:
     """A set of channels reconfigured as one unit."""
 
-    __slots__ = ("name", "channels", "_last_busy_ns", "_last_stalls")
+    __slots__ = ("name", "channels", "channel_names", "_last_busy_ns",
+                 "_last_stalls")
 
     def __init__(self, name: str, channels: Sequence[Channel]):
         if not channels:
             raise ValueError("a control group needs at least one channel")
         self.name = name
         self.channels: Tuple[Channel, ...] = tuple(channels)
+        #: Member names, as stamped on every audit record.
+        self.channel_names: Tuple[str, ...] = tuple(
+            ch.name for ch in self.channels)
         self._last_busy_ns: Dict[Channel, float] = {
             ch: ch.busy_ns() for ch in self.channels
         }
@@ -48,7 +52,10 @@ class ChannelGroup:
     @property
     def is_off(self) -> bool:
         """True when any member is powered off (skip rate decisions)."""
-        return any(ch.is_off for ch in self.channels)
+        for ch in self.channels:
+            if ch.is_off:
+                return True
+        return False
 
     def utilization_since_last(self, epoch_ns: float) -> float:
         """Max busy fraction across members since the previous call.

@@ -164,7 +164,7 @@ class LaneAwareController:
                     log.record(Decision(
                         time_ns=now, controller=self.name,
                         group=group.name,
-                        channels=tuple(ch.name for ch in group.channels),
+                        channels=group.channel_names,
                         old_rate=None, new_rate=None,
                         reason=POWERED_OFF, changed=False,
                         utilization=utilization,
@@ -182,7 +182,7 @@ class LaneAwareController:
                     log.record(Decision(
                         time_ns=now, controller=self.name,
                         group=group.name,
-                        channels=tuple(ch.name for ch in group.channels),
+                        channels=group.channel_names,
                         old_rate=current.gbps, new_rate=current.gbps,
                         reason=self._classify(current, new, False,
                                               utilization),
@@ -203,7 +203,7 @@ class LaneAwareController:
             if log is not None:
                 log.record(Decision(
                     time_ns=now, controller=self.name, group=group.name,
-                    channels=tuple(ch.name for ch in group.channels),
+                    channels=group.channel_names,
                     old_rate=current.gbps, new_rate=new.gbps,
                     reason=self._classify(current, new, changed,
                                           utilization),

@@ -207,6 +207,7 @@ class ChaosGroup:
         self._chaos = chaos
         self.name = group.name
         self.channels = group.channels
+        self.channel_names = tuple(ch.name for ch in self.channels)
         self.delivered_ok = True
         self.lost_streak = 0
         self.staleness_epochs = 0
@@ -333,6 +334,8 @@ class ControlPlaneChaos:
         self.crashes = 0
         self.restarts = 0
         self.max_lost_streak = 0
+        #: (kind, group) -> the per-run selection draw; see _affected.
+        self._selection: Dict[Tuple[str, str], float] = {}
         controller.groups = [ChaosGroup(group, self)
                              for group in controller.groups]
         for crash in scenario.crashes:
@@ -347,14 +350,22 @@ class ControlPlaneChaos:
         return int(round(now / self.epoch_ns))
 
     def _affected(self, kind: str, group: str, fraction: float) -> bool:
-        """Stable per-run group selection for one fault kind."""
+        """Stable per-run group selection for one fault kind.
+
+        The selection draw depends only on (seed, kind, group), so it
+        is made once per run and remembered.
+        """
         if fraction >= 1.0:
             return True
         if fraction <= 0.0:
             return False
-        return random.Random(
-            f"ctlsel:{self.scenario.seed}:{kind}:{group}"
-        ).random() < fraction
+        key = (kind, group)
+        draw = self._selection.get(key)
+        if draw is None:
+            draw = random.Random(
+                f"ctlsel:{self.scenario.seed}:{kind}:{group}").random()
+            self._selection[key] = draw
+        return draw < fraction
 
     def _draw(self, kind: str, group: str, epoch: int) -> float:
         """Stateless per-(kind, group, epoch) uniform draw."""
@@ -425,7 +436,7 @@ class ControlPlaneChaos:
         else:
             self.telemetry_corrupt += 1
             reason = CONTROL_FAULT_TELEMETRY_CORRUPT
-        self._log(cgroup.name, cgroup.channels, reason,
+        self._log(cgroup.name, cgroup.channel_names, reason,
                   old_rate=cgroup.current_rate,
                   new_rate=cgroup.current_rate)
 
@@ -444,7 +455,8 @@ class ControlPlaneChaos:
                 and self._draw("loss", name, epoch) < sc.loss.probability):
             claimed = _would_change(group, rate_gbps)
             self.actuations_lost += 1
-            self._log(name, cgroup.channels, CONTROL_FAULT_ACTUATION_LOST,
+            self._log(name, cgroup.channel_names,
+                      CONTROL_FAULT_ACTUATION_LOST,
                       old_rate=group.current_rate, new_rate=rate_gbps)
             return claimed
         if (sc.delay is not None and self._active(sc.delay, now)
@@ -456,7 +468,7 @@ class ControlPlaneChaos:
             self.sim.schedule(sc.delay.epochs * self.epoch_ns,
                               self._apply_late, group, rate_gbps,
                               reactivation_ns, daemon=True)
-            self._log(name, cgroup.channels,
+            self._log(name, cgroup.channel_names,
                       CONTROL_FAULT_ACTUATION_DELAYED,
                       old_rate=group.current_rate, new_rate=rate_gbps)
             return claimed
@@ -489,14 +501,14 @@ class ControlPlaneChaos:
 
     # -- audit ------------------------------------------------------------
 
-    def _log(self, group: str, channels, reason: str,
+    def _log(self, group: str, channel_names: Tuple[str, ...], reason: str,
              old_rate: Optional[float],
              new_rate: Optional[float]) -> None:
         if self.decision_log is None:
             return
         self.decision_log.record(Decision(
             time_ns=self.sim.now, controller="chaos", group=group,
-            channels=tuple(ch.name for ch in channels),
+            channels=channel_names,
             old_rate=old_rate, new_rate=new_rate, reason=reason,
             changed=False))
 

@@ -81,6 +81,8 @@ class SpanningSetGuard:
         self.topology = network.topology
         self.mode = mode
         self.pinned: FrozenSet[Link] = frozenset()
+        # The ring depends only on the topology: derive it once.
+        self._ring = self.ring_links() if mode == "ring" else None
 
     def ring_links(self) -> List[Link]:
         """The per-dimension ring: every adjacent-coordinate link."""
@@ -123,8 +125,7 @@ class SpanningSetGuard:
         """
         avail = set(available)
         if self.mode == "ring":
-            pinned = [link for link in self.ring_links()
-                      if link in avail]
+            pinned = [link for link in self._ring if link in avail]
         else:
             pinned = self._spanning_forest(sorted(avail))
         self.pinned = frozenset(pinned)
@@ -275,7 +276,7 @@ class FaultAwareEpochController(EpochController):
         self.decision_log.record(Decision(
             time_ns=self.network.sim.now, controller=self.name,
             group=group.name,
-            channels=tuple(ch.name for ch in group.channels),
+            channels=group.channel_names,
             old_rate=old_rate, new_rate=new_rate, reason=reason,
             changed=False))
 
@@ -302,7 +303,7 @@ class FaultAwareEpochController(EpochController):
         if log is not None:
             log.record(Decision(
                 time_ns=now, controller=self.name, group=name,
-                channels=tuple(ch.name for ch in group.channels),
+                channels=group.channel_names,
                 old_rate=current, new_rate=new_rate,
                 reason=classify_reason(current, new_rate, changed,
                                        estimate, ladder, self.policy),

@@ -132,7 +132,7 @@ class PredictiveEpochController(EpochController):
         if log is not None:
             log.record(Decision(
                 time_ns=now, controller=self.name, group=group.name,
-                channels=tuple(ch.name for ch in group.channels),
+                channels=group.channel_names,
                 old_rate=current, new_rate=new_rate,
                 reason=reason, changed=changed, estimate=estimate,
                 utilization=reading.utilization,

@@ -134,7 +134,7 @@ class OracleController(EpochController):
         if log is not None:
             log.record(Decision(
                 time_ns=now, controller=self.name, group=group.name,
-                channels=tuple(ch.name for ch in group.channels),
+                channels=group.channel_names,
                 old_rate=current, new_rate=new_rate,
                 reason=classify_reason(current, new_rate, changed, raw,
                                        ladder, None),

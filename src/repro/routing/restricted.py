@@ -37,12 +37,15 @@ class RestrictedAdaptiveRouting:
     def __init__(self, network: "FbflyNetwork"):
         self.network = network
         self.topology = network.topology
+        # Coordinates are fixed per switch; usability is read live.
+        self._coords = [self.topology.coordinate(switch)
+                        for switch in range(self.topology.num_switches)]
 
     def __call__(self, switch: "Switch", packet: Packet) -> List[Channel]:
         topo = self.topology
         dst_switch = topo.host_switch(packet.dst)
-        here = topo.coordinate(switch.id)
-        target = topo.coordinate(dst_switch)
+        here = self._coords[switch.id]
+        target = self._coords[dst_switch]
         candidates: List[Channel] = []
         for dim in range(topo.dimensions):
             if here[dim] == target[dim]:

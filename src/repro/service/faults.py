@@ -103,6 +103,8 @@ class ServiceChaos:
         self.max_lost_streak = 0
         self._lost_streaks: Dict[str, int] = {}
         self._history: Dict[str, Deque[TelemetryRecord]] = {}
+        #: (kind, group) -> the per-run selection draw; see _affected.
+        self._selection: Dict[Tuple[str, str], float] = {}
         depth = 4
         if scenario is not None and scenario.stale is not None:
             depth = max(depth, scenario.stale.epochs + 2)
@@ -111,13 +113,18 @@ class ServiceChaos:
     # -- determinism primitives ------------------------------------------
 
     def _affected(self, kind: str, group: str, fraction: float) -> bool:
+        """Stable per-run group selection, drawn once per (kind, group)."""
         if fraction >= 1.0:
             return True
         if fraction <= 0.0:
             return False
-        return random.Random(
-            f"svcsel:{self.scenario.seed}:{kind}:{group}"
-        ).random() < fraction
+        key = (kind, group)
+        draw = self._selection.get(key)
+        if draw is None:
+            draw = random.Random(
+                f"svcsel:{self.scenario.seed}:{kind}:{group}").random()
+            self._selection[key] = draw
+        return draw < fraction
 
     def _draw(self, kind: str, group: str, n: int) -> float:
         return random.Random(

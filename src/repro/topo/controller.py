@@ -181,13 +181,22 @@ class DemandAwareTopologyController(EpochController):
         #: group name -> undirected link endpoints (inter-switch groups
         #: only; host-link groups are never topology candidates).
         self._endpoints: Dict[str, Link] = {}
-        by_channel = {id(ch): key for key, ch
-                      in network.switch_channel_map().items()}
+        switch_channels = network.switch_channel_map()
+        by_channel = {id(ch): key for key, ch in switch_channels.items()}
         for group in self.groups:
             key = by_channel.get(id(group.channels[0]))
             if key is not None:
                 a, b = key
                 self._endpoints[group.name] = (min(a, b), max(a, b))
+        #: Inter-switch channels in (src, dst) order, for telemetry.
+        self._switch_channels = sorted(switch_channels.items())
+        # _candidates() is rebuilt only when self.groups is replaced
+        # (chaos and failsafe layers swap in their proxies after
+        # construction); _link_state() lives for one topology pass.
+        self._candidates_of: Optional[List] = None
+        self._candidate_groups: List = []
+        self._in_pass = False
+        self._links: Optional[Tuple[FrozenSet[Link], Dict[int, int]]] = None
         forecaster = None
         if topo.forecaster is not None:
             from repro.predict.forecasters import build_forecaster
@@ -233,23 +242,49 @@ class DemandAwareTopologyController(EpochController):
 
     def _candidates(self):
         """Inter-switch groups, in stable group order."""
-        return [g for g in self.groups
-                if self._endpoints.get(g.name) is not None]
+        groups = self.groups
+        if groups is not self._candidates_of:
+            self._candidates_of = groups
+            self._candidate_groups = [
+                g for g in groups if self._endpoints.get(g.name) is not None]
+        return self._candidate_groups
 
     def _fault_dark(self, group) -> bool:
         """Down for reasons outside our own topology decisions?"""
         if group.name in self._dark:
             return False
-        return any(ch.is_off or ch.draining for ch in group.channels)
+        for ch in group.channels:
+            if ch.is_off or ch.draining:
+                return True
+        return False
 
-    def _usable_links(self) -> Set[Link]:
+    def _usable_links(self) -> FrozenSet[Link]:
         """Links routing can use right now: lit and not fault-dark."""
+        return self._link_state()[0]
+
+    def _link_state(self) -> Tuple[FrozenSet[Link], Dict[int, int]]:
+        """The usable links, and per switch its lit candidate groups.
+
+        Inside a topology pass only this controller's own ``_wake`` and
+        ``_power_off`` change which groups are dark or fault-dark, so
+        one scan serves every query between them.  Outside a pass
+        (faults land between passes) every query rescans.
+        """
+        if self._links is not None:
+            return self._links
         usable = set()
+        lit: Dict[int, int] = {}
         for group in self._candidates():
             if group.name in self._dark or self._fault_dark(group):
                 continue
-            usable.add(self._endpoints[group.name])
-        return usable
+            link = self._endpoints[group.name]
+            usable.add(link)
+            for switch in link:
+                lit[switch] = lit.get(switch, 0) + 1
+        state = (frozenset(usable), lit)
+        if self._in_pass:
+            self._links = state
+        return state
 
     def _refresh_guard(self) -> None:
         available = [link for group in self._candidates()
@@ -288,6 +323,15 @@ class DemandAwareTopologyController(EpochController):
         super()._decide_group(group, reading, ladder, now, log)
 
     def _topology_pass(self) -> None:
+        self._links = None
+        self._in_pass = True
+        try:
+            self._run_topology_pass()
+        finally:
+            self._in_pass = False
+            self._links = None
+
+    def _run_topology_pass(self) -> None:
         epoch_ns = self.config.effective_epoch_ns
         ladder = self.network.config.ladder
         self._ingest_telemetry(epoch_ns)
@@ -336,8 +380,7 @@ class DemandAwareTopologyController(EpochController):
     def _ingest_telemetry(self, epoch_ns: float) -> None:
         """Delivered Gb/s per inter-switch channel, into the matrix."""
         flows: Dict[Link, float] = {}
-        for (src, dst), channel in sorted(
-                self.network.switch_channel_map().items()):
+        for (src, dst), channel in self._switch_channels:
             sent = channel.stats.bytes_sent
             delta = sent - self._last_bytes.get(channel.name, 0)
             self._last_bytes[channel.name] = sent
@@ -367,10 +410,7 @@ class DemandAwareTopologyController(EpochController):
 
     def _pressure(self, switch: int, ladder) -> float:
         """Forecast demand touching ``switch`` over its lit capacity."""
-        lit = sum(1 for group in self._candidates()
-                  if switch in self._endpoints[group.name]
-                  and group.name not in self._dark
-                  and not self._fault_dark(group))
+        lit = self._link_state()[1].get(switch, 0)
         capacity = max(lit, 1) * ladder.max_rate
         return self.demand.group_pressure(switch) / capacity
 
@@ -417,6 +457,7 @@ class DemandAwareTopologyController(EpochController):
                 if ch.drained:
                     ch.power_off()
         self._dark.add(group.name)
+        self._links = None
         self._dwell[group.name] = 0
         self.topology_offs += 1
         self._log_topology(group, TOPOLOGY_OFF, old_rate=old_rate,
@@ -430,6 +471,7 @@ class DemandAwareTopologyController(EpochController):
             else:
                 ch.draining = False
         self._dark.discard(group.name)
+        self._links = None
         self._dwell[group.name] = 0
         self.topology_ons += 1
         self.reactivation_waits += 1
@@ -446,7 +488,7 @@ class DemandAwareTopologyController(EpochController):
         self.decision_log.record(Decision(
             time_ns=self.network.sim.now, controller=self.name,
             group=group.name,
-            channels=tuple(ch.name for ch in group.channels),
+            channels=group.channel_names,
             old_rate=old_rate, new_rate=new_rate, reason=reason,
             changed=False,
             reactivation_ns=(self.config.reactivation_ns

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -38,6 +39,7 @@ from repro.faults.control_faults import (
     register_control_scenario,
     registered_control_scenarios,
 )
+from repro.service import ServiceChaos, VirtualClock
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import US
@@ -336,6 +338,40 @@ class TestDeterminism:
                 [sys.executable, "-c", code], env=env, check=True,
                 capture_output=True, text=True).stdout.strip()
             assert out == expected, f"drift under PYTHONHASHSEED={hash_seed}"
+
+
+SELECTION_KINDS = ("stale", "corrupt", "dropout", "loss", "delay")
+
+
+def make_selector(layer, seed):
+    """A chaos layer, its group names and its selection seed prefix."""
+    if layer == "sim":
+        _, ctrl = make_controlled()
+        return (attach(ctrl, seed=seed), [g.name for g in ctrl.groups],
+                "ctlsel")
+    scenario = ControlFaultScenario(name="t", seed=seed)
+    return (ServiceChaos(VirtualClock(), scenario=scenario),
+            [f"g{i}" for i in range(24)], "svcsel")
+
+
+@pytest.mark.parametrize("layer", ["sim", "service"])
+class TestSelectionMemo:
+    """The per-run group selection is drawn once per (kind, group) and
+    must equal the fresh string-seeded draw it replaces."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_memo_matches_a_fresh_draw(self, layer, seed):
+        chaos, groups, prefix = make_selector(layer, seed)
+        for _ in range(2):   # the second sweep is served from the memo
+            for kind in SELECTION_KINDS:
+                for group in groups:
+                    fresh = random.Random(
+                        f"{prefix}:{seed}:{kind}:{group}").random()
+                    assert chaos._affected(kind, group, 0.5) == \
+                        (fresh < 0.5)
+                    assert chaos._affected(kind, group, 0.0) is False
+                    assert chaos._affected(kind, group, 1.0) is True
+        assert len(chaos._selection) <= len(SELECTION_KINDS) * len(groups)
 
 
 class TestRunnerWiring:

@@ -288,3 +288,48 @@ class TestMinimalHopCache:
             for dst_host in range(net.topology.num_hosts):
                 routing(switch, packet_to(net, dst_host))
         assert len(routing._minimal) == 16 * 16 == 256
+
+
+class LiveCoordinates:
+    """Coordinates derived by the topology on every lookup: the form
+    the restricted routing's per-switch table must reproduce."""
+
+    def __init__(self, topology):
+        self.topology = topology
+
+    def __getitem__(self, switch):
+        return self.topology.coordinate(switch)
+
+
+def route_outcome(routing, switch, packet):
+    try:
+        return [id(ch) for ch in routing(switch, packet)]
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestRestrictedCoordinateTable:
+    @given(routing_case())
+    @settings(max_examples=60, deadline=None)
+    def test_table_routing_matches_live_coordinates(self, case):
+        k, n, queries, disabled = case
+        net = make_network(k=k, n=n)
+        topo = net.topology
+        routing = RestrictedAdaptiveRouting(net)
+        assert routing._coords == [topo.coordinate(s)
+                                   for s in range(topo.num_switches)]
+        reference = RestrictedAdaptiveRouting(net)
+        reference._coords = LiveCoordinates(topo)
+        channels = net.inter_switch_channels
+        for index, how in disabled:
+            if how == "draining":
+                channels[index].draining = True
+            elif not channels[index].is_off:
+                channels[index].power_off()
+        for switch_id, dst_host in queries:
+            if topo.host_switch(dst_host) == switch_id:
+                continue   # delivered locally, never routed
+            switch = net.switches[switch_id]
+            packet = packet_to(net, dst_host)
+            assert route_outcome(routing, switch, packet) == \
+                route_outcome(reference, switch, packet)

@@ -11,11 +11,18 @@ cold (topology-dark) and cut off by faults.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig
+from repro.core.failsafe import FailsafeGuard, GuardedGroup
 from repro.core.policies import DemandLadderPolicy
 from repro.core.registry import build_controller, control_mode_registered
 from repro.core.sensors import UtilizationSensor
+from repro.faults.control_faults import (
+    ChaosGroup,
+    ControlFaultScenario,
+    ControlPlaneChaos,
+)
 from repro.obs.decisions import (
     DecisionLog,
     TOPOLOGY_GUARD_VETO,
@@ -25,6 +32,7 @@ from repro.obs.decisions import (
     TOPOLOGY_REASONS,
 )
 from repro.routing.restricted import RestrictedAdaptiveRouting
+from repro.sim.channel import ChannelState
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.invariants import switch_components
 from repro.sim.network import FbflyNetwork, NetworkConfig
@@ -298,6 +306,134 @@ class TestCrashInterop:
         controller.release_gate(name)
         assert name not in controller._dark
         assert controller._dwell[name] == 0
+
+
+class TestCandidatesFollowWrappers:
+    def test_candidates_are_the_wrapped_groups_in_group_order(self):
+        net = make_network()
+        log = DecisionLog()
+        controller = make_controller(net, log=log)
+        raw = controller._candidates()
+        assert raw
+
+        def expected():
+            return [g for g in controller.groups
+                    if g.name in controller._endpoints]
+
+        ControlPlaneChaos(controller, ControlFaultScenario(name="t"),
+                          decision_log=log)
+        chaos = controller._candidates()
+        assert all(isinstance(g, ChaosGroup) for g in chaos)
+        assert [id(g) for g in chaos] == [id(g) for g in expected()]
+        assert [id(g.raw) for g in chaos] == [id(g) for g in raw]
+        FailsafeGuard(controller, decision_log=log)
+        guarded = controller._candidates()
+        assert all(isinstance(g, GuardedGroup) for g in guarded)
+        assert [id(g) for g in guarded] == [id(g) for g in expected()]
+        assert [id(g._inner) for g in guarded] == [id(g) for g in chaos]
+
+
+def scratch_lit(controller, switch=None):
+    """Lit (not dark, not fault-dark) candidate links, rescanned."""
+    links = []
+    for group in controller.groups:
+        link = controller._endpoints.get(group.name)
+        if link is None or group.name in controller._dark:
+            continue
+        if any(ch.is_off or ch.draining for ch in group.channels):
+            continue
+        if switch is None or switch in link:
+            links.append(link)
+    return links
+
+
+@st.composite
+def topology_passes(draw):
+    """A starting dark set, then per pass: channel faults/repairs and
+    demand to inject before it."""
+    start_dark = draw(st.lists(st.integers(0, 5), unique=True))
+    passes = draw(st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 11),
+                               st.sampled_from(["draining", "off",
+                                                "repair"])),
+                     max_size=4),
+            st.dictionaries(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+                    lambda pair: pair[0] != pair[1]),
+                st.floats(0.0, 200.0), max_size=4)),
+        min_size=1, max_size=12))
+    topo = TopologyControlConfig(
+        min_dwell_epochs=draw(st.integers(0, 2)),
+        on_fraction=draw(st.sampled_from([-1.0, 0.05, 0.45])),
+        off_fraction=draw(st.sampled_from([0.05, 10.0])),
+        max_dark_fraction=draw(st.sampled_from([0.5, 1.0])))
+    return topo, start_dark, passes
+
+
+def run_checked_passes(topo, start_dark, passes):
+    """Run topology passes on k=4 n=2, rescanning after every wake and
+    power-off; returns the actions that ran inside a pass."""
+    net = make_network(k=4, n=2)
+    controller = make_controller(net, topo=topo)
+    ladder = net.config.ladder
+    in_pass = []
+
+    def check():
+        assert controller._usable_links() == set(scratch_lit(controller))
+        for switch in range(net.topology.num_switches):
+            lit = len(scratch_lit(controller, switch))
+            want = (controller.demand.group_pressure(switch)
+                    / (max(lit, 1) * ladder.max_rate))
+            assert controller._pressure(switch, ladder) == want
+
+    def checked(action):
+        def run(group, *args, **kwargs):
+            action(group, *args, **kwargs)
+            if controller._in_pass:
+                in_pass.append(action.__name__)
+            check()
+        return run
+
+    controller._wake = checked(controller._wake)
+    controller._power_off = checked(controller._power_off)
+    candidates = controller._candidates()
+    for index in start_dark:
+        controller._power_off(candidates[index])
+    channels = net.inter_switch_channels
+    for epoch, (faults, flows) in enumerate(passes, start=1):
+        for index, how in faults:
+            channel = channels[index]
+            if how == "draining":
+                channel.draining = True
+            elif how == "off":
+                if not channel.is_off:
+                    channel.power_off()
+            else:
+                channel.draining = False
+                channel.state = ChannelState.ACTIVE
+        controller.demand.observe(flows)
+        net.run(until_ns=epoch * 1_000.0 + 500.0)
+        check()
+    return in_pass
+
+
+class TestPassCaches:
+    """The usable-link scan is reused within a topology pass; after
+    each of the controller's own wakes and power-offs it must still
+    equal a from-scratch rescan."""
+
+    @given(topology_passes())
+    @settings(max_examples=40, deadline=None)
+    def test_usable_links_and_pressure_match_a_rescan(self, case):
+        run_checked_passes(*case)
+
+    def test_wakes_and_power_offs_run_inside_passes(self):
+        topo = TopologyControlConfig(min_dwell_epochs=1, on_fraction=0.05)
+        passes = [([], {}), ([], {}), ([(0, "off")], {(0, 1): 50.0}),
+                  ([(0, "repair")], {(2, 3): 50.0}), ([], {}), ([], {})]
+        in_pass = run_checked_passes(topo, [1], passes)
+        assert "_wake" in in_pass and "_power_off" in in_pass
 
 
 class TestRunnerIntegration:
