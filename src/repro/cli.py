@@ -16,10 +16,9 @@ Usage::
     python -m repro obs export-trace --out trace.json
     python -m repro predictive                     # forecaster sweep
     python -m repro predict --forecaster ewma --oracle
-    python -m repro faults --compare               # fault campaign verdict
-    python -m repro chaos --compare                # control-plane chaos SLOs
-    python -m repro topo --compare                 # demand-aware topology verdict
-    python -m repro serve --compare                # live service resilience SLOs
+    python -m repro campaign chaos-campaign --compare   # SLO verdict gate
+    python -m repro campaign fault-tolerance --scenario chipkill
+    python -m repro campaign demand-topology --json-out verdict.json
     python -m repro serve --single slow/resilient --trace-out svc.json
 
 Simulation-backed experiments honour ``--scale`` (equivalent to the
@@ -31,6 +30,13 @@ spec content hash, so re-running a figure is near-instant; ``--no-cache``
 bypasses it.  A per-experiment ``[sweep: ...]`` line reports runs
 executed vs. cache hits and wall-clock; ``--stats-json`` writes the
 same counters machine-readably.
+
+The seeded SLO campaigns (:mod:`repro.experiments.campaign`) run
+through one verb, ``campaign <name>``: ``--compare`` gates the exit
+status on the verdict, ``--json-out`` writes the verdict artifact, and
+``--seed`` / ``--fault-seed`` / ``--scenario`` override the parameters
+the campaign declares.  ``serve --single ARM`` runs one arm of the
+live-service campaign and exports its run record, metrics and trace.
 
 Observability (:mod:`repro.obs`) surfaces through two hooks:
 ``--run-log PATH`` (or ``$REPRO_RUN_LOG``) appends one
@@ -46,20 +52,18 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.experiments import (
+    campaign,
     golden,
     sweep,
     asymmetry,
-    chaos,
-    demand_topology,
     dynamic_topology,
     energy_aware,
     lane_ladder,
     mixed_media,
     oversubscription,
-    fault_tolerance,
     figure1,
     figure5,
     figure6,
@@ -112,18 +116,43 @@ EXPERIMENTS: Dict[str, tuple] = {
                          "saturation", True, oversubscription.run),
     "predictive": ("forecast-driven rate control vs reactive, with "
                    "oracle/baseline regret", True, predictive.run),
-    "fault-tolerance": ("seeded fault campaign: gated vs pinned "
-                        "spanning-set availability", True,
-                        fault_tolerance.run),
-    "chaos-campaign": ("control-plane chaos sweep: failsafe SLOs vs "
-                       "unprotected degradation", True, chaos.run),
-    "demand-topology": ("demand-aware topology control vs static "
-                        "FBFLY/degraded under structured matrices",
-                        True, demand_topology.run),
-    "service-resilience": ("live control-plane service: resilient vs "
-                           "unprotected SLOs under stream chaos", False,
-                           service_resilience.run),
+    **{name: (entry.description, True, campaign.experiment(name))
+       for name, entry in campaign.CAMPAIGNS.items()},
 }
+
+
+def sweep_flags() -> argparse.ArgumentParser:
+    """The sweep-harness flags shared by main, ``predict`` and
+    ``campaign`` (an argparse parent parser)."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="sweep worker processes (default: $REPRO_JOBS or cpu count)")
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the persistent run cache (always simulate live)")
+    parser.add_argument(
+        "--cache-dir", type=Path, default=None, metavar="DIR",
+        help="persistent run-cache directory "
+             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
+    parser.add_argument(
+        "--run-log", type=Path, default=None, metavar="PATH",
+        help="append one provenance-stamped JSONL run record per "
+             "resolved spec (cache hits marked cached:true) or service "
+             "arm; inspect with 'python -m repro obs summarize PATH'")
+    parser.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="in-process retry budget per failed sweep spec, with "
+             "seeded exponential backoff (default: $REPRO_RETRIES "
+             "or 1)")
+    return parser
+
+
+def configure_sweep(args: argparse.Namespace) -> None:
+    """Apply the :func:`sweep_flags` to the process-wide runner."""
+    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
+                    cache_dir=args.cache_dir, run_log=args.run_log,
+                    retries=args.retries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Reproduce 'Energy Proportional Datacenter Networks' "
                     "(ISCA 2010) results.",
+        parents=[sweep_flags()],
     )
     parser.add_argument(
         "experiment",
@@ -153,31 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="with --output: also write each result's rows as "
              "<name>.json for downstream tooling",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes (default: $REPRO_JOBS or cpu count)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache (always simulate live)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)",
-    )
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec (cache hits marked cached:true); inspect "
-             "with 'python -m repro obs summarize PATH'",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec, with "
-             "seeded exponential backoff (default: $REPRO_RETRIES "
-             "or 1)",
     )
     parser.add_argument(
         "--stats-json", type=Path, default=None, metavar="PATH",
@@ -469,6 +474,7 @@ def build_predict_parser() -> argparse.ArgumentParser:
         description="Compare predictive rate control against the "
                     "reactive controller, the full-rate baseline and "
                     "(optionally) the clairvoyant oracle.",
+        parents=[sweep_flags()],
     )
     from repro.predict.forecasters import FORECASTERS
     parser.add_argument(
@@ -495,33 +501,13 @@ def build_predict_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale", choices=sorted(SCALES), default=None,
         help="simulation scale (default: $REPRO_SCALE or 'small')")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
     return parser
 
 
 def predict_main(argv) -> int:
     """Entry point for ``python -m repro predict ...``."""
     args = build_predict_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
+    configure_sweep(args)
     scale = SCALES[args.scale] if args.scale else current_scale()
     try:
         result = predictive.run(
@@ -540,210 +526,47 @@ def predict_main(argv) -> int:
     return 0
 
 
-def build_faults_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``faults`` subcommand."""
+def build_campaign_parser() -> argparse.ArgumentParser:
+    """Construct the parser for the ``campaign`` subcommand."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Run the seeded fault campaign: baseline, "
-                    "unprotected gating and the pinned spanning set "
-                    "over one MTBF/MTTR fault process with corrupted "
-                    "sensors.",
+        prog="python -m repro campaign",
+        description="Run one seeded SLO campaign: every arm, a per-arm "
+                    "verdict on the campaign's legs, and the "
+                    "expectations its verdict asserts (protected arms "
+                    "pass every leg, ablation arms fail one).",
+        parents=[sweep_flags()],
     )
-    from repro.faults import registered_scenarios
-    parser.add_argument(
-        "--scenario", default="mtbf", choices=registered_scenarios(),
-        help="named fault scenario to inject (default: mtbf)")
+    parser.add_argument("name", choices=sorted(campaign.CAMPAIGNS),
+                        help="the campaign to run")
     parser.add_argument(
         "--compare", action="store_true",
-        help="gate the exit status on the availability verdict: the "
-             "pinned controller must sustain >= 99.9%% delivery with "
-             "zero partitions while unprotected gating observably "
-             "degrades")
-    parser.add_argument(
-        "--seed", type=int, default=1, help="workload RNG seed")
-    parser.add_argument(
-        "--fault-seed", type=int, default=1,
-        help="fault-process RNG seed (independent of the workload)")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
-    return parser
-
-
-def faults_main(argv) -> int:
-    """Entry point for ``python -m repro faults ...``."""
-    args = build_faults_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = fault_tolerance.run(
-            scenario=args.scenario, seed=args.seed,
-            fault_seed=args.fault_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
-    if args.compare:
-        return 0 if (result.protected_ok
-                     and result.degraded_detected) else 1
-    return 0
-
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``chaos`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run the control-plane chaos campaign: a fault-free "
-                    "reference plus unprotected and failsafe arms across "
-                    "three chaos intensities (telemetry loss, lost "
-                    "actuations, controller crashes), with an SLO "
-                    "verdict against the reference.",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the SLO verdict: every failsafe "
-             "arm must meet all three SLOs (zero partitions, bounded "
-             "latency inflation, bounded energy overshoot) while every "
-             "unprotected arm violates at least one")
-    parser.add_argument(
-        "--json-out", type=Path, default=None, metavar="PATH",
-        help="also write the machine-readable SLO verdict as JSON "
-             "(the CI artifact)")
-    parser.add_argument(
-        "--seed", type=int, default=chaos.CAMPAIGN_SEED,
-        help=f"workload RNG seed (default: {chaos.CAMPAIGN_SEED})")
-    parser.add_argument(
-        "--fault-seed", type=int, default=chaos.CAMPAIGN_FAULT_SEED,
-        help="control-fault RNG seed (default: "
-             f"{chaos.CAMPAIGN_FAULT_SEED})")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
-    return parser
-
-
-def chaos_main(argv) -> int:
-    """Entry point for ``python -m repro chaos ...``."""
-    args = build_chaos_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = chaos.run(seed=args.seed, fault_seed=args.fault_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
-    if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(
-            json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
-            + "\n")
-        print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
-    return 0
-
-
-def build_topo_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``topo`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro topo",
-        description="Run the demand-aware topology campaign: static "
-                    "FBFLY, static degraded (express links off) and "
-                    "demand-aware topology control across skewed, "
-                    "shifting and diurnal traffic matrices, with an "
-                    "energy/latency/safety verdict per matrix.",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the verdict: the demand-aware "
-             "arm must beat static FBFLY on energy at bounded latency "
-             "cost on every gated matrix, with zero partitions and "
-             "zero connectivity-guard violations across all arms")
+        help="gate the exit status on the campaign verdict")
     parser.add_argument(
         "--json-out", type=Path, default=None, metavar="PATH",
         help="also write the machine-readable verdict as JSON "
              "(the CI artifact)")
     parser.add_argument(
-        "--seed", type=int, default=demand_topology.CAMPAIGN_SEED,
-        help=f"workload RNG seed (default: "
-             f"{demand_topology.CAMPAIGN_SEED})")
+        "--seed", type=int, default=None,
+        help="workload RNG seed (default: the campaign's)")
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
+        "--fault-seed", type=int, default=None,
+        help="fault-process RNG seed (default: the campaign's)")
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
+        "--scenario", default=None,
+        help="named data-plane fault scenario (default: the campaign's)")
     return parser
 
 
-def topo_main(argv) -> int:
-    """Entry point for ``python -m repro topo ...``."""
-    args = build_topo_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
+def campaign_main(argv) -> int:
+    """Entry point for ``python -m repro campaign ...``."""
+    args = build_campaign_parser().parse_args(argv)
+    configure_sweep(args)
+    given = {key: getattr(args, key)
+             for key in ("seed", "fault_seed", "scenario")
+             if getattr(args, key) is not None}
     before = sweep.active_runner().stats.snapshot()
     try:
-        result = demand_topology.run(seed=args.seed)
+        result = campaign.run(args.name, run_log=args.run_log, **given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -760,55 +583,38 @@ def topo_main(argv) -> int:
             json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
             + "\n")
         print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
-    return 0
+    return 1 if args.compare and not result.ok else 0
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
     """Construct the parser for the ``serve`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="Run the live control-plane service over an "
-                    "accelerated diurnal trace.  Default: the "
-                    "resilience campaign (fault-free reference plus "
-                    "resilient and unprotected arms under telemetry "
-                    "dropout, actuation loss, controller crash and a "
-                    "slow consumer) with an SLO verdict; --single "
-                    "runs one arm and can export its run record, "
-                    "metrics dump and Perfetto trace.",
+        description="Run one arm of the live control-plane service over "
+                    "an accelerated diurnal trace and export its run "
+                    "record, metrics dump and Perfetto trace.  The whole "
+                    "resilience campaign is 'python -m repro campaign "
+                    "service-resilience'.",
     )
     parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the SLO verdict: every "
-             "resilient arm must meet all three SLOs (zero "
-             "partitions, bounded p99 decision latency, a "
-             "decisions/sec floor) while every unprotected arm "
-             "violates at least one")
-    parser.add_argument(
-        "--json-out", type=Path, default=None, metavar="PATH",
-        help="write the machine-readable SLO verdict as JSON "
-             "(the CI artifact)")
-    parser.add_argument(
-        "--single", default=None, metavar="ARM",
-        help="run one arm instead of the campaign: 'reference' or "
+        "--single", required=True, metavar="ARM",
+        help="the arm to run: 'reference' or "
              "'<scenario>/<resilient|unprotected>' with scenario in "
              "dropout/loss/crash/slow")
     parser.add_argument(
         "--epochs", type=int, default=None, metavar="N",
-        help="override the --single arm's epoch count")
+        help="override the arm's epoch count")
     parser.add_argument(
         "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one service run record per arm (readable by "
+        help="append the arm's service run record (readable by "
              "'repro obs summarize')")
     parser.add_argument(
         "--metrics-out", type=Path, default=None, metavar="PATH",
-        help="with --single: write the Prometheus-flavoured metrics "
-             "dump")
+        help="write the Prometheus-flavoured metrics dump")
     parser.add_argument(
         "--trace-out", type=Path, default=None, metavar="PATH",
-        help="with --single: write a Perfetto-loadable Chrome trace "
-             "of the service timeline")
+        help="write a Perfetto-loadable Chrome trace of the service "
+             "timeline")
     return parser
 
 
@@ -816,69 +622,43 @@ def serve_main(argv) -> int:
     """Entry point for ``python -m repro serve ...``."""
     import dataclasses as _dc
 
-    from repro.experiments import service_resilience as sr
     from repro.obs.decisions import DecisionLog
     from repro.obs.runrecord import RunRecordWriter
     from repro.service.service import ControlPlaneService
 
     args = build_serve_parser().parse_args(argv)
-    writer = (RunRecordWriter(args.run_log)
-              if args.run_log is not None else None)
-
-    if args.single is not None:
-        arms = sr.build_arms()
-        if args.single not in arms:
-            print(f"error: unknown arm {args.single!r}; one of "
-                  f"{', '.join(sorted(arms))}", file=sys.stderr)
-            return 1
-        config, scenario, slow = arms[args.single]
-        if args.epochs is not None:
-            config = _dc.replace(config, epochs=args.epochs)
-        want_trace = args.trace_out is not None
-        service = ControlPlaneService(
-            config, scenario=scenario, slow=slow,
-            decision_log=DecisionLog(max_records=None)
-            if want_trace else None,
-            capture_events=want_trace)
-        summary = service.run()
-        print(f"{args.single}: {summary.format_line()}")
-        if writer is not None:
-            writer.record_service(args.single, config, summary)
-            print(f"appended run record to {args.run_log}")
-        if args.metrics_out is not None:
-            args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-            args.metrics_out.write_text(service.metrics.format_text())
-            print(f"wrote {args.metrics_out}")
-        if want_trace:
-            from repro.obs.trace_export import export_service_trace
-            trace = export_service_trace(
-                service, args.trace_out,
-                label=f"repro serve {args.single}")
-            meta = trace["otherData"]
-            print(f"wrote {args.trace_out}: "
-                  f"{len(trace['traceEvents'])} events, "
-                  f"{meta['groups']} group tracks, "
-                  f"{meta['service_events']} service events")
-        return 0
-
-    result = sr.run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if writer is not None:
-        for label, (config, _, _) in sr.build_arms().items():
-            writer.record_service(label, config, result.by_label[label])
-        print(f"appended {writer.records_written} run records to "
-              f"{args.run_log}")
-    if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(
-            json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
-            + "\n")
-        print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
+    arms = service_resilience.arms()
+    if args.single not in arms:
+        print(f"error: unknown arm {args.single!r}; one of "
+              f"{', '.join(sorted(arms))}", file=sys.stderr)
+        return 1
+    config, scenario, slow = arms[args.single]
+    if args.epochs is not None:
+        config = _dc.replace(config, epochs=args.epochs)
+    want_trace = args.trace_out is not None
+    service = ControlPlaneService(
+        config, scenario=scenario, slow=slow,
+        decision_log=DecisionLog(max_records=None) if want_trace else None,
+        capture_events=want_trace)
+    summary = service.run()
+    print(f"{args.single}: {summary.format_line()}")
+    if args.run_log is not None:
+        RunRecordWriter(args.run_log).record_service(args.single, config,
+                                                      summary)
+        print(f"appended run record to {args.run_log}")
+    if args.metrics_out is not None:
+        args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
+        args.metrics_out.write_text(service.metrics.format_text())
+        print(f"wrote {args.metrics_out}")
+    if want_trace:
+        from repro.obs.trace_export import export_service_trace
+        trace = export_service_trace(
+            service, args.trace_out, label=f"repro serve {args.single}")
+        meta = trace["otherData"]
+        print(f"wrote {args.trace_out}: "
+              f"{len(trace['traceEvents'])} events, "
+              f"{meta['groups']} group tracks, "
+              f"{meta['service_events']} service events")
     return 0
 
 
@@ -1100,25 +880,13 @@ def main(argv=None) -> int:
     """CLI entry point: run the experiment and print its table."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "obs":
-        return obs_main(list(argv[1:]))
-    if argv and argv[0] == "perf":
-        return perf_main(list(argv[1:]))
-    if argv and argv[0] == "predict":
-        return predict_main(list(argv[1:]))
-    if argv and argv[0] == "faults":
-        return faults_main(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "topo":
-        return topo_main(list(argv[1:]))
-    if argv and argv[0] == "serve":
-        return serve_main(list(argv[1:]))
+    subcommands = {"obs": obs_main, "perf": perf_main,
+                   "predict": predict_main, "campaign": campaign_main,
+                   "serve": serve_main}
+    if argv and argv[0] in subcommands:
+        return subcommands[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
-
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
+    configure_sweep(args)
 
     if args.experiment == "golden-refresh":
         target = args.output or golden.default_golden_dir()

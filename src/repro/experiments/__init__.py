@@ -3,7 +3,9 @@
 Every module exposes ``run(...)`` returning a result object with
 ``rows()`` (the data the paper's table/figure reports) and
 ``format_table()`` (a printable rendering), plus a ``main()`` so it can
-be executed directly::
+be executed directly (the campaigns run through
+``python -m repro campaign <name>`` instead, and their arm-builder
+modules expose only ``arms(...)`` and label tuples)::
 
     python -m repro.experiments.table1
     python -m repro.experiments.figure8
@@ -34,6 +36,8 @@ Simulation-backed experiments accept an :class:`ExperimentScale`
 | oversubscription | §2.1.1 concentration sweep |
 | savings | simulated power priced at the 32k-host scale |
 | predictive | forecast-driven rate control vs the clairvoyant oracle |
+| campaign | the four seeded SLO campaigns, one table entry each: fault-tolerance, chaos-campaign, demand-topology, service-resilience |
+| fault_tolerance, chaos, demand_topology, service_resilience | each campaign's arm builder (specs or service arms, the labels its legs gate) |
 
 Infrastructure modules: ``runner`` (the shared :class:`SimulationSpec`
 -> summary executor), ``sweep`` (parallel batch execution with worker

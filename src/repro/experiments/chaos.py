@@ -1,340 +1,43 @@
-"""Control-plane chaos campaign: does the failsafe keep its SLOs?
+"""Control-plane chaos campaign arms: failsafe vs unprotected.
 
-:mod:`repro.faults.control_faults` breaks the *control plane* —
-telemetry reports lost or stale in flight, actuation commands dropped,
-the controller crashing and restarting cold — while the data plane
-stays healthy.  This campaign sweeps that chaos across three
-intensities (``ctl_chaos_low`` / ``mid`` / ``high``) over a fixed
-fabric and asks one question per intensity: with the
-:class:`~repro.core.failsafe.FailsafeGuard` attached, does the fabric
-still meet its service-level objectives — and does the same fabric
-*without* the guard observably violate them (proving the chaos has
-teeth)?
-
-Seven seeded runs: one fault-free **reference** plus, per intensity,
-an **unprotected** arm (chaos, no guard) and a **failsafe** arm
-(chaos + guard).  Every arm — including the reference — runs the
-``"quiet"`` data-plane scenario so restricted routing, drop accounting
-and BFS partition detection are attached on identical footing (a
-gating controller can dark links entirely on its own), under the
-``fault_pinned`` control mode whose spanning set is the availability
-story of the previous campaign.
-
-The three SLOs, all measured against the fault-free reference:
-
-- **zero partitions** — control-plane chaos must never disconnect the
-  fabric;
-- **bounded latency inflation** — mean packet latency at most
-  :data:`SLO_MAX_LATENCY_FACTOR` x the reference (lost telemetry reads
-  as zero demand; an unguarded controller slams loaded links to
-  minimum rate and queues explode);
-- **bounded energy overshoot** — measured power fraction at most
-  :data:`SLO_MAX_POWER_DELTA` above the reference (the guard holds and
-  floors rates; safety must not silently cost the whole
-  energy-proportionality win).
-
-The golden pins the verdict: every failsafe arm meets all three SLOs,
-and every unprotected arm violates at least one (empirically: the
-latency SLO, by ~3x the bound, with 35-60% of traffic undelivered).
-
-The campaign fabric, load and seeds are fixed (independent of
-``--scale``) because the verdict is a property of one seeded fault
-process, not a scaling trend.
+:mod:`repro.faults.control_faults` breaks the *control plane* — lost
+and stale telemetry, dropped actuations, controller crashes — while the
+data plane stays healthy.  This module builds seven seeded arms on a
+k=6 flattened butterfly at 25% uniform load: one fault-free
+``reference`` plus, per chaos intensity, an ``unprotected`` arm (no
+guard) and a ``failsafe`` arm (with
+:class:`~repro.core.failsafe.FailsafeGuard`).  The ``chaos-campaign``
+entry of :data:`repro.experiments.campaign.CAMPAIGNS` runs and judges
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from repro.experiments.report import format_table, pct, us
-from repro.experiments.runner import SimulationSpec, SimulationSummary
-from repro.experiments.sweep import sweep
+from repro.experiments.runner import SimulationSpec
 
-#: SLO: partitions recorded by the BFS detector must be exactly zero.
-SLO_MAX_PARTITIONS = 0
-
-#: SLO: mean packet latency at most this factor of the fault-free
-#: reference.  Failsafe arms measure 0.93-0.97x (queue-pressure relief
-#: runs held links slightly hotter than the adaptive reference);
-#: unprotected arms measure 4.3-4.8x.
-SLO_MAX_LATENCY_FACTOR = 1.5
-
-#: SLO: measured power fraction at most this much above the reference
-#: (absolute).  Failsafe arms measure +0.04..+0.09.
-SLO_MAX_POWER_DELTA = 0.15
-
-#: The campaign's fixed parameters (the verdict is seed-pinned).
-CAMPAIGN_K = 6
-CAMPAIGN_N = 2
-CAMPAIGN_LOAD = 0.25
-CAMPAIGN_DURATION_NS = 2_000_000.0
-CAMPAIGN_SEED = 3
-CAMPAIGN_FAULT_SEED = 7
-CAMPAIGN_INJECT_FRACTION = 0.5
-CAMPAIGN_CONTROL = "fault_pinned"
-CAMPAIGN_DATA_SCENARIO = "quiet"
-
-#: Chaos intensities swept, in report order.
-INTENSITIES: Tuple[str, ...] = ("low", "mid", "high")
-
-#: Reference arm label.
-REFERENCE = "reference"
+#: Control-plane chaos intensities, report order.
+INTENSITIES = ("low", "mid", "high")
+FAILSAFE = tuple(f"{i}/failsafe" for i in INTENSITIES)
+UNPROTECTED = tuple(f"{i}/unprotected" for i in INTENSITIES)
 
 
-def arm_label(intensity: str, failsafe: bool) -> str:
-    """Canonical label for one campaign arm."""
-    return f"{intensity}/{'failsafe' if failsafe else 'unprotected'}"
-
-
-@dataclass
-class ArmVerdict:
-    """One arm's SLO measurements and pass/fail flags."""
-
-    label: str
-    partitions: int
-    latency_factor: float
-    power_delta: float
-    delivered_fraction: float
-
-    @property
-    def partitions_ok(self) -> bool:
-        """SLO leg 1: the chaos never disconnected the fabric."""
-        return self.partitions <= SLO_MAX_PARTITIONS
-
-    @property
-    def latency_ok(self) -> bool:
-        """SLO leg 2: latency inflation vs the reference is bounded."""
-        return self.latency_factor <= SLO_MAX_LATENCY_FACTOR
-
-    @property
-    def power_ok(self) -> bool:
-        """SLO leg 3: energy overshoot vs the reference is bounded."""
-        return self.power_delta <= SLO_MAX_POWER_DELTA
-
-    @property
-    def all_ok(self) -> bool:
-        """All three SLOs met."""
-        return self.partitions_ok and self.latency_ok and self.power_ok
-
-    def violations(self) -> List[str]:
-        """Names of the SLOs this arm violates."""
-        out = []
-        if not self.partitions_ok:
-            out.append("partitions")
-        if not self.latency_ok:
-            out.append("latency")
-        if not self.power_ok:
-            out.append("power")
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe verdict record (the CI artifact rows)."""
-        return {
-            "label": self.label,
-            "partitions": self.partitions,
-            "latency_factor": round(self.latency_factor, 4),
-            "power_delta": round(self.power_delta, 4),
-            "delivered_fraction": round(self.delivered_fraction, 4),
-            "slo_ok": self.all_ok,
-            "violations": self.violations(),
-        }
-
-
-@dataclass
-class ChaosCampaignResult:
-    """The campaign's seven runs plus the per-arm SLO verdicts."""
-
-    by_label: Dict[str, SimulationSummary]
-
-    # -- verdict ---------------------------------------------------------
-
-    @property
-    def reference(self) -> SimulationSummary:
-        """The fault-free run every SLO is measured against."""
-        return self.by_label[REFERENCE]
-
-    def verdict(self, label: str) -> ArmVerdict:
-        """SLO measurements for one chaos arm, against the reference."""
-        summary = self.by_label[label]
-        ref = self.reference
-        faults = summary.faults or {}
-        return ArmVerdict(
-            label=label,
-            partitions=faults.get("partitions", 0),
-            latency_factor=(summary.mean_packet_latency_ns
-                            / ref.mean_packet_latency_ns),
-            power_delta=(summary.measured_power_fraction
-                         - ref.measured_power_fraction),
-            delivered_fraction=summary.delivered_fraction,
-        )
-
-    def arm_verdicts(self) -> List[ArmVerdict]:
-        """Verdicts for every chaos arm, report order."""
-        return [self.verdict(arm_label(intensity, failsafe))
-                for intensity in INTENSITIES
-                for failsafe in (False, True)]
-
-    @property
-    def failsafe_ok(self) -> bool:
-        """Every failsafe arm meets all three SLOs."""
-        return all(self.verdict(arm_label(i, True)).all_ok
-                   for i in INTENSITIES)
-
-    @property
-    def unprotected_degraded(self) -> bool:
-        """Every unprotected arm violates at least one SLO (the chaos
-        has teeth — passing SLOs without the guard would make the
-        failsafe verdict vacuous)."""
-        return all(not self.verdict(arm_label(i, False)).all_ok
-                   for i in INTENSITIES)
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict."""
-        return self.failsafe_ok and self.unprotected_degraded
-
-    # -- reporting -------------------------------------------------------
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table`` columns."""
-        ref = self.reference
-        rows = [[
-            REFERENCE, "-", us(ref.mean_packet_latency_ns), "1.00x",
-            pct(ref.measured_power_fraction), "-",
-            pct(ref.delivered_fraction, digits=3), 0, "-", "-",
-        ]]
-        for intensity in INTENSITIES:
-            for failsafe in (False, True):
-                label = arm_label(intensity, failsafe)
-                summary = self.by_label[label]
-                v = self.verdict(label)
-                cp = summary.control_plane or {}
-                rows.append([
-                    label,
-                    cp.get("scenario", "-"),
-                    us(summary.mean_packet_latency_ns),
-                    f"{v.latency_factor:.2f}x",
-                    pct(summary.measured_power_fraction),
-                    f"{v.power_delta:+.3f}",
-                    pct(v.delivered_fraction, digits=3),
-                    v.partitions,
-                    f"{cp.get('telemetry_lost', 0)}/"
-                    f"{cp.get('actuations_lost', 0)}",
-                    ("PASS" if v.all_ok
-                     else "viol:" + ",".join(v.violations())),
-                ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        return format_table(
-            ["Arm", "Chaos", "Mean lat", "vs ref", "Power", "dPower",
-             "Delivered", "Partitions", "Lost tel/act", "SLO"],
-            self.rows(),
-            title=f"Control-plane chaos: k={CAMPAIGN_K} FBFLY, uniform "
-                  f"{pct(CAMPAIGN_LOAD, digits=0)} load, "
-                  f"{CAMPAIGN_CONTROL} control — failsafe vs "
-                  f"unprotected across chaos intensity",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the two acceptance legs."""
-        lines = [
-            f"SLOs vs fault-free reference: partitions == "
-            f"{SLO_MAX_PARTITIONS}, mean latency <= "
-            f"{SLO_MAX_LATENCY_FACTOR}x, power delta <= "
-            f"+{SLO_MAX_POWER_DELTA}",
-        ]
-        fs = [self.verdict(arm_label(i, True)) for i in INTENSITIES]
-        un = [self.verdict(arm_label(i, False)) for i in INTENSITIES]
-        worst_lat = max(v.latency_factor for v in fs)
-        worst_pwr = max(v.power_delta for v in fs)
-        lines.append(
-            f"failsafe: worst latency {worst_lat:.2f}x, worst power "
-            f"{worst_pwr:+.3f}, partitions "
-            f"{max(v.partitions for v in fs)} — "
-            + ("all SLOs met at every intensity" if self.failsafe_ok
-               else "SLO VIOLATED: " + "; ".join(
-                   f"{v.label} -> {','.join(v.violations())}"
-                   for v in fs if not v.all_ok)))
-        lines.append(
-            f"unprotected: latency "
-            + ", ".join(f"{v.latency_factor:.2f}x" for v in un)
-            + ", delivered "
-            + ", ".join(pct(v.delivered_fraction, 0) for v in un)
-            + " — "
-            + ("every intensity violates an SLO (chaos has teeth)"
-               if self.unprotected_degraded
-               else "an unprotected arm met all SLOs "
-                    "(campaign too gentle)"))
-        return lines
-
-    def verdict_dict(self) -> Dict[str, object]:
-        """The JSON verdict artifact (CI uploads this)."""
-        return {
-            "slo": {
-                "max_partitions": SLO_MAX_PARTITIONS,
-                "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
-                "max_power_delta": SLO_MAX_POWER_DELTA,
-            },
-            "reference": {
-                "mean_packet_latency_ns": round(
-                    self.reference.mean_packet_latency_ns, 2),
-                "measured_power_fraction": round(
-                    self.reference.measured_power_fraction, 4),
-            },
-            "arms": [v.to_dict() for v in self.arm_verdicts()],
-            "failsafe_ok": self.failsafe_ok,
-            "unprotected_degraded": self.unprotected_degraded,
-            "ok": self.ok,
-        }
-
-
-def build_specs(seed: int = CAMPAIGN_SEED,
-                fault_seed: int = CAMPAIGN_FAULT_SEED,
-                ) -> Dict[str, SimulationSpec]:
-    """Label -> spec for the campaign's seven runs."""
-    base = dict(
-        k=CAMPAIGN_K, n=CAMPAIGN_N, workload="uniform",
-        duration_ns=CAMPAIGN_DURATION_NS, seed=seed,
-        control=CAMPAIGN_CONTROL, policy="ladder",
-        uniform_offered_load=CAMPAIGN_LOAD,
-        inject_fraction=CAMPAIGN_INJECT_FRACTION,
-        faults=CAMPAIGN_DATA_SCENARIO, fault_seed=fault_seed,
-    )
-    specs = {REFERENCE: SimulationSpec(**base)}
+def arms(seed: int, fault_seed: int) -> Dict[str, SimulationSpec]:
+    """Label -> spec: the reference, then per intensity its
+    unprotected and failsafe arms."""
+    # Every arm, the reference too, runs the "quiet" data-plane
+    # scenario so restricted routing, drop accounting and partition
+    # detection are attached on identical footing.
+    base = dict(k=6, n=2, workload="uniform", duration_ns=2_000_000.0,
+                seed=seed, control="fault_pinned", policy="ladder",
+                uniform_offered_load=0.25, inject_fraction=0.5,
+                faults="quiet", fault_seed=fault_seed)
+    out = {"reference": SimulationSpec(**base)}
     for intensity in INTENSITIES:
         for failsafe in (False, True):
-            specs[arm_label(intensity, failsafe)] = SimulationSpec(
+            label = f"{intensity}/{'failsafe' if failsafe else 'unprotected'}"
+            out[label] = SimulationSpec(
                 **base, control_faults=f"ctl_chaos_{intensity}",
                 failsafe=failsafe)
-    return specs
-
-
-def run(scale=None, seed: int = CAMPAIGN_SEED,
-        fault_seed: int = CAMPAIGN_FAULT_SEED) -> ChaosCampaignResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    fabric and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    specs = build_specs(seed=seed, fault_seed=fault_seed)
-    results = sweep(list(specs.values()))
-    return ChaosCampaignResult(
-        by_label={label: results[spec] for label, spec in specs.items()},
-    )
-
-
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+    return out

@@ -1,340 +1,37 @@
-"""Demand-aware topology campaign: does a third control axis pay?
+"""Demand-aware topology campaign arms: static vs degraded vs demand.
 
-The Section 5.1 proposal — power whole links off as the traffic matrix
-allows, not just rate them down — is only worth its complexity if it
-beats the alternatives under matrices with exploitable structure.
-This campaign compares three arms over one pinned fabric:
-
-- **static** — the full FBFLY under the paper's epoch rate controller
-  (``control="epoch"``): every link powered, rates scaled.
-- **degraded** — the static torus degradation (``degraded_topo``):
-  express links off at t=0, topology frozen, rates scaled.  Cheap, but
-  blind to where the demand actually is.
-- **demand** — the
-  :class:`~repro.topo.controller.DemandAwareTopologyController`
-  (``demand_topo``): per-epoch demand matrix, EWMA-forecast decisions,
-  connectivity-guarded power-off, hysteresis, rates co-scheduled.
-
-across three structured traffic matrices
-(:mod:`repro.workloads.matrix`): **skewed** (Zipf hot pairs, most
-links idle), **shifting** (the hot pairs relocate every phase) and
-**diurnal** (fabric-wide day/night intensity swings).
-
-The verdict (frozen in ``tests/golden/demand_topology.json``, gating
-``repro topo --compare``):
-
-- on every **gated** matrix (skewed, diurnal), the demand arm's energy
-  is *strictly below* the static arm's, at mean message latency at
-  most :data:`VERDICT_MAX_LATENCY_FACTOR` x static;
-- across **all** arms and matrices: zero partitions (the BFS detector
-  attached to every topology run) and zero connectivity-guard
-  violations — deliberate power-off never cost reachability.
-
-The shifting matrix is reported but not energy-gated: relocating hot
-pairs is the adversarial case (hysteresis pays reactivation on every
-phase change), and the requirement there is safety, not savings.
-
-The campaign fabric, load and seeds are fixed (independent of
-``--scale``) because the verdict is a property of seeded runs, not a
-scaling trend.
+Static FBFLY, a statically degraded torus and demand-aware topology
+control (:class:`~repro.topo.controller.DemandAwareTopologyController`)
+each run under skewed, shifting and diurnal traffic matrices on a k=4
+n=3 flattened butterfly at 25% load.  This module builds the nine arms;
+the ``demand-topology`` entry of
+:data:`repro.experiments.campaign.CAMPAIGNS` runs and judges them, each
+against the same matrix's static arm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from repro.experiments.report import format_table, pct, us
-from repro.experiments.runner import SimulationSpec, SimulationSummary
-from repro.experiments.sweep import sweep
+from repro.experiments.runner import SimulationSpec
 
-#: Verdict: demand-arm mean message latency at most this factor of the
-#: same matrix's static arm.
-VERDICT_MAX_LATENCY_FACTOR = 1.3
-
-#: Verdict: partitions recorded by the BFS detector must be zero.
-VERDICT_MAX_PARTITIONS = 0
-
-#: The campaign's fixed parameters (the verdict is seed-pinned).
-CAMPAIGN_K = 4
-CAMPAIGN_N = 3
-CAMPAIGN_LOAD = 0.25
-CAMPAIGN_DURATION_NS = 2_000_000.0
-CAMPAIGN_SEED = 3
-CAMPAIGN_INJECT_FRACTION = 0.5
-CAMPAIGN_POLICY = "ladder"
-#: Forecaster driving the demand arm's topology decisions (the
-#: :mod:`repro.predict` registry name carried by ``spec.forecaster``).
-CAMPAIGN_FORECASTER = "ewma"
-
-#: Traffic matrices swept, in report order.
-WORKLOADS: Tuple[str, ...] = ("skewed", "shifting", "diurnal")
-
-#: Matrices whose energy/latency verdict legs gate the exit status.
-GATED_WORKLOADS: Tuple[str, ...] = ("skewed", "diurnal")
-
-#: Arms per matrix: (label, control mode).
-ARMS: Tuple[Tuple[str, str], ...] = (
-    ("static", "epoch"),
-    ("degraded", "degraded_topo"),
-    ("demand", "demand_topo"),
-)
+#: Structured traffic matrices, report order; and the arms per matrix.
+MATRICES = ("skewed", "shifting", "diurnal")
+CONTROLS = (("static", "epoch"), ("degraded", "degraded_topo"),
+            ("demand", "demand_topo"))
+#: Matrices whose energy/latency legs gate the demand arm.  Shifting
+#: hot pairs are the adversarial case (hysteresis pays reactivation on
+#: every phase change): safety is required there, savings are not.
+GATED = ("skewed/demand", "diurnal/demand")
+LABELS = tuple(f"{w}/{arm}" for w in MATRICES for arm, _ in CONTROLS)
 
 
-def arm_label(workload: str, arm: str) -> str:
-    """Canonical label for one campaign run."""
-    return f"{workload}/{arm}"
-
-
-@dataclass
-class ArmVerdict:
-    """One arm's measurements against its matrix's static arm."""
-
-    label: str
-    power_fraction: float
-    power_delta: float              # vs static, negative = saves energy
-    latency_factor: float           # vs static
-    delivered_fraction: float
-    partitions: int
-    guard_violations: int
-    dark_mean: float
-    gated: bool                     # energy/latency legs gate exit
-
-    @property
-    def energy_ok(self) -> bool:
-        """Verdict leg 1: strictly lower energy than static."""
-        return self.power_delta < 0.0
-
-    @property
-    def latency_ok(self) -> bool:
-        """Verdict leg 2: bounded latency cost vs static."""
-        return self.latency_factor <= VERDICT_MAX_LATENCY_FACTOR
-
-    @property
-    def safety_ok(self) -> bool:
-        """Verdict leg 3: no partitions, no guard violations."""
-        return (self.partitions <= VERDICT_MAX_PARTITIONS
-                and self.guard_violations == 0)
-
-    @property
-    def all_ok(self) -> bool:
-        """Every leg this arm is gated on."""
-        if not self.gated:
-            return self.safety_ok
-        return self.energy_ok and self.latency_ok and self.safety_ok
-
-    def violations(self) -> List[str]:
-        """Names of the verdict legs this arm fails."""
-        out = []
-        if self.gated and not self.energy_ok:
-            out.append("energy")
-        if self.gated and not self.latency_ok:
-            out.append("latency")
-        if not self.safety_ok:
-            out.append("safety")
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe verdict record (the CI artifact rows)."""
-        return {
-            "label": self.label,
-            "power_fraction": round(self.power_fraction, 4),
-            "power_delta": round(self.power_delta, 4),
-            "latency_factor": round(self.latency_factor, 4),
-            "delivered_fraction": round(self.delivered_fraction, 4),
-            "partitions": self.partitions,
-            "guard_violations": self.guard_violations,
-            "dark_mean": round(self.dark_mean, 4),
-            "gated": self.gated,
-            "ok": self.all_ok,
-            "violations": self.violations(),
-        }
-
-
-@dataclass
-class DemandTopologyResult:
-    """The campaign's nine runs plus the per-arm verdicts."""
-
-    by_label: Dict[str, SimulationSummary]
-
-    # -- verdict ---------------------------------------------------------
-
-    def static(self, workload: str) -> SimulationSummary:
-        """The matrix's static-FBFLY run everything is measured against."""
-        return self.by_label[arm_label(workload, "static")]
-
-    def verdict(self, workload: str, arm: str) -> ArmVerdict:
-        """Measurements for one run, against its matrix's static arm."""
-        label = arm_label(workload, arm)
-        summary = self.by_label[label]
-        static = self.static(workload)
-        faults = summary.faults or {}
-        topo = summary.topo or {}
-        return ArmVerdict(
-            label=label,
-            power_fraction=summary.measured_power_fraction,
-            power_delta=(summary.measured_power_fraction
-                         - static.measured_power_fraction),
-            latency_factor=(summary.mean_message_latency_ns
-                            / static.mean_message_latency_ns),
-            delivered_fraction=summary.delivered_fraction,
-            partitions=faults.get("partitions", 0),
-            guard_violations=topo.get("guard_violations", 0),
-            dark_mean=topo.get("dark_mean", 0.0),
-            gated=(arm == "demand" and workload in GATED_WORKLOADS),
-        )
-
-    def arm_verdicts(self) -> List[ArmVerdict]:
-        """Verdicts for every run, report order."""
-        return [self.verdict(workload, arm)
-                for workload in WORKLOADS
-                for arm, _ in ARMS]
-
-    @property
-    def demand_wins(self) -> bool:
-        """On every gated matrix the demand arm saves energy within the
-        latency bound."""
-        return all(self.verdict(w, "demand").all_ok
-                   for w in GATED_WORKLOADS)
-
-    @property
-    def safe_everywhere(self) -> bool:
-        """Zero partitions and zero guard violations across all arms."""
-        return all(v.safety_ok for v in self.arm_verdicts())
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict."""
-        return self.demand_wins and self.safe_everywhere
-
-    # -- reporting -------------------------------------------------------
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table`` columns."""
-        rows = []
-        for workload in WORKLOADS:
-            for arm, _ in ARMS:
-                v = self.verdict(workload, arm)
-                summary = self.by_label[v.label]
-                rows.append([
-                    v.label,
-                    pct(v.power_fraction),
-                    ("-" if arm == "static"
-                     else f"{v.power_delta:+.3f}"),
-                    us(summary.mean_message_latency_ns),
-                    ("-" if arm == "static"
-                     else f"{v.latency_factor:.2f}x"),
-                    pct(v.delivered_fraction, digits=3),
-                    f"{v.dark_mean:.1f}",
-                    v.partitions,
-                    v.guard_violations,
-                    ("PASS" if v.all_ok
-                     else "viol:" + ",".join(v.violations())),
-                ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        return format_table(
-            ["Arm", "Power", "dPower", "Mean lat", "vs static",
-             "Delivered", "Dark", "Partitions", "GuardViol", "Verdict"],
-            self.rows(),
-            title=f"Demand-aware topology: k={CAMPAIGN_K} n={CAMPAIGN_N} "
-                  f"FBFLY, {pct(CAMPAIGN_LOAD, digits=0)} load — "
-                  f"static vs degraded vs demand-aware across "
-                  f"structured traffic matrices",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the acceptance legs."""
-        lines = [
-            f"Verdict vs per-matrix static arm: energy strictly lower, "
-            f"mean latency <= {VERDICT_MAX_LATENCY_FACTOR}x "
-            f"(gated: {', '.join(GATED_WORKLOADS)}); zero partitions "
-            f"and guard violations everywhere",
-        ]
-        gated = [self.verdict(w, "demand") for w in GATED_WORKLOADS]
-        best_save = min(v.power_delta for v in gated)
-        worst_lat = max(v.latency_factor for v in gated)
-        lines.append(
-            f"demand-aware: best energy delta {best_save:+.3f}, worst "
-            f"latency {worst_lat:.2f}x — "
-            + ("beats static on every gated matrix" if self.demand_wins
-               else "VERDICT FAILED: " + "; ".join(
-                   f"{v.label} -> {','.join(v.violations())}"
-                   for v in gated if not v.all_ok)))
-        lines.append(
-            "safety: "
-            + ("zero partitions and zero guard violations across all "
-               f"{len(self.arm_verdicts())} arms" if self.safe_everywhere
-               else "SAFETY VIOLATED: " + "; ".join(
-                   f"{v.label} (partitions={v.partitions}, "
-                   f"guard={v.guard_violations})"
-                   for v in self.arm_verdicts() if not v.safety_ok)))
-        return lines
-
-    def verdict_dict(self) -> Dict[str, object]:
-        """The JSON verdict artifact (CI uploads this)."""
-        return {
-            "verdict": {
-                "max_latency_factor": VERDICT_MAX_LATENCY_FACTOR,
-                "max_partitions": VERDICT_MAX_PARTITIONS,
-                "gated_workloads": list(GATED_WORKLOADS),
-            },
-            "static": {
-                workload: {
-                    "measured_power_fraction": round(
-                        self.static(workload).measured_power_fraction, 4),
-                    "mean_message_latency_ns": round(
-                        self.static(workload).mean_message_latency_ns, 2),
-                } for workload in WORKLOADS
-            },
-            "arms": [v.to_dict() for v in self.arm_verdicts()],
-            "demand_wins": self.demand_wins,
-            "safe_everywhere": self.safe_everywhere,
-            "ok": self.ok,
-        }
-
-
-def build_specs(seed: int = CAMPAIGN_SEED) -> Dict[str, SimulationSpec]:
-    """Label -> spec for the campaign's nine runs."""
-    specs: Dict[str, SimulationSpec] = {}
-    for workload in WORKLOADS:
-        for arm, control in ARMS:
-            specs[arm_label(workload, arm)] = SimulationSpec(
-                k=CAMPAIGN_K, n=CAMPAIGN_N, workload=workload,
-                duration_ns=CAMPAIGN_DURATION_NS, seed=seed,
-                control=control, policy=CAMPAIGN_POLICY,
-                uniform_offered_load=CAMPAIGN_LOAD,
-                inject_fraction=CAMPAIGN_INJECT_FRACTION,
-                forecaster=(CAMPAIGN_FORECASTER if arm == "demand"
-                            else None),
-            )
-    return specs
-
-
-def run(scale=None, seed: int = CAMPAIGN_SEED) -> DemandTopologyResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    fabric and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    specs = build_specs(seed=seed)
-    results = sweep(list(specs.values()))
-    return DemandTopologyResult(
-        by_label={label: results[spec] for label, spec in specs.items()},
-    )
-
-
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+def arms(seed: int) -> Dict[str, SimulationSpec]:
+    """Label ``<matrix>/<arm>`` -> spec, for every matrix and arm."""
+    return {
+        f"{matrix}/{arm}": SimulationSpec(
+            k=4, n=3, workload=matrix, duration_ns=2_000_000.0, seed=seed,
+            control=control, policy="ladder", uniform_offered_load=0.25,
+            inject_fraction=0.5,
+            forecaster="ewma" if arm == "demand" else None)
+        for matrix in MATRICES for arm, control in CONTROLS}

@@ -1,182 +1,37 @@
-"""Fault campaign: graceful degradation vs. a pinned spanning set.
+"""Fault-tolerance campaign arms: gated vs pinned under link faults.
 
-Section 1 of the paper notes that a deactivated link is
-indistinguishable from a faulty one to the routing algorithm — so an
-energy-proportional fabric must stay *available* when real faults land
-on top of deliberate rate scaling.  This experiment runs one seeded
-MTBF/MTTR campaign (random Weibull link faults plus stuck-at-zero
-utilization sensors; see the ``"mtbf"`` scenario in
-:mod:`repro.faults.scenario`) over a k=8 flattened butterfly at 25%
-uniform load, under three control planes:
-
-- **baseline** — the paper's reactive epoch controller on the healthy
-  fabric (what the campaign costs in the first place);
-- **fault_gated** — an aggressive power-gating controller that trusts
-  its sensors; the stuck sensors lure it into powering off loaded
-  links, and together with the injected faults it partitions the
-  fabric and drops traffic;
-- **fault_pinned** — the same gating policy guarded by a
-  :class:`~repro.faults.policy.SpanningSetGuard` pinning the
-  per-dimension ring at minimum-rate-on, with a queue-occupancy
-  sensor cross-check.
-
-The verdict the golden pins: the pinned controller sustains
->= 99.9% delivery with zero partitions on the campaign where the
-unprotected controller records partitions and drop bursts.
-
-The campaign fabric, load and seeds are fixed (independent of
-``--scale``) because the verdict is a property of one seeded fault
-process, not a scaling trend.
+One MTBF/MTTR link-fault process plus stuck utilization sensors on a
+k=8 flattened butterfly at 25% uniform load.  The aggressive
+``fault_gated`` controller trusts its sensors and partitions the
+fabric; ``fault_pinned`` keeps the per-dimension ring lit through
+:class:`~repro.faults.policy.SpanningSetGuard`.  This module builds the
+three arms; the ``fault-tolerance`` entry of
+:data:`repro.experiments.campaign.CAMPAIGNS` runs and judges them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from repro.experiments.report import format_table, pct, us
-from repro.experiments.runner import (
-    CONTROL_EPOCH,
-    SimulationSpec,
-    SimulationSummary,
-)
-from repro.experiments.sweep import sweep
-
-#: Delivery floor the protected controller must sustain.
-DELIVERY_FLOOR = 0.999
-
-#: The campaign's fixed parameters (the verdict is seed-pinned).
-CAMPAIGN_K = 8
-CAMPAIGN_N = 2
-CAMPAIGN_LOAD = 0.25
-CAMPAIGN_DURATION_NS = 2_500_000.0
-CAMPAIGN_INJECT_FRACTION = 0.4
-
-#: Controller label -> (control mode, scenario) rows, report order.
-CONTROLLERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
-    ("baseline", CONTROL_EPOCH, None),
-    ("gated", "fault_gated", "mtbf"),
-    ("pinned", "fault_pinned", "mtbf"),
-)
+from repro.experiments.runner import CONTROL_EPOCH, SimulationSpec
+from repro.faults.scenario import registered_scenarios
 
 
-@dataclass
-class FaultToleranceResult:
-    """The campaign's three runs plus the availability verdict."""
-
-    scenario: str
-    by_label: Dict[str, SimulationSummary]
-
-    def _faults(self, label: str) -> Dict:
-        return self.by_label[label].faults or {}
-
-    @property
-    def protected_ok(self) -> bool:
-        """Did the pinned controller sustain the availability floor?"""
-        pinned = self.by_label["pinned"]
-        return (pinned.delivered_fraction >= DELIVERY_FLOOR
-                and self._faults("pinned").get("partitions", 0) == 0)
-
-    @property
-    def degraded_detected(self) -> bool:
-        """Did the unprotected controller observably degrade?"""
-        gated = self._faults("gated")
-        return (gated.get("partitions", 0) >= 1
-                or gated.get("drop_bursts", 0) >= 1)
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table``'s columns."""
-        rows = []
-        for label, summary in self.by_label.items():
-            faults = summary.faults or {}
-            rows.append([
-                label,
-                pct(summary.delivered_fraction, digits=3),
-                faults.get("dropped_packets", 0),
-                faults.get("drop_bursts", 0),
-                faults.get("partitions", 0),
-                faults.get("faults_applied", 0),
-                faults.get("gated_offs", "-"),
-                faults.get("pinned_holds", "-"),
-                pct(summary.measured_power_fraction),
-                us(summary.mean_message_latency_ns),
-            ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        return format_table(
-            ["Controller", "Delivered", "Drops", "Bursts", "Partitions",
-             "Faults", "Gated off", "Pin holds", "Power", "Mean lat"],
-            self.rows(),
-            title=f"Fault campaign ({self.scenario}): k={CAMPAIGN_K} "
-                  f"FBFLY, uniform {pct(CAMPAIGN_LOAD, digits=0)} load "
-                  f"— availability under faults + stuck sensors",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the two acceptance legs."""
-        lines = []
-        pinned = self.by_label["pinned"]
-        gated = self._faults("gated")
-        lines.append(
-            f"pinned spanning set: {pct(pinned.delivered_fraction, 3)} "
-            f"delivered, {self._faults('pinned').get('partitions', 0)} "
-            f"partition(s) — "
-            + ("OK (>= 99.9%, zero partitions)" if self.protected_ok
-               else "FAILED the availability floor"))
-        lines.append(
-            f"unprotected gating: {gated.get('partitions', 0)} "
-            f"partition(s), {gated.get('drop_bursts', 0)} drop "
-            f"burst(s) — "
-            + ("degradation detected" if self.degraded_detected
-               else "no observable degradation (campaign too gentle)"))
-        return lines
-
-
-def build_specs(scenario: str = "mtbf", seed: int = 1,
-                fault_seed: int = 1,
-                ) -> Dict[str, SimulationSpec]:
-    """Label -> spec for the campaign's three runs."""
-    specs = {}
-    for label, control, spec_scenario in CONTROLLERS:
-        specs[label] = SimulationSpec(
-            k=CAMPAIGN_K, n=CAMPAIGN_N, workload="uniform",
-            duration_ns=CAMPAIGN_DURATION_NS, seed=seed,
-            control=control, policy="ladder",
-            uniform_offered_load=CAMPAIGN_LOAD,
-            inject_fraction=CAMPAIGN_INJECT_FRACTION,
-            faults=(scenario if spec_scenario is not None else None),
-            fault_seed=(fault_seed if spec_scenario is not None else 0),
-        )
-    return specs
-
-
-def run(scale=None, scenario: str = "mtbf", seed: int = 1,
-        fault_seed: int = 1) -> FaultToleranceResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    fabric and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    specs = build_specs(scenario=scenario, seed=seed,
-                        fault_seed=fault_seed)
-    results = sweep(list(specs.values()))
-    return FaultToleranceResult(
-        scenario=scenario,
-        by_label={label: results[spec] for label, spec in specs.items()},
-    )
-
-
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+def arms(seed: int, fault_seed: int,
+         scenario: str) -> Dict[str, SimulationSpec]:
+    """Label -> spec: a fault-free ``baseline`` plus the ``gated`` and
+    ``pinned`` controllers under fault scenario ``scenario``."""
+    if scenario not in registered_scenarios():
+        raise ValueError(
+            f"unknown fault scenario {scenario!r}; registered: "
+            f"{', '.join(registered_scenarios())}")
+    base = dict(k=8, n=2, workload="uniform", duration_ns=2_500_000.0,
+                seed=seed, policy="ladder", uniform_offered_load=0.25,
+                inject_fraction=0.4)
+    return {
+        "baseline": SimulationSpec(**base, control=CONTROL_EPOCH),
+        "gated": SimulationSpec(**base, control="fault_gated",
+                                faults=scenario, fault_seed=fault_seed),
+        "pinned": SimulationSpec(**base, control="fault_pinned",
+                                 faults=scenario, fault_seed=fault_seed),
+    }

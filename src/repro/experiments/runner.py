@@ -215,6 +215,12 @@ class SimulationSummary:
     #: topology axis, and elided from cache encodings.
     topo: Optional[Dict] = None
 
+    def digest(self) -> Dict:
+        """The deterministic content
+        (:func:`repro.experiments.cache.summary_digest`)."""
+        from repro.experiments.cache import summary_digest
+        return summary_digest(self)
+
 
 def _build_epoch_controller(network, spec, decision_log):
     """Control-mode builder for the paper's epoch controller."""

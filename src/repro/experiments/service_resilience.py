@@ -1,51 +1,18 @@
-"""Service resilience campaign: does the live control plane stay up?
+"""Service-resilience campaign arms: the live service under stream chaos.
 
-The chaos campaign (:mod:`repro.experiments.chaos`) stresses the
-*policy* under control-plane faults inside the discrete-event
-simulator.  This campaign stresses the *service* — the long-running
-supervised asyncio process in :mod:`repro.service` — under the same
-fault DSL pointed at its streams: telemetry dropout on the ingest
-queue, decision loss on the actuation transport, the decision loop
-killed outright, and a slow consumer backing the bounded queue up.
-
-Nine seeded runs over a two-virtual-hour diurnal trace (720 epochs of
-10 s): one fault-free **reference** plus, per scenario, a
-**resilient** arm (shedding + degraded modes + retry journal +
-supervisor, i.e. :class:`~repro.service.service.ServiceConfig`
-defaults) and an **unprotected** arm
-(:meth:`~repro.service.service.ServiceConfig.unprotected`: every
-robustness feature off, the naive controller the chaos DSL documents).
-
-The three service-level objectives, per arm:
-
-- **zero partitions** — no group may sit powered-off under offered
-  demand past the strand grace (the availability failure mode:
-  an unprotected controller reads lost telemetry as idleness and
-  gates live groups dark);
-- **bounded p99 decision latency** — at most
-  :data:`SLO_MAX_LATENCY_FACTOR` x the reference p99 or the absolute
-  :data:`SLO_LATENCY_FLOOR_EPOCHS` floor, whichever is larger (a
-  backlogged consumer must shed rather than decide on ancient data);
-- **decision throughput floor** — decisions per virtual second at
-  least :data:`SLO_MIN_DPS_FRACTION` of the ideal rate (a dead loop
-  with no supervisor stops deciding; the deadman restart must keep
-  the rate up).
-
-The golden pins the verdict: every resilient arm meets all three
-SLOs and every unprotected arm violates at least one (empirically:
-dropout strands 38 groups dark, loss 9, a crash halves throughput and
-strands 4, the slow consumer walks p99 to ~1090 virtual seconds).
-
-Everything is seed-pinned and virtual-time, so the verdict is exact
-and ``--scale`` is accepted but ignored.
+The live asyncio control-plane service (:mod:`repro.service`) replays
+two diurnal days of 10 s epochs under telemetry dropout, decision loss,
+a controller crash and a slow consumer.  This module builds one
+fault-free ``reference`` plus, per fault, an ``unprotected`` arm (every
+robustness feature off) and a ``resilient`` arm (the config defaults).
+The ``service-resilience`` entry of
+:data:`repro.experiments.campaign.CAMPAIGNS` runs and judges them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.experiments.report import format_table, pct
 from repro.faults.control_faults import (
     ControlFaultScenario,
     ControllerCrash,
@@ -53,339 +20,54 @@ from repro.faults.control_faults import (
     TelemetryDropout,
 )
 from repro.service.faults import SlowConsumer
-from repro.service.service import (
-    ControlPlaneService,
-    ServiceConfig,
-    ServiceSummary,
-)
+from repro.service.service import ServiceConfig
 
-#: SLO: stranded-dark partitions must be exactly zero.
-SLO_MAX_PARTITIONS = 0
 
-#: SLO: p99 decision latency at most this factor of the reference p99
-#: (reference measures 170 ms: 8 record costs + tick cost).
-SLO_MAX_LATENCY_FACTOR = 2.0
+class ServiceArm(NamedTuple):
+    """One live-service run: its config plus the stream faults."""
 
-#: Absolute latency floor in epochs — the shedding arm under a slow
-#: consumer legitimately runs behind (measures ~1.5 epochs); a decision
-#: older than this acts on a different diurnal phase.
-SLO_LATENCY_FLOOR_EPOCHS = 2.5
+    config: ServiceConfig
+    scenario: Optional[ControlFaultScenario] = None
+    slow: Optional[SlowConsumer] = None
 
-#: SLO: decisions per virtual second at least this fraction of ideal
-#: (ideal = groups / epoch seconds; a crashed, unsupervised loop stops
-#: deciding and lands at ~0.4x).
-SLO_MIN_DPS_FRACTION = 0.9
 
-#: The campaign's fixed parameters (the verdict is seed-pinned).
-CAMPAIGN_SEED = 3
+#: The campaign's pinned run (two diurnal days of 10 s epochs).
+CAMPAIGN_CONFIG = ServiceConfig(seed=3)
 CAMPAIGN_FAULT_SEED = 11
-CAMPAIGN_CONFIG = ServiceConfig(seed=CAMPAIGN_SEED)
-
-#: Virtual ns in one diurnal day of the campaign trace.
 _DAY_NS = CAMPAIGN_CONFIG.epochs_per_day * CAMPAIGN_CONFIG.epoch_ns
-
-#: Fault scenarios swept, report order.
-SCENARIOS: Tuple[str, ...] = ("dropout", "loss", "crash", "slow")
-
-#: Reference arm label.
-REFERENCE = "reference"
-
-
-def arm_label(scenario: str, resilient: bool) -> str:
-    """Canonical label for one campaign arm."""
-    return f"{scenario}/{'resilient' if resilient else 'unprotected'}"
-
-
-def _scenario(name: str) -> Tuple[Optional[ControlFaultScenario],
-                                  Optional[SlowConsumer]]:
-    """The chaos DSL scenario and/or slow-consumer fault for one arm."""
-    if name == "dropout":
-        return ControlFaultScenario(
-            name="svc_dropout", seed=CAMPAIGN_FAULT_SEED,
-            dropout=TelemetryDropout(
-                fraction=0.6, probability=0.95,
-                start_ns=0.2 * _DAY_NS, end_ns=2.4 * _DAY_NS)), None
-    if name == "loss":
-        return ControlFaultScenario(
-            name="svc_loss", seed=CAMPAIGN_FAULT_SEED,
-            loss=DecisionLoss(probability=0.5, start_ns=0.1 * _DAY_NS),
-            dropout=TelemetryDropout(
-                fraction=0.6, probability=0.95,
-                start_ns=0.75 * _DAY_NS, end_ns=2.25 * _DAY_NS)), None
-    if name == "crash":
-        return ControlFaultScenario(
-            name="svc_crash", seed=CAMPAIGN_FAULT_SEED,
-            crashes=(ControllerCrash(time_ns=1.2 * _DAY_NS,
-                                     restart_after_epochs=None),)), None
-    if name == "slow":
-        return None, SlowConsumer(cost_ns=1.8e9,
-                                  start_ns=0.3 * _DAY_NS,
-                                  end_ns=1.8 * _DAY_NS)
-    raise ValueError(f"unknown scenario {name!r}")
+#: Stream-fault scenario -> (chaos DSL scenario, slow consumer).
+FAULTS: Dict[str, Tuple[Optional[ControlFaultScenario],
+                        Optional[SlowConsumer]]] = {
+    "dropout": (ControlFaultScenario(
+        name="svc_dropout", seed=CAMPAIGN_FAULT_SEED,
+        dropout=TelemetryDropout(fraction=0.6, probability=0.95,
+                                 start_ns=0.2 * _DAY_NS,
+                                 end_ns=2.4 * _DAY_NS)), None),
+    "loss": (ControlFaultScenario(
+        name="svc_loss", seed=CAMPAIGN_FAULT_SEED,
+        loss=DecisionLoss(probability=0.5, start_ns=0.1 * _DAY_NS),
+        dropout=TelemetryDropout(fraction=0.6, probability=0.95,
+                                 start_ns=0.75 * _DAY_NS,
+                                 end_ns=2.25 * _DAY_NS)), None),
+    "crash": (ControlFaultScenario(
+        name="svc_crash", seed=CAMPAIGN_FAULT_SEED,
+        crashes=(ControllerCrash(time_ns=1.2 * _DAY_NS,
+                                 restart_after_epochs=None),)), None),
+    "slow": (None, SlowConsumer(cost_ns=1.8e9, start_ns=0.3 * _DAY_NS,
+                                end_ns=1.8 * _DAY_NS)),
+}
+RESILIENT = tuple(f"{f}/resilient" for f in FAULTS)
+UNPROTECTED = tuple(f"{f}/unprotected" for f in FAULTS)
 
 
-@dataclass
-class ArmVerdict:
-    """One arm's SLO measurements and pass/fail flags."""
-
-    label: str
-    partitions: int
-    latency_p99_ns: float
-    latency_bound_ns: float
-    decisions_per_sec: float
-    dps_floor: float
-    served_fraction: float
-
-    @property
-    def partitions_ok(self) -> bool:
-        """SLO leg 1: no group was stranded dark under demand."""
-        return self.partitions <= SLO_MAX_PARTITIONS
-
-    @property
-    def latency_ok(self) -> bool:
-        """SLO leg 2: p99 decision latency within its bound."""
-        return self.latency_p99_ns <= self.latency_bound_ns
-
-    @property
-    def throughput_ok(self) -> bool:
-        """SLO leg 3: decision rate above the floor."""
-        return self.decisions_per_sec >= self.dps_floor
-
-    @property
-    def all_ok(self) -> bool:
-        """All three SLOs met."""
-        return (self.partitions_ok and self.latency_ok
-                and self.throughput_ok)
-
-    def violations(self) -> List[str]:
-        """Names of the SLOs this arm violates."""
-        out = []
-        if not self.partitions_ok:
-            out.append("partitions")
-        if not self.latency_ok:
-            out.append("latency")
-        if not self.throughput_ok:
-            out.append("throughput")
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe verdict record (the CI artifact rows)."""
-        return {
-            "label": self.label,
-            "partitions": self.partitions,
-            "latency_p99_ns": round(self.latency_p99_ns, 2),
-            "latency_bound_ns": round(self.latency_bound_ns, 2),
-            "decisions_per_sec": round(self.decisions_per_sec, 4),
-            "dps_floor": round(self.dps_floor, 4),
-            "served_fraction": round(self.served_fraction, 4),
-            "slo_ok": self.all_ok,
-            "violations": self.violations(),
-        }
-
-
-@dataclass
-class ServiceResilienceResult:
-    """The campaign's nine runs plus the per-arm SLO verdicts."""
-
-    by_label: Dict[str, ServiceSummary]
-
-    # -- verdict ---------------------------------------------------------
-
-    @property
-    def reference(self) -> ServiceSummary:
-        """The fault-free run the latency SLO is measured against."""
-        return self.by_label[REFERENCE]
-
-    @property
-    def latency_bound_ns(self) -> float:
-        """The p99 bound every arm is held to."""
-        return max(SLO_MAX_LATENCY_FACTOR * self.reference.latency_p99_ns,
-                   SLO_LATENCY_FLOOR_EPOCHS * CAMPAIGN_CONFIG.epoch_ns)
-
-    @property
-    def dps_floor(self) -> float:
-        """Minimum acceptable decisions per virtual second."""
-        ideal = (CAMPAIGN_CONFIG.groups
-                 / (CAMPAIGN_CONFIG.epoch_ns / 1e9))
-        return SLO_MIN_DPS_FRACTION * ideal
-
-    def verdict(self, label: str) -> ArmVerdict:
-        """SLO measurements for one arm."""
-        summary = self.by_label[label]
-        return ArmVerdict(
-            label=label,
-            partitions=summary.partitions,
-            latency_p99_ns=summary.latency_p99_ns,
-            latency_bound_ns=self.latency_bound_ns,
-            decisions_per_sec=summary.decisions_per_sec,
-            dps_floor=self.dps_floor,
-            served_fraction=summary.served_fraction,
-        )
-
-    def arm_verdicts(self) -> List[ArmVerdict]:
-        """Verdicts for every fault arm, report order."""
-        return [self.verdict(arm_label(scenario, resilient))
-                for scenario in SCENARIOS
-                for resilient in (False, True)]
-
-    @property
-    def resilient_ok(self) -> bool:
-        """Every resilient arm meets all three SLOs."""
-        return all(self.verdict(arm_label(s, True)).all_ok
-                   for s in SCENARIOS)
-
-    @property
-    def unprotected_degraded(self) -> bool:
-        """Every unprotected arm violates at least one SLO (the chaos
-        has teeth — an unprotected pass would make the resilient
-        verdict vacuous)."""
-        return all(not self.verdict(arm_label(s, False)).all_ok
-                   for s in SCENARIOS)
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict."""
-        return self.resilient_ok and self.unprotected_degraded
-
-    # -- reporting -------------------------------------------------------
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table`` columns."""
-        ref = self.reference
-        rows = [[
-            REFERENCE, f"{ref.latency_p99_ns / 1e6:.0f} ms",
-            f"{ref.decisions_per_sec:.2f}", 0, "0/0/0",
-            pct(ref.served_fraction, digits=2),
-            pct(ref.mean_rate_fraction), "-",
-        ]]
-        for scenario in SCENARIOS:
-            for resilient in (False, True):
-                label = arm_label(scenario, resilient)
-                summary = self.by_label[label]
-                v = self.verdict(label)
-                rows.append([
-                    label,
-                    f"{summary.latency_p99_ns / 1e6:.0f} ms",
-                    f"{summary.decisions_per_sec:.2f}",
-                    v.partitions,
-                    f"{summary.sheds}/{summary.retries}"
-                    f"/{summary.restarts}",
-                    pct(summary.served_fraction, digits=2),
-                    pct(summary.mean_rate_fraction),
-                    ("PASS" if v.all_ok
-                     else "viol:" + ",".join(v.violations())),
-                ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        config = CAMPAIGN_CONFIG
-        return format_table(
-            ["Arm", "p99 lat", "Dec/s", "Partitions", "Shed/Rty/Rst",
-             "Served", "Energy", "SLO"],
-            self.rows(),
-            title=f"Service resilience: {config.groups} groups, "
-                  f"{config.epochs} x {config.epoch_ns / 1e9:.0f}s "
-                  f"epochs diurnal replay — resilient vs unprotected "
-                  f"service across fault scenarios",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the acceptance legs."""
-        lines = [
-            f"SLOs: partitions == {SLO_MAX_PARTITIONS}, p99 decision "
-            f"latency <= {self.latency_bound_ns / 1e9:.1f}s, "
-            f"decisions/sec >= {self.dps_floor:.2f}",
-        ]
-        rs = [self.verdict(arm_label(s, True)) for s in SCENARIOS]
-        un = [self.verdict(arm_label(s, False)) for s in SCENARIOS]
-        lines.append(
-            f"resilient: worst p99 "
-            f"{max(v.latency_p99_ns for v in rs) / 1e9:.1f}s, "
-            f"min dec/s {min(v.decisions_per_sec for v in rs):.2f}, "
-            f"partitions {max(v.partitions for v in rs)} — "
-            + ("all SLOs met under every fault" if self.resilient_ok
-               else "SLO VIOLATED: " + "; ".join(
-                   f"{v.label} -> {','.join(v.violations())}"
-                   for v in rs if not v.all_ok)))
-        lines.append(
-            "unprotected: partitions "
-            + ", ".join(str(v.partitions) for v in un)
-            + ", dec/s "
-            + ", ".join(f"{v.decisions_per_sec:.2f}" for v in un)
-            + " — "
-            + ("every scenario violates an SLO (chaos has teeth)"
-               if self.unprotected_degraded
-               else "an unprotected arm met all SLOs "
-                    "(campaign too gentle)"))
-        return lines
-
-    def verdict_dict(self) -> Dict[str, object]:
-        """The JSON verdict artifact (CI uploads this)."""
-        return {
-            "slo": {
-                "max_partitions": SLO_MAX_PARTITIONS,
-                "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
-                "latency_floor_epochs": SLO_LATENCY_FLOOR_EPOCHS,
-                "min_dps_fraction": SLO_MIN_DPS_FRACTION,
-                "latency_bound_ns": round(self.latency_bound_ns, 2),
-                "dps_floor": round(self.dps_floor, 4),
-            },
-            "reference": {
-                "latency_p99_ns": round(self.reference.latency_p99_ns, 2),
-                "decisions_per_sec": round(
-                    self.reference.decisions_per_sec, 4),
-                "served_fraction": round(
-                    self.reference.served_fraction, 6),
-            },
-            "arms": [v.to_dict() for v in self.arm_verdicts()],
-            "resilient_ok": self.resilient_ok,
-            "unprotected_degraded": self.unprotected_degraded,
-            "ok": self.ok,
-        }
-
-
-def build_arms() -> Dict[str, Tuple[ServiceConfig,
-                                    Optional[ControlFaultScenario],
-                                    Optional[SlowConsumer]]]:
-    """Label -> (config, scenario, slow) for the nine runs."""
-    arms = {REFERENCE: (CAMPAIGN_CONFIG, None, None)}
-    for name in SCENARIOS:
-        scenario, slow = _scenario(name)
-        arms[arm_label(name, False)] = (
+def arms() -> Dict[str, ServiceArm]:
+    """Label -> arm: a fault-free reference, then per scenario an
+    unprotected (every robustness feature off) and a resilient (the
+    config defaults) arm."""
+    out = {"reference": ServiceArm(CAMPAIGN_CONFIG)}
+    for name, (scenario, slow) in FAULTS.items():
+        out[f"{name}/unprotected"] = ServiceArm(
             CAMPAIGN_CONFIG.unprotected(), scenario, slow)
-        arms[arm_label(name, True)] = (CAMPAIGN_CONFIG, scenario, slow)
-    return arms
-
-
-def run_arm(config: ServiceConfig,
-            scenario: Optional[ControlFaultScenario],
-            slow: Optional[SlowConsumer]) -> ServiceSummary:
-    """Run one campaign arm to completion."""
-    return ControlPlaneService(config, scenario=scenario,
-                               slow=slow).run()
-
-
-def run(scale=None) -> ServiceResilienceResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    trace and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    return ServiceResilienceResult(by_label={
-        label: run_arm(config, scenario, slow)
-        for label, (config, scenario, slow) in build_arms().items()})
-
-
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+        out[f"{name}/resilient"] = ServiceArm(CAMPAIGN_CONFIG, scenario,
+                                              slow)
+    return out

@@ -63,7 +63,21 @@ class GatingConfig:
 
 
 class SpanningSetGuard:
-    """Chooses the spanning set of links the controller must keep on.
+    """Connectivity oracle for deliberate power-off decisions.
+
+    Chooses the spanning set of links a controller must keep on
+    (``pinned``, recomputed by :meth:`refresh` over the links that are
+    not fault-dark) and answers whether a link may go dark at all
+    (:meth:`may_power_off`): a power-off is vetoed when the link is
+    pinned, or when the links that would remain *usable* — lit, not
+    fault-dark, not already darkened — no longer connect every switch.
+    The spanning set alone is not enough once faults land on it: the
+    faulted pinned link is unavailable, and the guard must then refuse
+    to remove whatever unpinned link is carrying its detours.
+
+    The gating controller uses only the pinned set; the topology
+    controller uses both halves and counts ``vetoes`` and
+    ``violations``.
 
     Args:
         network: The fabric being guarded.
@@ -79,10 +93,17 @@ class SpanningSetGuard:
             raise ValueError(f"unknown spanning-set mode {mode!r}")
         self.network = network
         self.topology = network.topology
+        self.num_switches = network.topology.num_switches
         self.mode = mode
         self.pinned: FrozenSet[Link] = frozenset()
         # The ring depends only on the topology: derive it once.
         self._ring = self.ring_links() if mode == "ring" else None
+        #: Power-offs refused by :meth:`may_power_off`.
+        self.vetoes = 0
+        #: Post-decision connectivity self-checks that failed.  Stays
+        #: zero unless the guard itself is broken; campaign verdicts
+        #: gate on it.
+        self.violations = 0
 
     def ring_links(self) -> List[Link]:
         """The per-dimension ring: every adjacent-coordinate link."""
@@ -131,6 +152,51 @@ class SpanningSetGuard:
         self.pinned = frozenset(pinned)
         return self.pinned
 
+    def connected(self, usable: Set[Link]) -> bool:
+        """Do ``usable`` links connect all switches (BFS)?"""
+        if self.num_switches <= 1:
+            return True
+        adjacency: Dict[int, List[int]] = {}
+        for a, b in usable:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            node = frontier.pop()
+            for peer in adjacency.get(node, ()):
+                if peer not in seen:
+                    seen.add(peer)
+                    frontier.append(peer)
+        return len(seen) == self.num_switches
+
+    def may_power_off(self, link: Link, usable: Set[Link]) -> bool:
+        """May ``link`` go dark, given the currently usable links?
+
+        ``usable`` must already exclude fault-dark and deliberately
+        darkened links; the check is that the remainder *without*
+        ``link`` stays pinned-safe and connected.
+        """
+        if link in self.pinned or not self.connected(usable - {link}):
+            self.vetoes += 1
+            return False
+        return True
+
+
+def link_endpoints(network, groups) -> Dict[str, Link]:
+    """Group name -> undirected link endpoints, for the groups that
+    drive inter-switch channels (host-link groups are never gated,
+    pinned or darkened, so they have no entry)."""
+    by_channel = {id(ch): key for key, ch
+                  in network.switch_channel_map().items()}
+    endpoints: Dict[str, Link] = {}
+    for group in groups:
+        key = by_channel.get(id(group.channels[0]))
+        if key is not None:
+            a, b = key
+            endpoints[group.name] = (min(a, b), max(a, b))
+    return endpoints
+
 
 class FaultAwareEpochController(EpochController):
     """Epoch controller with power-gating and an optional spanning set.
@@ -152,16 +218,7 @@ class FaultAwareEpochController(EpochController):
                          decision_log=decision_log, name=name)
         self.gating = gating
         self.guard = guard
-        #: group name -> undirected link endpoints (inter-switch
-        #: groups only; host-link groups are never gated or pinned).
-        self._endpoints: Dict[str, Link] = {}
-        by_channel = {id(ch): key for key, ch
-                      in network.switch_channel_map().items()}
-        for group in self.groups:
-            key = by_channel.get(id(group.channels[0]))
-            if key is not None:
-                a, b = key
-                self._endpoints[group.name] = (min(a, b), max(a, b))
+        self._endpoints = link_endpoints(network, self.groups)
         self._idle: Dict[str, int] = {}
         self._gated: Set[str] = set()
         self._asleep: Dict[str, int] = {}

@@ -12,11 +12,11 @@ co-scheduled with per-channel rates and fault pinning:
   src-switch x dst-switch demand matrix (EWMA-smoothed, optionally
   forecast through the :mod:`repro.predict` registry).
 - :mod:`repro.topo.controller` — the
-  :class:`~repro.topo.controller.DemandAwareTopologyController` and
-  its :class:`~repro.topo.controller.ConnectivityGuard`, which
-  generalizes the fault campaign's spanning-set pinning with a
-  whole-fabric BFS check over the intersection of topology-dark links
-  and live faults.
+  :class:`~repro.topo.controller.DemandAwareTopologyController`,
+  guarded by the fault campaign's
+  :class:`~repro.faults.policy.SpanningSetGuard` in full: the pinned
+  spanning set plus a whole-fabric BFS check over the intersection of
+  topology-dark links and live faults.
 
 Importing this package registers the ``"demand_topo"`` (dynamic) and
 ``"degraded_topo"`` (static express-links-off torus degradation, the
@@ -33,7 +33,6 @@ from repro.core.registry import (
     register_control_mode,
 )
 from repro.topo.controller import (
-    ConnectivityGuard,
     DemandAwareTopologyController,
     TopologyControlConfig,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "CONTROL_DEMAND_TOPO",
     "CONTROL_DEGRADED_TOPO",
     "TOPO_CONTROL_MODES",
-    "ConnectivityGuard",
     "DemandAwareTopologyController",
     "DemandMatrixEstimator",
     "TopologyControlConfig",

@@ -10,14 +10,14 @@ epoch loop.  Each epoch it
    optionally forecast through the :mod:`repro.predict` registry);
 2. powers **off** — not just rates down — link groups whose pair
    demand sits below ``off_fraction`` of link capacity, subject to the
-   :class:`ConnectivityGuard`; and
+   :class:`~repro.faults.policy.SpanningSetGuard`; and
 3. powers dark groups back **on** when the *endpoint pressure* (total
    forecast demand touching either endpoint switch, relative to its
    still-powered capacity) exceeds ``on_fraction`` — a dark link's own
    direct demand reads zero forever, so its endpoints' detour load is
    the only honest reactivation signal.
 
-The guard generalizes :class:`repro.faults.policy.SpanningSetGuard`:
+The guard is the fault campaign's spanning-set guard, used in full:
 the pinned spanning set is recomputed over links that are not
 *fault*-dark, and every power-off is additionally checked against the
 **intersection** of topology-dark links and live faults — a BFS over
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.controller import ControllerConfig, EpochController
-from repro.faults.policy import SpanningSetGuard
+from repro.faults.policy import SpanningSetGuard, link_endpoints
 from repro.obs.decisions import (
     Decision,
     TOPOLOGY_GUARD_VETO,
@@ -91,71 +91,6 @@ class TopologyControlConfig:
     freeze: bool = False
 
 
-class ConnectivityGuard:
-    """Connectivity oracle for deliberate power-off decisions.
-
-    Wraps a :class:`~repro.faults.policy.SpanningSetGuard` (same pinned
-    spanning set, same ``ring``/``tree`` modes) and adds the
-    whole-fabric check the intersection case needs: a power-off is
-    vetoed unless the links that would remain *usable* — lit, not
-    fault-dark, not already topology-dark — still connect every
-    switch.  The spanning set alone is not enough once faults land on
-    it: the faulted pinned link is unavailable, and the guard must then
-    refuse to remove whatever unpinned link is carrying its detours.
-    """
-
-    def __init__(self, network, mode: str = "ring"):
-        self.spanning = SpanningSetGuard(network, mode=mode)
-        self.num_switches = network.topology.num_switches
-        #: Post-decision connectivity self-checks that failed.  Stays
-        #: zero unless the guard itself is broken; campaign verdicts
-        #: gate on it.
-        self.violations = 0
-        self.vetoes = 0
-
-    @property
-    def pinned(self) -> FrozenSet[Link]:
-        """The wrapped guard's currently pinned spanning set."""
-        return self.spanning.pinned
-
-    def refresh(self, available: List[Link]) -> FrozenSet[Link]:
-        """Re-pin the spanning set over currently available links."""
-        return self.spanning.refresh(available)
-
-    def connected(self, usable: Set[Link]) -> bool:
-        """Do ``usable`` links connect all switches (BFS)?"""
-        if self.num_switches <= 1:
-            return True
-        adjacency: Dict[int, List[int]] = {}
-        for a, b in usable:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for peer in adjacency.get(node, ()):
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        return len(seen) == self.num_switches
-
-    def may_power_off(self, link: Link, usable: Set[Link]) -> bool:
-        """May ``link`` go dark, given the currently usable links?
-
-        ``usable`` must already exclude fault-dark and topology-dark
-        links; the check is that the remainder *without* ``link``
-        stays pinned-safe and connected.
-        """
-        if link in self.spanning.pinned:
-            self.vetoes += 1
-            return False
-        if not self.connected(usable - {link}):
-            self.vetoes += 1
-            return False
-        return True
-
-
 class DemandAwareTopologyController(EpochController):
     """Epoch controller co-scheduling link rates and topology.
 
@@ -170,26 +105,17 @@ class DemandAwareTopologyController(EpochController):
                  config: ControllerConfig = ControllerConfig(),
                  groups=None, sensor=None, decision_log=None,
                  topo: TopologyControlConfig = TopologyControlConfig(),
-                 guard: Optional[ConnectivityGuard] = None,
+                 guard: Optional[SpanningSetGuard] = None,
                  name: str = "demand_topo"):
         super().__init__(network, policy=policy, config=config,
                          groups=groups, sensor=sensor,
                          decision_log=decision_log, name=name)
         self.topo = topo
         self.guard = (guard if guard is not None
-                      else ConnectivityGuard(network, mode="ring"))
-        #: group name -> undirected link endpoints (inter-switch groups
-        #: only; host-link groups are never topology candidates).
-        self._endpoints: Dict[str, Link] = {}
-        switch_channels = network.switch_channel_map()
-        by_channel = {id(ch): key for key, ch in switch_channels.items()}
-        for group in self.groups:
-            key = by_channel.get(id(group.channels[0]))
-            if key is not None:
-                a, b = key
-                self._endpoints[group.name] = (min(a, b), max(a, b))
+                      else SpanningSetGuard(network, mode="ring"))
+        self._endpoints = link_endpoints(network, self.groups)
         #: Inter-switch channels in (src, dst) order, for telemetry.
-        self._switch_channels = sorted(switch_channels.items())
+        self._switch_channels = sorted(network.switch_channel_map().items())
         # _candidates() is rebuilt only when self.groups is replaced
         # (chaos and failsafe layers swap in their proxies after
         # construction); _link_state() lives for one topology pass.

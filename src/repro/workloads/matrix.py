@@ -2,8 +2,8 @@
 
 The uniform workload spreads demand across every switch pair, which is
 the one traffic matrix a demand-aware topology can do *nothing* with —
-every link carries something.  The campaigns in
-:mod:`repro.experiments.demand_topology` need matrices with exploitable
+every link carries something.  The ``demand-topology`` campaign in
+:mod:`repro.experiments.campaign` needs matrices with exploitable
 structure, the shapes the reconfigurable-topology literature evaluates:
 
 - :class:`SkewedMatrixWorkload` — Zipf-weighted per-host send rates

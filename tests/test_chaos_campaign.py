@@ -1,10 +1,11 @@
-"""The chaos campaign's verdict machinery (no simulation required).
+"""The chaos campaign's table entry (no simulation required).
 
 The campaign itself is pinned by ``tests/golden/chaos.json``; here the
-pure logic is exercised with synthetic summaries: spec construction,
-the per-arm SLO verdicts and their boundary semantics, the two
-acceptance legs (failsafe meets SLOs / unprotected violates them) and
-the JSON verdict artifact CI uploads.
+entry in :data:`repro.experiments.campaign.CAMPAIGNS` is exercised with
+synthetic summaries: spec construction, the per-arm SLO legs and their
+boundary semantics, the two expectations (failsafe meets SLOs /
+unprotected violates them) and the JSON verdict artifact CI uploads.
+The harness itself is covered generically by ``test_campaigns.py``.
 """
 
 from __future__ import annotations
@@ -13,21 +14,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.chaos import (
-    CAMPAIGN_CONTROL,
-    CAMPAIGN_DATA_SCENARIO,
-    CAMPAIGN_FAULT_SEED,
-    CAMPAIGN_SEED,
-    INTENSITIES,
-    REFERENCE,
-    SLO_MAX_LATENCY_FACTOR,
-    SLO_MAX_PARTITIONS,
-    SLO_MAX_POWER_DELTA,
-    ArmVerdict,
-    ChaosCampaignResult,
-    arm_label,
-    build_specs,
-)
+from repro.experiments.campaign import CAMPAIGNS, CampaignResult
+from repro.experiments.chaos import INTENSITIES
+
+CHAOS = CAMPAIGNS["chaos-campaign"]
+REFERENCE = "reference"
+
+
+def arm_label(intensity, failsafe):
+    return f"{intensity}/{'failsafe' if failsafe else 'unprotected'}"
 
 
 def fake_summary(latency=100.0, power=0.5, delivered=1.0, partitions=0,
@@ -45,8 +40,9 @@ def fake_summary(latency=100.0, power=0.5, delivered=1.0, partitions=0,
 
 
 def fake_result(failsafe_latency=95.0, unprotected_latency=480.0,
-                failsafe_power=0.56, failsafe_partitions=0):
-    by_label = {REFERENCE: fake_summary()}
+                failsafe_power=0.56, failsafe_partitions=0,
+                reference=None):
+    by_label = {REFERENCE: reference or fake_summary()}
     for intensity in INTENSITIES:
         by_label[arm_label(intensity, True)] = fake_summary(
             latency=failsafe_latency, power=failsafe_power,
@@ -55,7 +51,11 @@ def fake_result(failsafe_latency=95.0, unprotected_latency=480.0,
         by_label[arm_label(intensity, False)] = fake_summary(
             latency=unprotected_latency, power=0.4, delivered=0.6,
             scenario=f"ctl_chaos_{intensity}")
-    return ChaosCampaignResult(by_label=by_label)
+    return CampaignResult(CHAOS, dict(CHAOS.params), by_label)
+
+
+def build_specs(**params):
+    return CHAOS.arms(**{**CHAOS.params, **params})
 
 
 class TestBuildSpecs:
@@ -70,8 +70,8 @@ class TestBuildSpecs:
         ref = specs[REFERENCE]
         assert ref.control_faults is None
         assert ref.failsafe is False
-        assert ref.faults == CAMPAIGN_DATA_SCENARIO
-        assert ref.control == CAMPAIGN_CONTROL
+        assert ref.faults == "quiet"
+        assert ref.control == "fault_pinned"
         for label, spec in specs.items():
             if label == REFERENCE:
                 continue
@@ -88,39 +88,40 @@ class TestBuildSpecs:
                 assert spec.failsafe is failsafe
 
     def test_seeds_are_parameterizable(self):
-        specs = build_specs(seed=CAMPAIGN_SEED + 1,
-                            fault_seed=CAMPAIGN_FAULT_SEED + 1)
-        assert specs[REFERENCE].seed == CAMPAIGN_SEED + 1
-        assert specs[REFERENCE].fault_seed == CAMPAIGN_FAULT_SEED + 1
+        assert CHAOS.params == {"seed": 3, "fault_seed": 7}
+        specs = build_specs(seed=4, fault_seed=8)
+        assert specs[REFERENCE].seed == 4
+        assert specs[REFERENCE].fault_seed == 8
 
 
 class TestArmVerdict:
-    def make(self, **kw):
-        base = dict(label="mid/failsafe", partitions=0,
-                    latency_factor=1.0, power_delta=0.0,
-                    delivered_fraction=1.0)
-        base.update(kw)
-        return ArmVerdict(**base)
+    LABEL = arm_label("mid", True)
+
+    def verdict(self, **kw):
+        """Violations of one failsafe arm against a zero-power,
+        100 ns reference (so factors and deltas are exact)."""
+        result = fake_result(reference=fake_summary(power=0.0))
+        result.by_label[self.LABEL] = fake_summary(**{"power": 0.0, **kw})
+        return result
 
     def test_exactly_at_every_bound_still_passes(self):
-        v = self.make(partitions=SLO_MAX_PARTITIONS,
-                      latency_factor=SLO_MAX_LATENCY_FACTOR,
-                      power_delta=SLO_MAX_POWER_DELTA)
-        assert v.all_ok
-        assert v.violations() == []
+        result = self.verdict(partitions=0, latency=150.0, power=0.15)
+        values = result.measured(self.LABEL)
+        assert values["latency_factor"] == 1.5
+        assert values["power_delta"] == 0.15
+        assert result.violations(self.LABEL) == []
+        assert result.arm_record(self.LABEL)["slo_ok"] is True
 
     def test_each_slo_fails_independently(self):
-        assert self.make(partitions=1).violations() == ["partitions"]
-        assert self.make(
-            latency_factor=SLO_MAX_LATENCY_FACTOR + 0.01
-        ).violations() == ["latency"]
-        assert self.make(
-            power_delta=SLO_MAX_POWER_DELTA + 0.01
-        ).violations() == ["power"]
+        assert self.verdict(partitions=1).violations(self.LABEL) == [
+            "partitions"]
+        assert self.verdict(latency=151.0).violations(self.LABEL) == [
+            "latency"]
+        assert self.verdict(power=0.16).violations(self.LABEL) == ["power"]
 
     def test_to_dict_is_json_safe_and_rounded(self):
-        v = self.make(latency_factor=1.23456, power_delta=0.098765)
-        d = v.to_dict()
+        d = self.verdict(latency=123.456, power=0.098765).arm_record(
+            self.LABEL)
         assert d["latency_factor"] == 1.2346
         assert d["power_delta"] == 0.0988
         assert d["slo_ok"] is True
@@ -131,43 +132,43 @@ class TestArmVerdict:
 class TestCampaignVerdict:
     def test_verdict_measures_against_the_reference(self):
         result = fake_result(failsafe_latency=120.0, failsafe_power=0.58)
-        v = result.verdict(arm_label("mid", True))
-        assert v.latency_factor == pytest.approx(1.2)
-        assert v.power_delta == pytest.approx(0.08)
-        assert v.partitions == 0
+        values = result.measured(arm_label("mid", True))
+        assert values["latency_factor"] == pytest.approx(1.2)
+        assert values["power_delta"] == pytest.approx(0.08)
+        assert values["partitions"] == 0
 
     def test_happy_path_both_legs_hold(self):
         result = fake_result()
-        assert result.failsafe_ok
-        assert result.unprotected_degraded
+        assert result.expectations() == {"failsafe_ok": True,
+                                         "unprotected_degraded": True}
         assert result.ok
 
     def test_one_bad_failsafe_arm_fails_the_campaign(self):
         result = fake_result()
         result.by_label[arm_label("high", True)] = fake_summary(
             latency=400.0, scenario="ctl_chaos_high")
-        assert not result.failsafe_ok
+        assert not result.expectations()["failsafe_ok"]
         assert not result.ok
 
     def test_one_partition_fails_the_failsafe_leg(self):
         result = fake_result(failsafe_partitions=1)
-        assert not result.failsafe_ok
+        assert not result.expectations()["failsafe_ok"]
 
     def test_gentle_chaos_fails_the_teeth_leg(self):
         # An unprotected arm sailing through all SLOs makes the
         # failsafe verdict vacuous: the campaign must say so.
         result = fake_result(unprotected_latency=100.0)
         result.by_label[arm_label("low", False)].delivered_fraction = 1.0
-        assert result.failsafe_ok
-        assert not result.unprotected_degraded
+        assert result.expectations() == {"failsafe_ok": True,
+                                         "unprotected_degraded": False}
         assert not result.ok
 
     def test_verdict_dict_carries_bands_arms_and_booleans(self):
         d = fake_result().verdict_dict()
         assert d["slo"] == {
-            "max_partitions": SLO_MAX_PARTITIONS,
-            "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
-            "max_power_delta": SLO_MAX_POWER_DELTA,
+            "max_partitions": 0,
+            "max_latency_factor": 1.5,
+            "max_power_delta": 0.15,
         }
         assert len(d["arms"]) == 6
         assert {a["label"] for a in d["arms"]} == {
@@ -189,10 +190,21 @@ class TestCampaignVerdict:
         text = result.format_table()
         assert "failsafe vs" in text and REFERENCE in text
 
+    def test_reference_row_reads_the_reference(self):
+        # The reference row is rendered from the reference run through
+        # the same measures as every arm, not from literals.
+        result = fake_result(reference=fake_summary(partitions=2))
+        row = result.rows()[0]
+        assert row[0] == REFERENCE
+        assert row[1 + [m.name for m in CHAOS.measures].index(
+            "partitions")] == "2"
+
     def test_verdict_lines_name_both_legs(self):
         lines = "\n".join(fake_result().verdict_lines())
-        assert "all SLOs met at every intensity" in lines
-        assert "chaos has teeth" in lines
+        assert "failsafe_ok: 3 arm(s) must pass every leg — OK" in lines
+        assert "unprotected_degraded: 3 arm(s) must fail a leg — OK" \
+            in lines
         broken = fake_result(failsafe_latency=400.0)
         lines = "\n".join(broken.verdict_lines())
-        assert "SLO VIOLATED" in lines
+        assert "failsafe_ok" in lines and "-> latency" in lines
+        assert lines.endswith("verdict: FAILED")

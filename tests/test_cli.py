@@ -185,21 +185,25 @@ class TestObsFlags:
 
 class TestChaosCli:
     def test_parser_defaults_are_the_campaign_constants(self):
-        from repro.cli import build_chaos_parser
-        from repro.experiments import chaos
+        from repro.cli import build_campaign_parser
+        from repro.experiments.campaign import CAMPAIGNS
 
-        args = build_chaos_parser().parse_args([])
+        args = build_campaign_parser().parse_args(["chaos-campaign"])
         assert args.compare is False
         assert args.json_out is None
-        assert args.seed == chaos.CAMPAIGN_SEED
-        assert args.fault_seed == chaos.CAMPAIGN_FAULT_SEED
+        # Only flags the user gives reach the campaign; the defaults
+        # are the ones its table entry declares.
+        assert args.seed is None and args.fault_seed is None
+        assert CAMPAIGNS["chaos-campaign"].params == {"seed": 3,
+                                                      "fault_seed": 7}
         assert args.retries is None
 
     def test_parser_accepts_the_gate_flags(self, tmp_path):
-        from repro.cli import build_chaos_parser
+        from repro.cli import build_campaign_parser
 
-        args = build_chaos_parser().parse_args(
-            ["--compare", "--json-out", str(tmp_path / "v.json"),
+        args = build_campaign_parser().parse_args(
+            ["chaos-campaign", "--compare",
+             "--json-out", str(tmp_path / "v.json"),
              "--retries", "3", "--no-cache"])
         assert args.compare is True
         assert args.json_out == tmp_path / "v.json"
@@ -214,20 +218,22 @@ class TestChaosCli:
 
 class TestTopoCli:
     def test_parser_defaults_are_the_campaign_constants(self):
-        from repro.cli import build_topo_parser
-        from repro.experiments import demand_topology
+        from repro.cli import build_campaign_parser
+        from repro.experiments.campaign import CAMPAIGNS
 
-        args = build_topo_parser().parse_args([])
+        args = build_campaign_parser().parse_args(["demand-topology"])
         assert args.compare is False
         assert args.json_out is None
-        assert args.seed == demand_topology.CAMPAIGN_SEED
+        assert args.seed is None
+        assert CAMPAIGNS["demand-topology"].params == {"seed": 3}
         assert args.retries is None
 
     def test_parser_accepts_the_gate_flags(self, tmp_path):
-        from repro.cli import build_topo_parser
+        from repro.cli import build_campaign_parser
 
-        args = build_topo_parser().parse_args(
-            ["--compare", "--json-out", str(tmp_path / "v.json"),
+        args = build_campaign_parser().parse_args(
+            ["demand-topology", "--compare",
+             "--json-out", str(tmp_path / "v.json"),
              "--jobs", "2", "--no-cache"])
         assert args.compare is True
         assert args.json_out == tmp_path / "v.json"

@@ -1,28 +1,33 @@
-"""The demand-topology campaign's verdict machinery (no simulation).
+"""The demand-topology campaign's table entry (no simulation).
 
 The campaign itself is pinned by ``tests/golden/demand_topology.json``;
-here the pure logic is exercised with synthetic summaries: spec
-construction, the per-arm energy/latency/safety verdicts and their
-gating semantics, the two acceptance legs (demand wins the gated
-matrices / every arm is safe) and the JSON verdict artifact CI uploads.
+here the entry in :data:`repro.experiments.campaign.CAMPAIGNS` is
+exercised with synthetic summaries: spec construction, the per-arm
+energy/latency/safety legs and their gating semantics, the two
+expectations (demand wins the gated matrices / every arm is safe) and
+the JSON verdict artifact CI uploads.  The harness itself is covered
+generically by ``test_campaigns.py``.
 """
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
+from repro.experiments.campaign import CAMPAIGNS, CampaignResult
 from repro.experiments.demand_topology import (
-    ARMS,
-    CAMPAIGN_FORECASTER,
-    CAMPAIGN_LOAD,
-    CAMPAIGN_SEED,
-    GATED_WORKLOADS,
-    VERDICT_MAX_LATENCY_FACTOR,
-    WORKLOADS,
-    DemandTopologyResult,
-    arm_label,
-    build_specs,
+    CONTROLS as ARMS,
+    GATED,
+    MATRICES as WORKLOADS,
 )
+
+DEMAND = CAMPAIGNS["demand-topology"]
+GATED_WORKLOADS = ("skewed", "diurnal")
+VERDICT_MAX_LATENCY_FACTOR = 1.3
+
+
+def arm_label(workload, arm):
+    return f"{workload}/{arm}"
 
 
 def fake_summary(latency=100.0, power=0.6, delivered=1.0, partitions=0,
@@ -53,7 +58,11 @@ def fake_result(demand_power=0.55, demand_latency=110.0,
             partitions=demand_partitions,
             topo=topo_digest(
                 guard_violations=demand_guard_violations))
-    return DemandTopologyResult(by_label=by_label)
+    return CampaignResult(DEMAND, dict(DEMAND.params), by_label)
+
+
+def build_specs(**params):
+    return DEMAND.arms(**{**DEMAND.params, **params})
 
 
 class TestBuildSpecs:
@@ -75,91 +84,91 @@ class TestBuildSpecs:
                 assert spec.workload == workload
                 assert (spec.k, spec.n, spec.seed) == \
                     (static.k, static.n, static.seed)
-                assert spec.uniform_offered_load == CAMPAIGN_LOAD
+                assert spec.uniform_offered_load == 0.25
 
     def test_only_the_demand_arm_carries_the_forecaster(self):
         specs = build_specs()
         for workload in WORKLOADS:
-            assert (specs[arm_label(workload, "demand")].forecaster
-                    == CAMPAIGN_FORECASTER)
+            assert specs[arm_label(workload, "demand")].forecaster \
+                == "ewma"
             assert specs[arm_label(workload, "degraded")].forecaster \
                 is None
 
     def test_seed_is_parameterizable(self):
-        specs = build_specs(seed=CAMPAIGN_SEED + 7)
-        assert all(s.seed == CAMPAIGN_SEED + 7 for s in specs.values())
+        assert DEMAND.params == {"seed": 3}
+        specs = build_specs(seed=10)
+        assert all(s.seed == 10 for s in specs.values())
 
 
 class TestArmVerdict:
     def test_winning_demand_arm_passes_every_leg(self):
         result = fake_result()
-        for workload in GATED_WORKLOADS:
-            verdict = result.verdict(workload, "demand")
-            assert verdict.gated
-            assert verdict.energy_ok and verdict.latency_ok
-            assert verdict.safety_ok and verdict.all_ok
-            assert verdict.violations() == []
+        assert GATED == tuple(arm_label(w, "demand")
+                                     for w in GATED_WORKLOADS)
+        for label in GATED:
+            record = result.arm_record(label)
+            assert record["gated"] is True
+            assert record["ok"] is True
+            assert record["violations"] == []
 
     def test_energy_leg_is_strict(self):
         # Matching static power is not saving energy.
-        verdict = fake_result(demand_power=0.6).verdict(
-            GATED_WORKLOADS[0], "demand")
-        assert not verdict.energy_ok
-        assert "energy" in verdict.violations()
-        assert not verdict.all_ok
+        result = fake_result(demand_power=0.6)
+        record = result.arm_record(GATED[0])
+        assert record["violations"] == ["energy"]
+        assert record["ok"] is False
 
     def test_latency_bound_is_inclusive(self):
         at_bound = fake_result(
             demand_latency=100.0 * VERDICT_MAX_LATENCY_FACTOR)
-        assert at_bound.verdict(GATED_WORKLOADS[0], "demand").latency_ok
+        assert at_bound.violations(GATED[0]) == []
         over = fake_result(
             demand_latency=100.0 * VERDICT_MAX_LATENCY_FACTOR + 1.0)
-        assert not over.verdict(GATED_WORKLOADS[0], "demand").latency_ok
+        assert over.violations(GATED[0]) == ["latency"]
 
     def test_ungated_arms_gate_on_safety_only(self):
         result = fake_result()
-        degraded = result.verdict("skewed", "degraded")
-        assert not degraded.gated
+        degraded = result.arm_record("skewed/degraded")
+        assert degraded["gated"] is False
         # 1.8x latency and higher power than static: fails both gated
         # legs, but an ungated arm only answers for safety.
-        assert degraded.latency_factor > VERDICT_MAX_LATENCY_FACTOR
-        assert degraded.all_ok
-        shifting = result.verdict("shifting", "demand")
-        assert not shifting.gated
+        assert degraded["latency_factor"] > VERDICT_MAX_LATENCY_FACTOR
+        assert degraded["ok"] is True
+        assert result.arm_record("shifting/demand")["gated"] is False
 
     def test_partition_or_guard_violation_fails_any_arm(self):
         partitioned = fake_result(demand_partitions=1)
-        verdict = partitioned.verdict("shifting", "demand")
-        assert not verdict.safety_ok
-        assert verdict.violations() == ["safety"]
+        assert partitioned.violations("shifting/demand") == ["safety"]
         violated = fake_result(demand_guard_violations=2)
-        assert not violated.verdict("skewed", "demand").all_ok
+        assert violated.arm_record("skewed/demand")["ok"] is False
 
 
 class TestResultVerdict:
     def test_clean_campaign_is_ok(self):
         result = fake_result()
-        assert result.demand_wins
-        assert result.safe_everywhere
+        assert result.expectations() == {"demand_wins": True,
+                                         "safe_everywhere": True}
         assert result.ok
 
     def test_demand_loss_on_a_gated_matrix_fails(self):
         result = fake_result(demand_power=0.65)
-        assert not result.demand_wins
-        assert result.safe_everywhere
+        assert result.expectations() == {"demand_wins": False,
+                                         "safe_everywhere": True}
         assert not result.ok
 
     def test_any_unsafe_arm_fails_the_campaign(self):
         result = fake_result(demand_partitions=1)
-        assert not result.safe_everywhere
+        assert not result.expectations()["safe_everywhere"]
         assert not result.ok
 
     def test_verdict_lines_name_failures(self):
         lines = "\n".join(fake_result(demand_power=0.65).verdict_lines())
-        assert "VERDICT FAILED" in lines
+        assert "demand_wins: 2 arm(s) must pass every leg — FAILED" in lines
+        assert "skewed/demand -> energy" in lines
         ok_lines = "\n".join(fake_result().verdict_lines())
-        assert "beats static on every gated matrix" in ok_lines
-        assert "zero partitions" in ok_lines
+        assert "demand_wins: 2 arm(s) must pass every leg — OK" in ok_lines
+        assert "safe_everywhere: 9 arm(s) must pass leg safety — OK" \
+            in ok_lines
 
 
 class TestVerdictArtifact:
@@ -179,8 +188,6 @@ class TestVerdictArtifact:
                 "violations"}
 
     def test_verdict_dict_is_json_serializable(self):
-        import json
-
         text = json.dumps(fake_result().verdict_dict(), sort_keys=True)
         assert "demand_wins" in text
 

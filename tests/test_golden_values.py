@@ -53,7 +53,7 @@ class TestGoldenFiles:
 
     def test_faults_campaign_digest_matches(self):
         frozen = golden.load(GOLDEN_DIR, "faults")
-        golden.assert_close(frozen, golden.faults_payload())
+        golden.assert_close(frozen, golden.GOLDEN_BUILDERS["faults"]())
 
     def test_faults_campaign_verdict_frozen(self):
         # The acceptance demo, spelled out: the pinned spanning set
@@ -71,7 +71,7 @@ class TestGoldenFiles:
 
     def test_chaos_campaign_digest_matches(self):
         frozen = golden.load(GOLDEN_DIR, "chaos")
-        golden.assert_close(frozen, golden.chaos_payload())
+        golden.assert_close(frozen, golden.GOLDEN_BUILDERS["chaos"]())
 
     def test_chaos_campaign_verdict_frozen(self):
         # The tentpole's acceptance demo, spelled out: every failsafe
@@ -95,7 +95,8 @@ class TestGoldenFiles:
 
     def test_demand_topology_campaign_digest_matches(self):
         frozen = golden.load(GOLDEN_DIR, "demand_topology")
-        golden.assert_close(frozen, golden.demand_topology_payload())
+        golden.assert_close(frozen,
+                            golden.GOLDEN_BUILDERS["demand_topology"]())
 
     def test_demand_topology_verdict_frozen(self):
         # The tentpole's acceptance demo, spelled out: the demand-aware
@@ -127,7 +128,8 @@ class TestGoldenFiles:
 
     def test_service_resilience_campaign_digest_matches(self):
         frozen = golden.load(GOLDEN_DIR, "service_resilience")
-        golden.assert_close(frozen, golden.service_resilience_payload())
+        golden.assert_close(frozen,
+                            golden.GOLDEN_BUILDERS["service_resilience"]())
 
     def test_service_resilience_verdict_frozen(self):
         # The service tentpole's acceptance demo, spelled out: every

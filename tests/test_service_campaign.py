@@ -9,10 +9,12 @@ from unprotected the way the golden demands at full scale.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from types import SimpleNamespace
 
-from repro.experiments import service_resilience as sr
+import pytest
+
+from repro.experiments import campaign, service_resilience
 from repro.faults.control_faults import (
     ControlFaultScenario,
     TelemetryDropout,
@@ -59,13 +61,13 @@ class TestDeterminism:
 
 class TestArmMatrix:
     def test_nine_arms_cover_the_matrix(self):
-        arms = sr.build_arms()
-        assert len(arms) == 1 + 2 * len(sr.SCENARIOS)
-        assert sr.REFERENCE in arms
-        for scenario in sr.SCENARIOS:
+        arms = service_resilience.arms()
+        assert len(arms) == 1 + 2 * len(service_resilience.FAULTS)
+        assert "reference" in arms
+        for scenario in service_resilience.FAULTS:
             for resilient in (True, False):
-                label = sr.arm_label(scenario, resilient)
-                config, _, slow = arms[label]
+                mode = "resilient" if resilient else "unprotected"
+                config, _, slow = arms[f"{scenario}/{mode}"]
                 assert config.shedding is resilient
                 assert config.degraded_modes is resilient
                 assert config.supervised is resilient
@@ -76,7 +78,7 @@ class TestArmMatrix:
                     assert slow is None
 
     def test_unprotected_flips_every_toggle_and_nothing_else(self):
-        base = sr.CAMPAIGN_CONFIG
+        base = service_resilience.CAMPAIGN_CONFIG
         ablated = base.unprotected()
         changed = {name for name in base.to_dict()
                    if getattr(base, name) != getattr(ablated, name)}
@@ -84,37 +86,54 @@ class TestArmMatrix:
                            "retries"}
 
     def test_unknown_scenario_is_rejected(self):
-        import pytest
-        with pytest.raises(ValueError, match="unknown scenario"):
-            sr._scenario("meteor")
+        # The service campaign declares no parameters: a --scenario is
+        # refused before anything runs.
+        with pytest.raises(ValueError, match="takes no --scenario"):
+            campaign.run("service-resilience", scenario="meteor")
 
 
 class TestVerdictLogic:
-    def make(self, **kwargs):
-        base = dict(label="x/resilient", partitions=0,
-                    latency_p99_ns=1e8, latency_bound_ns=2.5e10,
-                    decisions_per_sec=0.8, dps_floor=0.72,
-                    served_fraction=1.0)
-        base.update(kwargs)
-        return sr.ArmVerdict(**base)
+    LABEL = "slow/resilient"
+
+    def make(self, partitions=0, latency_p99_ns=1e8,
+             decisions_per_sec=0.8):
+        """A service result whose reference is quiet (p99 100 ms, so
+        the latency bound is the 2.5-epoch floor, 25 s; the throughput
+        floor is 0.72 decisions/s) with one arm under test."""
+        def summary(**kw):
+            base = dict(partitions=0, latency_p99_ns=1e8,
+                        decisions_per_sec=0.8, served_fraction=1.0,
+                        sheds=0, retries=0, restarts=0,
+                        mean_rate_fraction=0.5)
+            base.update(kw)
+            return SimpleNamespace(**base)
+        entry = campaign.CAMPAIGNS["service-resilience"]
+        by_label = {label: summary() for label in service_resilience.arms()}
+        by_label[self.LABEL] = summary(
+            partitions=partitions, latency_p99_ns=latency_p99_ns,
+            decisions_per_sec=decisions_per_sec)
+        return campaign.CampaignResult(entry, {}, by_label)
 
     def test_all_ok_when_every_slo_met(self):
-        v = self.make()
-        assert v.all_ok is True
-        assert v.violations() == []
-        assert v.to_dict()["slo_ok"] is True
+        result = self.make()
+        assert result.violations(self.LABEL) == []
+        record = result.arm_record(self.LABEL)
+        assert record["slo_ok"] is True
+        assert record["latency_bound_ns"] == 2.5e10
+        assert record["dps_floor"] == 0.72
 
     def test_each_slo_flags_independently(self):
-        assert self.make(partitions=1).violations() == ["partitions"]
-        assert self.make(latency_p99_ns=3e10).violations() \
+        assert self.make(partitions=1).violations(self.LABEL) \
+            == ["partitions"]
+        assert self.make(latency_p99_ns=3e10).violations(self.LABEL) \
             == ["latency"]
-        assert self.make(decisions_per_sec=0.5).violations() \
+        assert self.make(decisions_per_sec=0.5).violations(self.LABEL) \
             == ["throughput"]
         worst = self.make(partitions=2, latency_p99_ns=9e10,
                           decisions_per_sec=0.1)
-        assert worst.violations() \
+        assert worst.violations(self.LABEL) \
             == ["partitions", "latency", "throughput"]
-        assert worst.all_ok is False
+        assert worst.arm_record(self.LABEL)["slo_ok"] is False
 
 
 class TestSmallScaleSeparation:

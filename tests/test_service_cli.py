@@ -2,7 +2,8 @@
 
 Single-arm runs (epoch-overridden so they stay fast), run-record /
 metrics / trace artifacts, and the obs rollup of service records.
-The full campaign path is covered by the golden tests.
+The full campaign (``repro campaign service-resilience``) is covered
+by the golden tests.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ from repro.obs.runrecord import read_run_log
 
 
 class TestServeParser:
-    def test_defaults(self):
-        args = build_serve_parser().parse_args([])
-        assert args.compare is False
-        assert args.single is None
-        assert args.json_out is None
+    def test_defaults(self, capsys):
+        args = build_serve_parser().parse_args(["--single", "reference"])
+        assert args.single == "reference"
+        assert args.epochs is None
+        assert args.run_log is None
+        assert args.metrics_out is None
+        assert args.trace_out is None
+        # The campaign lives under `repro campaign`: serve needs an arm.
+        with pytest.raises(SystemExit):
+            build_serve_parser().parse_args([])
 
     def test_single_with_artifacts(self, tmp_path):
         args = build_serve_parser().parse_args(

@@ -23,6 +23,7 @@ from repro.faults.control_faults import (
     ControlFaultScenario,
     ControlPlaneChaos,
 )
+from repro.faults.policy import SpanningSetGuard
 from repro.obs.decisions import (
     DecisionLog,
     TOPOLOGY_GUARD_VETO,
@@ -37,7 +38,6 @@ from repro.sim.faults import LinkFaultInjector
 from repro.sim.invariants import switch_components
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topo import (
-    ConnectivityGuard,
     DemandAwareTopologyController,
     TOPO_CONTROL_MODES,
     TopologyControlConfig,
@@ -192,14 +192,14 @@ class TestWake:
 class TestConnectivityGuard:
     def test_removing_the_only_link_is_vetoed(self):
         net = make_network(k=2, n=2)   # two switches, one link
-        guard = ConnectivityGuard(net, mode="tree")
+        guard = SpanningSetGuard(net, mode="tree")
         guard.refresh([(0, 1)])
         assert not guard.may_power_off((0, 1), {(0, 1)})
         assert guard.vetoes >= 1
 
     def test_connected_is_a_real_bfs(self):
         net = make_network(k=4, n=2)   # complete graph on 4 switches
-        guard = ConnectivityGuard(net)
+        guard = SpanningSetGuard(net)
         ring = {(0, 1), (1, 2), (2, 3)}
         assert guard.connected(ring | {(0, 3)})
         assert guard.connected(ring)            # a path suffices
@@ -207,7 +207,7 @@ class TestConnectivityGuard:
 
     def test_cut_edge_vetoed_even_when_unpinned(self):
         net = make_network(k=4, n=2)
-        guard = ConnectivityGuard(net, mode="tree")
+        guard = SpanningSetGuard(net, mode="tree")
         # Pin a tree that does not contain (2, 3); with only a path
         # left usable, removing any of its edges disconnects.
         guard.refresh([(0, 1), (0, 2), (0, 3)])
