@@ -146,8 +146,10 @@ class ServiceChaos:
         which report is in flight, corruption mangles it, a dropout
         loses whatever would have arrived.
         """
-        history = self._history.setdefault(
-            record.group, collections.deque(maxlen=self._depth))
+        history = self._history.get(record.group)
+        if history is None:
+            history = self._history[record.group] = collections.deque(
+                maxlen=self._depth)
         history.append(record)
         if self.scenario is None:
             return record

@@ -18,10 +18,16 @@ ingest queue between the load generator and the decision loop:
   capacity, high/low **watermark backpressure** (a hysteretic flag the
   generator observes and the metrics layer gauges), and deterministic
   **load shedding**: when a record arrives at capacity, the stream
-  evicts the *oldest* queued record of the most-backlogged group
-  (ties by name), never the incoming one — so however far behind the
-  consumer falls, the freshest reading per group survives and the
-  degraded-mode ladder always sees the best available truth.
+  evicts the *oldest* queued record of the incoming record's own
+  group, or, if that group has nothing queued, of the most-backlogged
+  group (ties by name); never the incoming one — so however far
+  behind the consumer falls, the freshest reading per group survives
+  and the degraded-mode ladder always sees the best available truth.
+
+Ingest costs the same whatever the number of groups: the stream keeps
+a running count of queued data records and holds a per-group queue
+only while that group has records queued, so the shed fallback scans
+at most ``capacity`` groups.
 
 Shedding disabled (``capacity=None``) gives the unprotected arm: an
 unbounded queue whose latency grows without bound once the consumer
@@ -116,47 +122,58 @@ class TelemetryStream:
         self.shed_by_group: Dict[str, int] = {}
         self._items: "collections.OrderedDict[int, StreamItem]" = (
             collections.OrderedDict())
+        #: Queued record seqs per group; a group's entry exists only
+        #: while it has records queued.
         self._group_seqs: Dict[str, Deque[int]] = {}
+        #: Queued data records: the sum of the ``_group_seqs`` lengths.
+        self._backlog = 0
         self._getter: Optional[asyncio.Future] = None
 
     # -- producer side ----------------------------------------------------
 
     def data_backlog(self) -> int:
         """Queued data records (ticks excluded)."""
-        return sum(len(q) for q in self._group_seqs.values())
+        return self._backlog
 
     def offer(self, item: StreamItem) -> bool:
         """Enqueue one item; returns False if it displaced a record.
 
-        Ticks always enqueue.  Records at capacity trigger shedding of
-        the oldest record of the most-backlogged group — deterministic
-        (ties broken by group name) and never the incoming record.
+        Ticks always enqueue.  A record at capacity sheds the oldest
+        queued record of its own group or, if that group has nothing
+        queued, of the most-backlogged group (ties broken by group
+        name) — deterministic, and never the incoming record.
         """
         self.offered += 1
         accepted = True
         if isinstance(item, TelemetryRecord):
             if (self.capacity is not None
-                    and self.data_backlog() >= self.capacity):
+                    and self._backlog >= self.capacity):
                 self._shed_oldest(prefer=item.group)
                 accepted = False  # someone was displaced, not refused
-            queue = self._group_seqs.setdefault(item.group,
-                                                collections.deque())
+            queue = self._group_seqs.get(item.group)
+            if queue is None:
+                queue = self._group_seqs[item.group] = collections.deque()
             queue.append(item.seq)
+            self._backlog += 1
         self._items[item.seq] = item
-        backlog = self.data_backlog()
-        self.max_backlog = max(self.max_backlog, backlog)
-        self._update_backpressure(backlog)
+        self.max_backlog = max(self.max_backlog, self._backlog)
+        self._update_backpressure(self._backlog)
         self._wake_getter()
         self.clock.note()
         return accepted
 
     def _shed_oldest(self, prefer: str) -> None:
-        """Evict the oldest record of the most-backlogged group."""
-        victim_group = prefer if self._group_seqs.get(prefer) else None
-        if victim_group is None:
+        """Evict the oldest record of ``prefer``, else of the
+        most-backlogged group (ties by name)."""
+        victim_group = prefer
+        if victim_group not in self._group_seqs:
             _, victim_group = min((-len(q), name) for name, q in
-                                  self._group_seqs.items() if q)
-        seq = self._group_seqs[victim_group].popleft()
+                                  self._group_seqs.items())
+        queue = self._group_seqs[victim_group]
+        seq = queue.popleft()
+        if not queue:
+            del self._group_seqs[victim_group]
+        self._backlog -= 1
         record = self._items.pop(seq)
         self.shed += 1
         self.shed_by_group[victim_group] = (
@@ -193,9 +210,12 @@ class TelemetryStream:
         seq, item = self._items.popitem(last=False)
         if isinstance(item, TelemetryRecord):
             queue = self._group_seqs.get(item.group)
-            if queue and queue[0] == seq:
+            if queue is not None and queue[0] == seq:
                 queue.popleft()
-        self._update_backpressure(self.data_backlog())
+                self._backlog -= 1
+                if not queue:
+                    del self._group_seqs[item.group]
+        self._update_backpressure(self._backlog)
         self.clock.note()
         return item
 

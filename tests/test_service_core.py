@@ -10,8 +10,10 @@ and the lossy transport's honest delivery bookkeeping.
 from __future__ import annotations
 
 import asyncio
+import collections
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.control_faults import (
     ControlFaultScenario,
@@ -29,6 +31,7 @@ from repro.service import (
     TelemetryStream,
     VirtualClock,
 )
+from repro.workloads.service_traces import DiurnalTraceSource
 
 
 def record(seq, group="g0", epoch=0, demand=5.0, queue=0.0,
@@ -111,6 +114,80 @@ class TestVirtualClock:
 
         with pytest.raises(RuntimeError, match="quiesce"):
             asyncio.run(main())
+
+
+class ScanStream:
+    """Reference stream semantics: the backlog is recomputed by a scan
+    over every group ever seen, and emptied queues are kept."""
+
+    def __init__(self, capacity, high_watermark, low_watermark):
+        self.capacity = capacity
+        self.high, self.low = high_watermark, low_watermark
+        self.items = collections.OrderedDict()
+        self.group_seqs = {}
+        self.shed, self.shed_by_group = [], {}
+        self.max_backlog = self.backpressure_raises = 0
+        self.backpressure = False
+
+    def data_backlog(self):
+        return sum(len(q) for q in self.group_seqs.values())
+
+    def offer(self, item):
+        accepted = True
+        if isinstance(item, TelemetryRecord):
+            if (self.capacity is not None
+                    and self.data_backlog() >= self.capacity):
+                victim = (item.group if self.group_seqs.get(item.group)
+                          else min((-len(q), name) for name, q
+                                   in self.group_seqs.items() if q)[1])
+                seq = self.group_seqs[victim].popleft()
+                self.shed.append(self.items.pop(seq))
+                self.shed_by_group[victim] = (
+                    self.shed_by_group.get(victim, 0) + 1)
+                accepted = False
+            self.group_seqs.setdefault(
+                item.group, collections.deque()).append(item.seq)
+        self.items[item.seq] = item
+        self.max_backlog = max(self.max_backlog, self.data_backlog())
+        self._watermarks()
+        return accepted
+
+    def get(self):
+        seq, item = self.items.popitem(last=False)
+        if isinstance(item, TelemetryRecord):
+            queue = self.group_seqs.get(item.group)
+            if queue and queue[0] == seq:
+                queue.popleft()
+        self._watermarks()
+        return item
+
+    def _watermarks(self):
+        backlog = self.data_backlog()
+        if self.capacity is None:
+            return
+        if not self.backpressure and backlog >= self.high:
+            self.backpressure = True
+            self.backpressure_raises += 1
+        elif self.backpressure and backlog <= self.low:
+            self.backpressure = False
+
+
+def get_queued(stream):
+    """``stream.get()`` for a nonempty stream, which returns without
+    awaiting, so no event loop is needed."""
+    coroutine = stream.get()
+    try:
+        coroutine.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("get() awaited on a nonempty stream")
+
+
+#: One stream step: offer a record for group ``n``, offer a tick, or
+#: get.  Records are listed thrice so that streams fill and shed.
+STREAM_STEPS = st.tuples(
+    st.sampled_from(["record", "record", "record", "tick", "get"]),
+    st.integers(min_value=0, max_value=7))
 
 
 class TestTelemetryStream:
@@ -198,6 +275,43 @@ class TestTelemetryStream:
     def test_zero_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             self.make(capacity=0)
+
+    @given(groups=st.integers(min_value=1, max_value=8),
+           capacity=st.sampled_from([None, 1, 2, 3, 10]),
+           steps=st.lists(STREAM_STEPS, max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scan_reference(self, groups, capacity, steps):
+        shed = []
+        stream = self.make(capacity=capacity, on_shed=shed.append)
+        ref = ScanStream(capacity, stream.high_watermark,
+                         stream.low_watermark)
+        for seq, (op, n) in enumerate(steps):
+            if op == "get":
+                if len(ref.items) == 0:
+                    continue
+                assert get_queued(stream) == ref.get()
+            elif op == "tick":
+                item = EpochTick(seq=seq, epoch=seq, time_ns=0.0)
+                assert stream.offer(item) is ref.offer(item)
+            else:
+                item = record(seq, f"g{n % groups}", epoch=seq)
+                assert stream.offer(item) is ref.offer(item)
+            assert shed == ref.shed
+            assert stream.data_backlog() == ref.data_backlog()
+            assert len(stream) == len(ref.items)
+            assert all(stream._group_seqs.values())
+        assert stream.max_backlog == ref.max_backlog
+        assert stream.backpressure is ref.backpressure
+        assert stream.backpressure_raises == ref.backpressure_raises
+        assert stream.shed == len(ref.shed)
+        assert stream.shed_by_group == ref.shed_by_group
+
+
+class TestDiurnalTraceSource:
+    def test_unknown_group_is_named(self):
+        source = DiurnalTraceSource(("a", "b"))
+        with pytest.raises(ValueError, match="'c'"):
+            source.demand("c", 0)
 
 
 class TestFabricPlant:
