@@ -4,7 +4,7 @@
 PY := PYTHONPATH=src python
 JOBS ?= 4
 
-.PHONY: test bench perf perf-quick perf-baseline smoke-sweep campaigns \
+.PHONY: test bench e2e smoke-sweep campaigns \
 	golden-refresh clean-cache
 
 test:            ## tier-1 test suite
@@ -13,19 +13,8 @@ test:            ## tier-1 test suite
 bench:           ## full benchmark suite (regenerates every figure)
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-perf:            ## full perf suite, gated against the committed baseline
-	$(PY) -m repro perf run --out /tmp/BENCH_suite.json
-	$(PY) -m repro perf compare --baseline BENCH_suite.json \
-		/tmp/BENCH_suite.json
-
-perf-quick:      ## quick perf smoke (the CI configuration, warn-only)
-	$(PY) -m repro perf run --quick --out /tmp/BENCH_suite.json
-	$(PY) -m repro perf compare --baseline BENCH_suite.json \
-		/tmp/BENCH_suite.json --warn-only
-
-perf-baseline:   ## deliberately refresh the committed BENCH_suite.json
-	$(PY) -m repro perf run --out BENCH_suite.json
-	@git --no-pager diff --stat BENCH_suite.json || true
+e2e:             ## end-to-end benchmark: every workload, per-layer shares
+	python3 e2ebench/e2e.py run
 
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers
 	$(PY) -m repro figure7 --jobs 2

@@ -5,11 +5,11 @@ baseline run — the phenomenon that makes independent channel control
 (Figure 7b) worth building.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_asymmetry_search(benchmark, scale):
-    result = run_scenario(benchmark, "asymmetry", scale).payload
+    result = run_experiment(benchmark, "asymmetry", scale)
     print("\n" + result.format_table())
     # "many traffic patterns show very asymmetric use"
     assert result.fraction_2x > 0.3

@@ -4,7 +4,7 @@ Static pinned modes show the power/bisection tradeoff; the dynamic
 controller walks the ladder with offered load.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 from repro.core.dynamic_topology import TopologyMode
 from repro.experiments.scale import ExperimentScale
@@ -19,8 +19,8 @@ def _dyn_scale(scale):
 
 
 def test_dynamic_topology(benchmark, scale):
-    result = run_scenario(benchmark, "dynamic-topology",
-                          _dyn_scale(scale)).payload
+    result = run_experiment(benchmark, "dynamic-topology",
+                            _dyn_scale(scale))
     print("\n" + result.format_table())
 
     mesh = [p for p in result.static_points if p.label == "static-mesh"]

@@ -1,12 +1,12 @@
 """Ablation: energy-aware routing (Section 5.1's open problem)."""
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_energy_aware_routing(benchmark, scale):
-    result = run_scenario(benchmark, "energy-aware", scale).payload
+    result = run_experiment(benchmark, "energy-aware", scale)
     print("\n" + result.format_table())
 
     aware = result.runs["energy-aware"]

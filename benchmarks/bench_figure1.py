@@ -1,10 +1,10 @@
 """Figure 1: server vs network power scenarios."""
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_figure1(benchmark):
-    result = run_scenario(benchmark, "figure1").payload
+    result = run_experiment(benchmark, "figure1")
     print("\n" + result.format_table())
 
     scenarios = result.scenarios

@@ -1,10 +1,10 @@
 """Figure 5: switch-chip dynamic range."""
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_figure5(benchmark):
-    result = run_scenario(benchmark, "figure5").payload
+    result = run_experiment(benchmark, "figure5")
     print("\n" + result.format_table())
     assert result.profile.performance_dynamic_range == 16.0
     # Slowest optical mode at 42% of full power (the paper's anchor).

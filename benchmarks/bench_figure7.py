@@ -5,11 +5,11 @@ slowest mode, and independent per-channel control spending less time at
 the fast speeds than paired control.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_figure7(benchmark, scale):
-    result = run_scenario(benchmark, "figure7", scale).payload
+    result = run_experiment(benchmark, "figure7", scale)
     print("\n" + result.format_table())
 
     # "most links spend a majority of their time in the lowest

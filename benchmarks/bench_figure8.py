@@ -7,11 +7,11 @@ small multiple of average utilization under ideal channels, and
 independent channel control dominates paired control.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_figure8(benchmark, scale):
-    result = run_scenario(benchmark, "figure8", scale).payload
+    result = run_experiment(benchmark, "figure8", scale)
     print("\n" + result.format_table())
 
     for name in ("advert", "search"):

@@ -6,11 +6,11 @@ Asserts the paper's shape: added latency grows with target utilization
 and grows steeply (toward milliseconds) as reactivation reaches 100 us.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_figure9(benchmark, scale):
-    result = run_scenario(benchmark, "figure9", scale).payload
+    result = run_experiment(benchmark, "figure9", scale)
     print("\n" + result.format_table())
 
     for workload in result.workloads:

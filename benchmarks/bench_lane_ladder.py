@@ -5,11 +5,11 @@ while spending far less total time in reactivation stalls — the payoff
 of pricing CDR-only re-locks at ~100 ns instead of a blanket 1 us.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_lane_ladder(benchmark, scale):
-    result = run_scenario(benchmark, "lane-ladder", scale).payload
+    result = run_experiment(benchmark, "lane-ladder", scale)
     print("\n" + result.format_table())
 
     scalar = result.runs["scalar 1us"]

@@ -1,10 +1,10 @@
 """Ablation: packaging-aware media pricing (Section 2.2's locality)."""
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_mixed_media(benchmark, scale):
-    result = run_scenario(benchmark, "mixed-media", scale).payload
+    result = run_experiment(benchmark, "mixed-media", scale)
     print("\n" + result.format_table())
 
     for row in result.rows_list:

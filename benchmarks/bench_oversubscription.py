@@ -1,10 +1,10 @@
 """Section 2.1.1: the over-subscription power/performance trade."""
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_oversubscription(benchmark, scale):
-    result = run_scenario(benchmark, "oversubscription", scale).payload
+    result = run_experiment(benchmark, "oversubscription", scale)
     print("\n" + result.format_table())
 
     by_c = {}

@@ -4,11 +4,11 @@ Compares the paper's threshold policy against aggressive, hysteresis and
 predictive variants on the Search workload with independent channels.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_policy_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "policies", scale).payload
+    result = run_experiment(benchmark, "policies", scale)
     print("\n" + result.format_table())
 
     for summary in result.by_policy.values():

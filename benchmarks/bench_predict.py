@@ -4,22 +4,20 @@ Benchmarks the `repro predict` experiment's core comparison — the
 reactive threshold controller, the EWMA predictive controller, and the
 clairvoyant oracle — on the uniform workload at three offered loads.
 Each point on the frontier is one full discrete-event run, so the
-benchmark also tracks what a predictive sweep costs run-over-run.  The
-batch comes from the shared suite registry (the ``predict-frontier``
-scenario), so the timing here matches the ``BENCH_suite.json`` entry.
+benchmark also tracks what a predictive sweep costs run-over-run.
 
 Besides the pytest-benchmark timings, this module writes a
 ``BENCH_predict.json`` artifact (into ``$REPRO_BENCH_DIR`` or the
-working directory) through the shared suite-schema envelope: measured
-power fraction and mean/p99 latency per controller per load, so CI can
-archive how the frontier moves as the subsystem evolves.
+working directory), provenance-stamped: measured power fraction and
+mean/p99 latency per controller per load, so CI can archive how the
+frontier moves as the subsystem evolves.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from conftest import run_scenario
+from conftest import write_bench_artifact
 
 from repro.experiments.runner import (
     CONTROL_ORACLE,
@@ -27,7 +25,7 @@ from repro.experiments.runner import (
     SimulationSpec,
     baseline_spec,
 )
-from repro.obs.benchsuite import write_bench_artifact
+from repro.experiments.sweep import SweepRunner
 
 #: Offered loads the frontier is sampled at (fractions of bisection).
 LOADS = (0.05, 0.15, 0.30)
@@ -73,10 +71,19 @@ def bench_predict_artifact():
     })
 
 
+def _run_frontier():
+    """Every controller at every load, on a fresh single-worker runner
+    with the cache off; returns ``(results, events fired)``."""
+    specs = [spec for load in LOADS
+             for spec in controller_specs(load).values()]
+    runner = SweepRunner(jobs=1, use_cache=False)
+    return runner.run(specs), runner.stats.events_fired
+
+
 def test_predict_frontier(benchmark):
-    run = run_scenario(benchmark, "predict-frontier")
-    results = run.payload
-    assert run.events > 0
+    results, events = benchmark.pedantic(_run_frontier, rounds=1,
+                                         iterations=1, warmup_rounds=0)
+    assert events > 0
 
     for load in LOADS:
         specs = controller_specs(load)

@@ -5,11 +5,11 @@ and its advantage must appear once reactivations are long enough for
 traffic to pile up behind stalled links.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_routing_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "routing-ablation", scale).payload
+    result = run_experiment(benchmark, "routing-ablation", scale)
     print("\n" + result.format_table())
 
     for react in result.reactivations_ns:

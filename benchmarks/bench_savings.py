@@ -4,11 +4,11 @@ Paper anchors: $2.4M for a 6x reduction, $2.5M for 6.6x, and "up to
 $3M over a four-year lifetime" for topology + rate scaling combined.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_savings_projection(benchmark, scale):
-    result = run_scenario(benchmark, "savings", scale).payload
+    result = run_experiment(benchmark, "savings", scale)
     print("\n" + result.format_table())
 
     # The Table 1 topology savings stack ($1.6M).

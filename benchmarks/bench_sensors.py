@@ -4,13 +4,13 @@ The paper's claim under test: utilization alone is a sufficient demand
 estimator — richer sensors must not beat it by a meaningful margin.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_sensor_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "sensors", scale).payload
+    result = run_experiment(benchmark, "sensors", scale)
     print("\n" + result.format_table())
 
     utilization = result.runs["utilization"]

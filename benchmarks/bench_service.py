@@ -1,24 +1,26 @@
 """Live control-plane service: decision latency and throughput.
 
-Benchmarks the supervised asyncio service on a fault-free diurnal day
-through the shared suite registry (the ``service-decide`` entry in
-``BENCH_suite.json``), so the wall cost of running the control plane
-is tracked run-over-run alongside the simulator benchmarks.  The
-assertions pin the two service-health numbers the resilience campaign
-gates on: decision latency (p50/p99 in virtual time, a pure function
-of the config's processing costs when no fault backlogs the stream)
-and decisions per virtual second at the ideal fleet rate.
+Benchmarks the supervised asyncio service (ingest, decision ladder,
+journaled actuation, checkpointing) on one fault-free diurnal day in
+virtual time, so the wall cost of running the control plane is tracked
+run-over-run alongside the simulator benchmarks.  The assertions pin
+the two service-health numbers the resilience campaign gates on:
+decision latency (p50/p99 in virtual time, a pure function of the
+config's processing costs when no fault backlogs the stream) and
+decisions per virtual second at the ideal fleet rate.
 
 Also writes a ``BENCH_service.json`` artifact with the latency
 percentiles and throughput, for CI to archive next to the SLO verdict.
 """
 
+import dataclasses
+
 import pytest
 
-from conftest import run_scenario
+from conftest import write_bench_artifact
 
 from repro.experiments.service_resilience import CAMPAIGN_CONFIG
-from repro.obs.benchsuite import write_bench_artifact
+from repro.service.service import ControlPlaneService
 
 #: Summary digest captured by the benchmark, dumped at teardown.
 _health = {}
@@ -31,8 +33,15 @@ def bench_service_artifact():
     write_bench_artifact("BENCH_service.json", "service", _health)
 
 
+def _decide_one_day():
+    config = dataclasses.replace(
+        CAMPAIGN_CONFIG, epochs=CAMPAIGN_CONFIG.epochs_per_day)
+    return ControlPlaneService(config).run()
+
+
 def test_service_decide(benchmark):
-    summary = run_scenario(benchmark, "service-decide").payload
+    summary = benchmark.pedantic(_decide_one_day, rounds=3, iterations=1,
+                                 warmup_rounds=1)
     print("\n[service] " + summary.format_line())
     _health.update({
         "decisions": summary.decisions,

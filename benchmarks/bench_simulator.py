@@ -1,21 +1,44 @@
 """Simulator microbenchmarks: the engine's raw event throughput.
 
 Not a paper figure — these track the cost of the substrate itself so
-that experiment-level benchmark movements can be attributed correctly.
-Both scenarios come from the shared suite registry, so the numbers here
-are the same ``engine-events`` / ``network-packets`` entries that land
-in ``BENCH_suite.json``.
+that experiment-level benchmark movements can be attributed correctly:
+a bare event chain on the engine, and one small fabric run.
 """
 
-from conftest import run_scenario
+from repro.experiments.runner import SimulationSpec, run_simulation
+from repro.sim.engine import Simulator
+
+#: One k=3 n=3 uniform-workload fabric run.
+NETWORK_SPEC = SimulationSpec(k=3, n=3, workload="uniform",
+                              duration_ns=300_000.0, seed=1,
+                              control="none", uniform_offered_load=0.2,
+                              message_bytes=65536)
+
+
+def _engine_events():
+    """Eight interleaved event chains on a bare engine; returns the
+    events fired."""
+    sim = Simulator()
+    count = 20_000
+
+    def chain(remaining):
+        if remaining:
+            sim.schedule(1.0, chain, remaining - 1)
+
+    for _ in range(8):
+        sim.schedule(0.0, chain, count // 8)
+    sim.run()
+    return sim.events_fired
 
 
 def test_engine_event_throughput(benchmark):
-    run = run_scenario(benchmark, "engine-events")
-    assert run.events >= 20_000
+    events = benchmark.pedantic(_engine_events, rounds=5, iterations=1,
+                                warmup_rounds=1)
+    assert events >= 20_000
 
 
 def test_network_packet_throughput(benchmark):
-    run = run_scenario(benchmark, "network-packets")
-    assert run.payload.messages_delivered > 0
-    assert run.events > 0
+    summary = benchmark.pedantic(run_simulation, args=(NETWORK_SPEC,),
+                                 rounds=3, iterations=1, warmup_rounds=1)
+    assert summary.messages_delivered > 0
+    assert summary.events_fired > 0

@@ -7,11 +7,11 @@ partitions) is asserted here as well as frozen in
 ``tests/golden/demand_topology.json``.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 
 def test_demand_topology(benchmark, scale):
-    result = run_scenario(benchmark, "demand-topology", scale).payload
+    result = run_experiment(benchmark, "demand-topology", scale)
     print("\n" + result.format_table())
     for line in result.verdict_lines():
         print(line)

@@ -5,14 +5,13 @@ the paper's mechanisms are topology-portable — while each keeps its
 throughput relative to its own baseline.
 """
 
-from conftest import run_scenario
+from conftest import run_experiment
 
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_topology_comparison(benchmark, scale):
-    result = run_scenario(benchmark, "topology-comparison",
-                          scale).payload
+    result = run_experiment(benchmark, "topology-comparison", scale)
     print("\n" + result.format_table())
 
     for run in result.fabrics.values():

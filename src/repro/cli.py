@@ -300,10 +300,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--power-period-ns", type=float, default=10_000.0,
                       help="power-sample period in ns; 0 disables the "
                            "power counter track (default: 1e4)")
-    p_tr.add_argument("--profile", action="store_true",
-                      help="attach the wall-clock profiler and merge "
-                           "its wall_ms / events_per_sec counter "
-                           "tracks into the trace")
     return parser
 
 
@@ -454,16 +450,12 @@ def _obs_export_trace(args: argparse.Namespace) -> int:
         faults=args.faults, fault_seed=args.fault_seed,
     )
     period = args.power_period_ns if args.power_period_ns > 0 else None
-    trace = export_trace(spec, args.out, power_period_ns=period,
-                         profile=args.profile)
+    trace = export_trace(spec, args.out, power_period_ns=period)
     meta = trace["otherData"]
-    line = (f"wrote {args.out}: {len(trace['traceEvents'])} events, "
-            f"{meta['channels']} channel tracks, {meta['epochs']} epochs, "
-            f"{meta['transitions']} rate transitions, "
-            f"{meta['fault_events']} fault events")
-    if args.profile:
-        line += f", {meta['wall_samples']} wall-clock samples"
-    print(line)
+    print(f"wrote {args.out}: {len(trace['traceEvents'])} events, "
+          f"{meta['channels']} channel tracks, {meta['epochs']} epochs, "
+          f"{meta['transitions']} rate transitions, "
+          f"{meta['fault_events']} fault events")
     return 0
 
 
@@ -677,212 +669,12 @@ def obs_main(argv) -> int:
         return 1
 
 
-def build_perf_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``perf`` subcommand family."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro perf",
-        description="Profile the simulation hot path, run the unified "
-                    "benchmark suite and gate against a committed "
-                    "baseline.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the registered benchmark scenarios")
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="simulate one spec with the wall-clock profiler attached "
-             "and print the per-phase time breakdown")
-    p_prof.add_argument("--workload", default="search",
-                        choices=["uniform", "search", "advert", "bursty",
-                                 "skewed", "shifting", "diurnal"],
-                        help="workload to simulate (default: search)")
-    p_prof.add_argument("--k", type=int, default=4,
-                        help="FBFLY radix per dimension (default: 4)")
-    p_prof.add_argument("--n", type=int, default=3,
-                        help="FBFLY dimensions (default: 3)")
-    p_prof.add_argument("--seed", type=int, default=1,
-                        help="workload RNG seed (default: 1)")
-    p_prof.add_argument("--duration-ns", type=float, default=2_000_000.0,
-                        help="simulated duration in ns (default: 2e6)")
-    p_prof.add_argument("--control", default="epoch",
-                        choices=["epoch", "none", "always_slowest",
-                                 "predict", "oracle", "fault_gated",
-                                 "fault_pinned", "demand_topo",
-                                 "degraded_topo"],
-                        help="control mode (default: epoch)")
-    p_prof.add_argument("--faults", default=None, metavar="SCENARIO",
-                        help="named fault scenario to inject "
-                             "(default: none)")
-    p_prof.add_argument("--fault-seed", type=int, default=0,
-                        help="fault-process RNG seed (default: 0)")
-    p_prof.add_argument("--json", type=Path, default=None, metavar="PATH",
-                        help="also write the machine-readable perf "
-                             "report as JSON")
-
-    p_run = sub.add_parser(
-        "run",
-        help="run the benchmark suite and write a schema-versioned, "
-             "provenance-stamped BENCH_suite.json")
-    p_run.add_argument("scenarios", nargs="*", metavar="SCENARIO",
-                       help="explicit scenario subset (default: every "
-                            "registered scenario)")
-    p_run.add_argument("--quick", action="store_true",
-                       help="only the quick smoke subset (the CI "
-                            "configuration)")
-    p_run.add_argument("--out", type=Path, default=None, metavar="PATH",
-                       help="suite document output path "
-                            "(default: BENCH_suite.json)")
-    p_run.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="override every scenario's repeat count")
-    p_run.add_argument("--warmup", type=int, default=None, metavar="N",
-                       help="override every scenario's warmup count")
-    p_run.add_argument("--history", type=Path, default=None,
-                       metavar="PATH",
-                       help="also append one compact JSONL trajectory "
-                            "line to this history file")
-    p_run.add_argument("--scale", choices=sorted(SCALES), default=None,
-                       help="simulation scale (default: $REPRO_SCALE "
-                            "or 'small')")
-
-    p_cmp = sub.add_parser(
-        "compare",
-        help="compare a candidate suite run against a baseline; exits "
-             "nonzero when any scenario regressed past its band")
-    p_cmp.add_argument("--baseline", type=Path, required=True,
-                       metavar="PATH", help="baseline BENCH_suite.json")
-    p_cmp.add_argument("candidate", type=Path, nargs="?", default=None,
-                       help="candidate BENCH_suite.json (default: run "
-                            "the quick suite in-process)")
-    p_cmp.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="override every scenario's fractional "
-                            "tolerance band")
-    p_cmp.add_argument("--warn-only", action="store_true",
-                       help="report regressions but always exit 0 "
-                            "(CI smoke mode)")
-    return parser
-
-
-def _perf_profile(args: argparse.Namespace) -> int:
-    """Implement ``perf profile``: one profiled run, phase table out."""
-    from repro.experiments.runner import SimulationSpec, run_simulation
-    from repro.obs.session import Telemetry
-
-    spec = SimulationSpec(
-        k=args.k, n=args.n, workload=args.workload,
-        duration_ns=args.duration_ns, seed=args.seed,
-        control=args.control, faults=args.faults,
-        fault_seed=args.fault_seed,
-    )
-    telemetry = Telemetry.profiled()
-    summary = run_simulation(spec, telemetry=telemetry)
-    profiler = telemetry.profiler
-    print(f"[perf] {spec.workload} k={spec.k} n={spec.n} "
-          f"seed={spec.seed} control={spec.control}")
-    print(profiler.format_table())
-    if args.json is not None:
-        report = dict(summary.perf or profiler.report())
-        report["spec"] = {
-            "workload": spec.workload, "k": spec.k, "n": spec.n,
-            "seed": spec.seed, "control": spec.control,
-            "duration_ns": spec.duration_ns,
-        }
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(report, indent=2,
-                                        sort_keys=True) + "\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _perf_run(args: argparse.Namespace) -> int:
-    """Implement ``perf run``: execute the suite, write the document."""
-    from repro.obs import benchsuite
-
-    scale = SCALES[args.scale] if args.scale else current_scale()
-    names = args.scenarios or None
-    doc = benchsuite.run_suite(
-        names=names, quick=args.quick, scale=scale,
-        warmup=args.warmup, repeats=args.repeats, progress=print)
-    out = args.out or Path("BENCH_suite.json")
-    benchsuite.write_suite(doc, out)
-    print(f"wrote {out}: {len(doc['scenarios'])} scenario(s), "
-          f"suite_schema={doc['suite_schema']}, "
-          f"git_sha={doc['provenance'].get('git_sha')}")
-    if args.history is not None:
-        benchsuite.append_history(args.history, doc)
-        print(f"appended history line to {args.history}")
-    return 0
-
-
-def _perf_compare(args: argparse.Namespace) -> int:
-    """Implement ``perf compare``: tolerance-band regression gate."""
-    from repro.obs import benchsuite
-
-    try:
-        baseline = benchsuite.read_suite(args.baseline)
-    except FileNotFoundError:
-        print(f"error: perf baseline not found: {args.baseline}\n"
-              f"  expected a committed BENCH_suite.json at that path; "
-              f"generate one with\n"
-              f"  'make perf-baseline' (or 'python -m repro perf run "
-              f"--out {args.baseline}')", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: perf baseline {args.baseline} is unusable: "
-              f"{exc}\n"
-              f"  the schema likely drifted since it was written; "
-              f"regenerate it with 'make perf-baseline'",
-              file=sys.stderr)
-        return 1
-    if args.candidate is not None:
-        candidate = benchsuite.read_suite(args.candidate)
-    else:
-        print("no candidate given; running the quick suite in-process")
-        candidate = benchsuite.run_suite(quick=True, progress=print)
-    comparison = benchsuite.compare_suites(baseline, candidate,
-                                           tolerance=args.tolerance)
-    for line in comparison.format_lines():
-        print(line)
-    if not comparison.ok:
-        print("PERF REGRESSION: candidate exceeded the tolerance band"
-              + (" (warn-only: exiting 0)" if args.warn_only else ""))
-        return 0 if args.warn_only else 1
-    print("perf gate: no scenario regressed past its band")
-    return 0
-
-
-def perf_main(argv) -> int:
-    """Entry point for ``python -m repro perf ...``."""
-    args = build_perf_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            from repro.obs import benchsuite
-            for name in benchsuite.registered_scenarios():
-                scenario = benchsuite.get_scenario(name)
-                marker = "quick" if scenario.quick else "full "
-                print(f"{name:22s} [{scenario.kind:10s}] [{marker}] "
-                      f"{scenario.description}")
-            return 0
-        if args.command == "profile":
-            return _perf_profile(args)
-        if args.command == "run":
-            return _perf_run(args)
-        return _perf_compare(args)
-    except (OSError, ValueError) as exc:
-        # Missing/corrupt suite documents are user errors, not
-        # tracebacks.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def main(argv=None) -> int:
     """CLI entry point: run the experiment and print its table."""
     if argv is None:
         argv = sys.argv[1:]
-    subcommands = {"obs": obs_main, "perf": perf_main,
-                   "predict": predict_main, "campaign": campaign_main,
-                   "serve": serve_main}
+    subcommands = {"obs": obs_main, "predict": predict_main,
+                   "campaign": campaign_main, "serve": serve_main}
     if argv and argv[0] in subcommands:
         return subcommands[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)

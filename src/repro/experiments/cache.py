@@ -179,8 +179,6 @@ def summary_to_dict(summary: SimulationSummary) -> Dict[str, Any]:
         out["predict"] = summary.predict
     if summary.faults is not None:
         out["faults"] = summary.faults
-    if summary.perf is not None:
-        out["perf"] = summary.perf
     if summary.control_plane is not None:
         out["control_plane"] = summary.control_plane
     if summary.topo is not None:
@@ -199,16 +197,15 @@ def summary_from_dict(data: Dict[str, Any]) -> SimulationSummary:
 def summary_digest(summary: SimulationSummary) -> Dict[str, Any]:
     """The summary's deterministic content: everything but host facts.
 
-    ``wall_seconds``, ``worker_pid`` and the ``perf`` profiling digest
-    measure the host machine, not the simulation, so determinism and
-    golden comparisons exclude them.  Everything else — latencies,
-    power fractions, counters, time-at-rate, the decision audit — must
-    replay bit-identically for a fixed spec.
+    ``wall_seconds`` and ``worker_pid`` measure the host machine, not
+    the simulation, so determinism and golden comparisons exclude
+    them.  Everything else — latencies, power fractions, counters,
+    time-at-rate, the decision audit — must replay bit-identically for
+    a fixed spec.
     """
     digest = summary_to_dict(summary)
     del digest["wall_seconds"]
     del digest["worker_pid"]
-    digest.pop("perf", None)
     return digest
 
 

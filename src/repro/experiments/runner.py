@@ -196,12 +196,6 @@ class SimulationSummary:
     #: bursts, partitions, gating counters) — ``None`` for healthy
     #: runs, and likewise elided from cache encodings.
     faults: Optional[Dict] = None
-    #: Wall-clock profiling digest (per-phase time shares, events/sec,
-    #: sim-ns-per-wall-second — see
-    #: :meth:`repro.obs.profiling.PerfProfiler.report`) — ``None``
-    #: unless a profiler was attached.  Host-measured, so it is elided
-    #: from cache encodings and stripped from determinism digests.
-    perf: Optional[Dict] = None
     #: Control-plane chaos digest (telemetry loss/staleness/corruption
     #: counts, lost/delayed actuations, crashes and restarts, plus the
     #: failsafe guard's hold/deadman/retry/recovery accounting under
@@ -380,9 +374,6 @@ def run_simulation(spec: SimulationSpec,
         predict=(controller.predict_summary()
                  if hasattr(controller, "predict_summary") else None),
         faults=faults_info,
-        perf=(telemetry.profiler.report()
-              if telemetry is not None and telemetry.profiler is not None
-              else None),
         control_plane=control_plane_info,
         topo=(controller.topo_summary()
               if hasattr(controller, "topo_summary") else None),

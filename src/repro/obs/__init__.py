@@ -22,31 +22,22 @@ other subsystem reports through:
 - :mod:`repro.obs.session` — a :class:`~repro.obs.session.Telemetry`
   bundle attaching all of the above to one in-process run.
 - :mod:`repro.obs.trace_export` — Chrome trace-event JSON export
-  (per-channel rate tracks, epoch boundaries, power samples and, when
-  profiled, wall-time counter tracks) loadable in Perfetto /
-  ``chrome://tracing``.
-- :mod:`repro.obs.profiling` — a
-  :class:`~repro.obs.profiling.PerfProfiler` timing every engine event
-  and attributing wall-clock to hot-path phases (routing, channel,
-  control, faults, ...), surfaced as ``SimulationSummary.perf``.
-- :mod:`repro.obs.benchsuite` — the unified benchmark suite behind
-  ``repro perf run`` / ``repro perf compare``: one scenario registry
-  covering every ``benchmarks/bench_*.py`` workload, a warmup/repeat
-  runner emitting schema-versioned, provenance-stamped
-  ``BENCH_suite.json`` documents, and the tolerance-band regression
-  detector gating kernel PRs.
+  (per-channel rate tracks, epoch boundaries, power samples) loadable
+  in Perfetto / ``chrome://tracing``.
 
-Only the dependency-free core (metrics, decisions, profiling) is
-re-exported here; import :mod:`repro.obs.runrecord`,
-:mod:`repro.obs.session`, :mod:`repro.obs.trace_export` and
-:mod:`repro.obs.benchsuite` directly — they depend on
+This package observes *simulated* time.  Wall-clock measurement lives
+outside the library, in ``e2ebench/``: end-to-end metrics per workload
+plus per-layer self time from span tracing (``e2ebench/spans.py``).
+
+Only the dependency-free core (metrics, decisions) is re-exported
+here; import :mod:`repro.obs.runrecord`, :mod:`repro.obs.session` and
+:mod:`repro.obs.trace_export` directly — they depend on
 :mod:`repro.experiments` and importing them from the package root would
 cycle.
 """
 
 from repro.obs.decisions import Decision, DecisionLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import PerfProfiler
 
 __all__ = [
     "Counter",
@@ -55,5 +46,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PerfProfiler",
 ]

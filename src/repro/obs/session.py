@@ -42,20 +42,13 @@ class Telemetry:
             (default: the measured Figure 5 curve).
         congestion_period_ns: When set, attach a
             :class:`~repro.sim.monitors.CongestionMonitor`.
-        profile: When true, attach a
-            :class:`~repro.obs.profiling.PerfProfiler` so the run's
-            summary carries a wall-clock phase breakdown on ``perf``.
-        profile_sample_every: Checkpoint cadence (in events) of the
-            profiler's wall-time series (the Perfetto track).
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  decision_log: Optional[DecisionLog] = None,
                  power_period_ns: Optional[float] = None,
                  power_model=None,
-                 congestion_period_ns: Optional[float] = None,
-                 profile: bool = False,
-                 profile_sample_every: int = 2048):
+                 congestion_period_ns: Optional[float] = None):
         self.registry = registry
         self.decision_log = (decision_log if decision_log is not None
                              else DecisionLog(max_records=None))
@@ -63,30 +56,19 @@ class Telemetry:
         self.power_model = power_model
         self.congestion_period_ns = congestion_period_ns
         self.probe: Optional[FabricProbe] = None
-        self.profiler = None
-        if profile:
-            from repro.obs.profiling import PerfProfiler
-            self.profiler = PerfProfiler(
-                sample_every=profile_sample_every)
         self.power_monitor = None
         self.congestion_monitor = None
         self.network = None
 
     @classmethod
     def full(cls, power_period_ns: float = 10_000.0,
-             congestion_period_ns: Optional[float] = None,
-             profile: bool = False) -> "Telemetry":
+             congestion_period_ns: Optional[float] = None
+             ) -> "Telemetry":
         """A bundle with every instrument enabled."""
         return cls(registry=MetricsRegistry(),
                    decision_log=DecisionLog(max_records=None),
                    power_period_ns=power_period_ns,
-                   congestion_period_ns=congestion_period_ns,
-                   profile=profile)
-
-    @classmethod
-    def profiled(cls, sample_every: int = 2048) -> "Telemetry":
-        """A bundle carrying only the wall-clock profiler."""
-        return cls(profile=True, profile_sample_every=sample_every)
+                   congestion_period_ns=congestion_period_ns)
 
     def attach(self, network) -> None:
         """Wire every configured instrument into ``network``.
@@ -99,8 +81,6 @@ class Telemetry:
         if self.registry is not None:
             self.probe = FabricProbe(self.registry)
             self.probe.attach(network)
-        if self.profiler is not None:
-            self.profiler.attach(network)
         if self.power_period_ns is not None:
             from repro.sim.monitors import PowerMonitor
             from repro.power.channel_models import MeasuredChannelPower

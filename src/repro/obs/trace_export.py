@@ -18,12 +18,7 @@ https://ui.perfetto.dev and ``chrome://tracing`` open directly:
   instants on a dedicated ``topology`` track, with a ``dark_groups``
   counter chart tracking how much of the fabric is dark over time;
 - **power samples** (when a power monitor ran) appear as counter
-  (``"C"``) events, rendered by the viewers as a stacked area chart;
-- **wall-clock samples** (when a
-  :class:`~repro.obs.profiling.PerfProfiler` ran) appear as two more
-  counter tracks — cumulative ``wall_ms`` and instantaneous
-  ``events_per_sec`` — so the simulated-time and wall-time views of
-  one run align on a single timeline.
+  (``"C"``) events, rendered by the viewers as a stacked area chart.
 
 Timestamps convert from simulation nanoseconds to the format's
 microseconds.  :func:`export_trace` re-runs a spec in-process with a
@@ -71,8 +66,7 @@ def _rate_segments(
 
 def build_trace(network, decision_log,
                 power_samples: Optional[List[Tuple[float, float]]] = None,
-                label: str = "repro",
-                profiler=None) -> Dict[str, Any]:
+                label: str = "repro") -> Dict[str, Any]:
     """Assemble the trace-event document for one finished run.
 
     Args:
@@ -81,9 +75,6 @@ def build_trace(network, decision_log,
             retained records cover the run (use ``max_records=None``).
         power_samples: Optional ``(time_ns, power_fraction)`` series.
         label: Process name shown in the viewer.
-        profiler: Optional :class:`~repro.obs.profiling.PerfProfiler`
-            that observed the run; its checkpoint series becomes the
-            wall-time counter tracks.
     """
     end_ns = network.sim.now
     events: List[Dict[str, Any]] = [{
@@ -181,26 +172,6 @@ def build_trace(network, decision_log,
             "args": {"power": fraction},
         })
 
-    wall_samples = 0
-    if profiler is not None:
-        prev_wall, prev_events = 0.0, 0
-        for sim_ns, wall_s, events_fired in profiler.samples:
-            events.append({
-                "ph": "C", "pid": 1, "name": "wall_ms",
-                "ts": _ns_to_us(sim_ns),
-                "args": {"wall_ms": wall_s * 1000.0},
-            })
-            delta_wall = wall_s - prev_wall
-            rate = ((events_fired - prev_events) / delta_wall
-                    if delta_wall > 0 else 0.0)
-            events.append({
-                "ph": "C", "pid": 1, "name": "events_per_sec",
-                "ts": _ns_to_us(sim_ns),
-                "args": {"events_per_sec": rate},
-            })
-            prev_wall, prev_events = wall_s, events_fired
-            wall_samples += 1
-
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",
@@ -211,37 +182,32 @@ def build_trace(network, decision_log,
             "transitions": decision_log.transitions_recorded,
             "fault_events": len(fault_records),
             "topology_events": len(topology_records),
-            "wall_samples": wall_samples,
         },
     }
 
 
 def export_trace(spec, out_path: Union[str, Path],
-                 power_period_ns: Optional[float] = None,
-                 profile: bool = False) -> Dict[str, Any]:
+                 power_period_ns: Optional[float] = None
+                 ) -> Dict[str, Any]:
     """Run ``spec`` live with telemetry and write its trace file.
 
     Cached summaries only retain aggregate transition counts, so the
     exporter always simulates in-process with an unbounded decision
     log (and a power monitor when ``power_period_ns`` is set); the
     re-run is bit-deterministic, so the trace faithfully describes the
-    cached result too.  With ``profile=True`` a wall-clock profiler
-    rides along and its checkpoints become the ``wall_ms`` /
-    ``events_per_sec`` counter tracks.  Returns the trace document.
+    cached result too.  Returns the trace document.
     """
     from repro.experiments.runner import run_simulation
     from repro.obs.session import Telemetry
 
-    telemetry = Telemetry(power_period_ns=power_period_ns,
-                          profile=profile)
+    telemetry = Telemetry(power_period_ns=power_period_ns)
     run_simulation(spec, telemetry=telemetry)
     power = (telemetry.power_monitor.samples
              if telemetry.power_monitor is not None else None)
     trace = build_trace(telemetry.network, telemetry.decision_log,
                         power_samples=power,
                         label=f"repro {spec.workload} k={spec.k} "
-                              f"n={spec.n} seed={spec.seed}",
-                        profiler=telemetry.profiler)
+                              f"n={spec.n} seed={spec.seed}")
     problems = validate_trace(trace)
     if problems:
         raise AssertionError(

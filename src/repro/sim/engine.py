@@ -15,7 +15,6 @@ standard library.
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 
@@ -49,7 +48,13 @@ class Event:
 
 
 class Simulator:
-    """The discrete-event scheduler.  Time is in nanoseconds."""
+    """The discrete-event scheduler.  Time is in nanoseconds.
+
+    :attr:`observer` is the engine's one observation hook.  Per-layer
+    wall-clock time is measured outside the engine, by
+    ``e2ebench/spans.py`` wrapping :meth:`schedule_at`, so that method
+    must stay the single entry point of every event.
+    """
 
     def __init__(self) -> None:
         self._heap: list = []
@@ -61,10 +66,6 @@ class Simulator:
         #: :class:`repro.obs.instrument.FabricProbe`); the hook costs a
         #: single ``is None`` check per event when unset.
         self.observer = None
-        #: Optional :class:`repro.obs.profiling.PerfProfiler`; when set,
-        #: every fired event is wall-clock timed and attributed to a
-        #: hot-path phase.  Unset, the hook is one ``is None`` check.
-        self.profiler = None
 
     @property
     def now(self) -> float:
@@ -118,19 +119,14 @@ class Simulator:
         return event
 
     def _fire(self, event: Event) -> None:
-        """Fire one event through the observer and profiler hooks."""
+        """Fire one event through the observer hook."""
         self._now = event.time
         self._events_fired += 1
         if not event.daemon:
             self._live_events -= 1
         if self.observer is not None:
             self.observer.on_event_fired(event)
-        if self.profiler is None:
-            event.fn(*event.args)
-        else:
-            started = perf_counter()
-            event.fn(*event.args)
-            self.profiler.on_event_timed(event, perf_counter() - started)
+        event.fn(*event.args)
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
@@ -165,7 +161,7 @@ class Simulator:
             event = entry[2]
             if event.cancelled:
                 continue
-            if self.observer is not None or self.profiler is not None:
+            if self.observer is not None:
                 self._fire(event)
                 continue
             # _fire() inlined: this loop runs once per event.

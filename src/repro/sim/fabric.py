@@ -229,15 +229,10 @@ class Fabric:
 
     def run(self, until_ns: Optional[float] = None) -> NetworkStats:
         """Run the simulation and return finalized statistics."""
-        profiler = self.sim.profiler
-        if profiler is not None:
-            profiler.begin_run(self)
         self.sim.run(until_ns)
         self.stats.finalize(self.sim.now)
         if self.probe is not None:
             self.probe.finalize(self)
-        if profiler is not None:
-            profiler.finalize_run(self)
         return self.stats
 
     def __repr__(self) -> str:

@@ -246,32 +246,6 @@ class TestTopoCli:
         assert args.experiment == "demand-topology"
 
 
-class TestPerfCompareErrors:
-    def test_missing_baseline_is_actionable_not_a_traceback(
-            self, tmp_path, capsys):
-        missing = tmp_path / "BENCH_suite.json"
-        assert main(["perf", "compare", "--baseline",
-                     str(missing)]) == 1
-        err = capsys.readouterr().err
-        assert str(missing) in err
-        assert "make perf-baseline" in err
-
-    def test_corrupt_baseline_names_the_fix(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_suite.json"
-        bad.write_text("{not json")
-        assert main(["perf", "compare", "--baseline", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "unusable" in err
-        assert "make perf-baseline" in err
-
-    def test_schema_drift_is_caught_too(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_suite.json"
-        bad.write_text('{"schema": 999999}')
-        assert main(["perf", "compare", "--baseline", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "unusable" in err
-
-
 class TestObsCli:
     def _write_log(self, tmp_path):
         log = tmp_path / "runs.jsonl"

@@ -96,6 +96,14 @@ class TestFigure5:
         for _, _, copper, optical in figure5.run().bars:
             assert optical > copper
 
+    def test_paper_anchors(self):
+        result = figure5.run()
+        assert result.profile.performance_dynamic_range == 16.0
+        # Slowest optical mode at 42% of full power; fastest at 100%.
+        by_name = {name: optical for name, _, _, optical in result.bars}
+        assert abs(by_name["1x SDR"] - 0.42) < 1e-9
+        assert by_name["4x QDR"] == 1.0
+
 
 class TestFigure6:
     def test_series_monotone(self):
