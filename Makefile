@@ -4,7 +4,7 @@
 PY := PYTHONPATH=src python
 JOBS ?= 4
 
-.PHONY: test bench e2e smoke-sweep campaigns \
+.PHONY: test bench e2e pair smoke-sweep campaigns \
 	golden-refresh clean-cache
 
 test:            ## tier-1 test suite
@@ -15,6 +15,16 @@ bench:           ## full benchmark suite (regenerates every figure)
 
 e2e:             ## end-to-end benchmark: every workload, per-layer shares
 	python3 e2ebench/e2e.py run
+
+pair:            ## speed-up check: make pair BASE=<rev> WORKLOAD=<w>
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" \
+		|| { echo "usage: make pair BASE=<rev> WORKLOAD=<w>"; exit 2; }
+	@tmp=$$(mktemp -d); \
+	git worktree add --detach $$tmp/base $(BASE) \
+		|| { rmdir $$tmp; exit 1; }; \
+	python3 e2ebench/e2e.py pair --base $$tmp/base --head . \
+		--workload $(WORKLOAD) --pairs 10; status=$$?; \
+	git worktree remove --force $$tmp/base; rmdir $$tmp; exit $$status
 
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers
 	$(PY) -m repro figure7 --jobs 2

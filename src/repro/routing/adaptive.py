@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelState
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import FbflyNetwork
     from repro.sim.switch import Switch
+
+_OFF = ChannelState.OFF
 
 
 class MinimalAdaptiveRouting:
@@ -36,13 +38,27 @@ class MinimalAdaptiveRouting:
         # built, so only channel objects are cached; their usability is
         # read live on every call.
         self._minimal: Dict[Tuple["Switch", int], Tuple[Channel, ...]] = {}
+        # (switch, destination host) -> the same tuple, so a hop looks
+        # its candidates up without mapping the host to its switch.
+        self._to_host: Dict[Tuple["Switch", int], Tuple[Channel, ...]] = {}
 
     def __call__(self, switch: "Switch", packet: Packet) -> List[Channel]:
-        key = (switch, self.topology.host_switch(packet.dst))
+        key = (switch, packet.message.dst)
+        hops = self._to_host.get(key)
+        if hops is None:
+            hops = self._to_host[key] = self._hops_to_switch(
+                switch, self.topology.host_switch(key[1]))
+        # Channel.usable, read directly: this runs once per routed hop.
+        return [channel for channel in hops
+                if channel.state is not _OFF and not channel.draining]
+
+    def _hops_to_switch(self, switch: "Switch",
+                        dst_switch: int) -> Tuple[Channel, ...]:
+        key = (switch, dst_switch)
         hops = self._minimal.get(key)
         if hops is None:
-            hops = self._minimal[key] = self._minimal_hops(*key)
-        return [channel for channel in hops if channel.usable]
+            hops = self._minimal[key] = self._minimal_hops(switch, dst_switch)
+        return hops
 
     def _minimal_hops(self, switch: "Switch",
                       dst_switch: int) -> Tuple[Channel, ...]:

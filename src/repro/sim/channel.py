@@ -29,7 +29,7 @@ from repro.power.link_rates import RateLadder, DEFAULT_RATE_LADDER
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.stats import ChannelStats
-from repro.units import serialization_ns
+from repro.units import gbps_to_bytes_per_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.node import Node
@@ -45,6 +45,7 @@ class ChannelState(enum.Enum):
 
 
 _ACTIVE = ChannelState.ACTIVE
+_OFF = ChannelState.OFF
 
 
 class Channel:
@@ -80,6 +81,10 @@ class Channel:
         self._rate = ladder.max_rate if rate_gbps is None else float(rate_gbps)
         if self._rate not in ladder:
             raise ValueError(f"rate {self._rate} not on ladder {ladder}")
+        # Kept beside ``_rate`` wherever it changes: ``size /
+        # _bytes_per_ns`` is the very division ``serialization_ns`` does
+        # (ladder rates are positive), minus two calls per packet.
+        self._bytes_per_ns = gbps_to_bytes_per_ns(self._rate)
         self.propagation_ns = propagation_ns
         self.queue_capacity_bytes = queue_capacity_bytes
         self._queue: Deque[Packet] = collections.deque()
@@ -169,7 +174,7 @@ class Channel:
 
     def can_enqueue(self, size_bytes: int) -> bool:
         """True if the output queue has room for ``size_bytes`` and the
-        channel is not powered off."""
+        channel is usable (neither powered off nor draining)."""
         if not self.usable:
             return False
         return self._queue_bytes + size_bytes <= self.queue_capacity_bytes
@@ -177,16 +182,21 @@ class Channel:
     def enqueue(self, packet: Packet, force: bool = False) -> None:
         """Append a packet to the output queue.
 
-        ``force`` bypasses the capacity check; the switch's escape valve
-        uses it to guarantee forward progress (emulating an escape virtual
-        channel).  Raises RuntimeError on a normal enqueue without space.
+        ``force`` bypasses the capacity and draining checks; the switch's
+        escape valve uses it to guarantee forward progress (emulating an
+        escape virtual channel).  Raises RuntimeError on a powered-off
+        channel, and on a normal enqueue onto a draining or full one.
         """
-        if not force and not self.can_enqueue(packet.size_bytes):
-            raise RuntimeError(f"output queue of {self.name} is full")
-        if self.state is ChannelState.OFF:
+        if self.state is _OFF:
             raise RuntimeError(f"channel {self.name} is powered off")
+        size = packet.size_bytes
+        if not force:
+            if self.draining:
+                raise RuntimeError(f"channel {self.name} is draining")
+            if self._queue_bytes + size > self.queue_capacity_bytes:
+                raise RuntimeError(f"output queue of {self.name} is full")
         self._queue.append(packet)
-        self._queue_bytes += packet.size_bytes
+        self._queue_bytes += size
         if self.probe is not None:
             self.probe.on_enqueue(self)
         if not self._sending:
@@ -256,6 +266,7 @@ class Channel:
             if float(rate_gbps) not in self.ladder:
                 raise ValueError(f"rate {rate_gbps} not on ladder")
             self._rate = float(rate_gbps)
+            self._bytes_per_ns = gbps_to_bytes_per_ns(self._rate)
         if self.probe is not None:
             self.probe.on_rate_change(self, None, self._rate)
         self.stats.account_rate_change(self.sim.now, self._rate)
@@ -285,7 +296,8 @@ class Channel:
                 f"credit overflow on {self.name}: {self._credits} > "
                 f"{self.credit_limit}"
             )
-        self._try_send()
+        if not self._sending and self._queue:
+            self._try_send()
 
     # ------------------------------------------------------------------
     # Serializer internals
@@ -293,7 +305,8 @@ class Channel:
 
     # The hot callers below schedule with ``sim.schedule_at(sim._now +
     # delay, ...)``: the very sum ``Simulator.schedule`` computes, minus
-    # its call frame.
+    # its call frame.  They call _try_send() only when it can act: the
+    # serializer idle and something queued.
 
     def _try_send(self) -> None:
         if self._sending or self.state is not _ACTIVE:
@@ -312,8 +325,8 @@ class Channel:
         self._sending = True
         sim = self.sim
         now = self._tx_start = sim._now
-        sim.schedule_at(now + serialization_ns(size, self._rate),
-                        self._on_tx_done, head)
+        sim.schedule_at(now + size / self._bytes_per_ns, self._on_tx_done,
+                        head)
 
     def _on_tx_done(self, packet: Packet) -> None:
         self._sending = False
@@ -329,7 +342,7 @@ class Channel:
             self.src.on_output_space(self)
         if self._pending_rate is not None:
             self._begin_reactivation()
-        else:
+        elif self._queue:
             self._try_send()
 
     def _begin_reactivation(self) -> None:
@@ -346,6 +359,7 @@ class Channel:
         self.stats.account_rate_change(
             self.sim.now, new_mode if new_mode is not None else new_rate)
         self._rate = new_rate
+        self._bytes_per_ns = gbps_to_bytes_per_ns(new_rate)
         self._mode = new_mode
         self.stats.reactivations += 1
         self.stats.reactivation_ns_total += reactivation_ns

@@ -10,12 +10,23 @@ Events can be scheduled as **daemon** events: periodic housekeeping
 ``run()`` without a horizon stops once only daemon events remain — the
 network has drained — mirroring how daemon threads behave in the
 standard library.
+
+A cancelled event stays in the heap until it is popped, so long-lived
+timers that are nearly always cancelled (a switch's escape deadline)
+would pile up there.  Once cancelled entries outnumber the live ones,
+beyond a small floor, the heap is rebuilt from the live entries alone.
+``(time, sequence)`` is a strict total order, so the rebuild cannot
+change which event pops next.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import (heapify as _heapify, heappop as _heappop,
+                   heappush as _heappush)
 from typing import Any, Callable, Optional
+
+#: Cancelled entries the heap may hold before a purge is considered.
+_PURGE_FLOOR = 64
 
 
 class Event:
@@ -34,14 +45,22 @@ class Event:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if not self.cancelled:
-            self.cancelled = True
-            if not self.daemon:
-                self._sim._live_events -= 1
+        """Prevent the event from firing.  Safe to call more than once,
+        and a no-op once the event has fired (firing drops ``_sim``)."""
+        sim = self._sim
+        if sim is None or self.cancelled:
+            return
+        self.cancelled = True
+        if not self.daemon:
+            sim._live_events -= 1
+        sim._cancelled += 1
+        if (sim._cancelled > _PURGE_FLOOR
+                and 2 * sim._cancelled > len(sim._heap)):
+            sim._purge()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
+        state = ("cancelled" if self.cancelled
+                 else "fired" if self._sim is None else "pending")
         kind = "daemon " if self.daemon else ""
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"Event(t={self.time:.1f}ns, {name}, {kind}{state})"
@@ -62,6 +81,7 @@ class Simulator:
         self._seq = 0
         self._events_fired = 0
         self._live_events = 0   # pending non-daemon, non-cancelled events
+        self._cancelled = 0     # cancelled entries still in the heap
         #: Optional observer exposing ``on_event_fired(event)`` (e.g. a
         #: :class:`repro.obs.instrument.FabricProbe`); the hook costs a
         #: single ``is None`` check per event when unset.
@@ -79,7 +99,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events still in the queue (cancelled entries included)."""
+        """Entries still in the queue.  Cancelled events count until they
+        are popped or purged: a purge drops them all once they outnumber
+        the live entries (see the module docstring)."""
         return len(self._heap)
 
     @property
@@ -118,8 +140,17 @@ class Simulator:
             self._live_events += 1
         return event
 
+    def _purge(self) -> None:
+        """Drop every cancelled entry.  In place: :meth:`run` holds a
+        reference to the heap list."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        _heapify(heap)
+        self._cancelled = 0
+
     def _fire(self, event: Event) -> None:
         """Fire one event through the observer hook."""
+        event._sim = None
         self._now = event.time
         self._events_fired += 1
         if not event.daemon:
@@ -133,6 +164,7 @@ class Simulator:
         while self._heap:
             _, _, event = _heappop(self._heap)
             if event.cancelled:
+                self._cancelled -= 1
                 continue
             self._fire(event)
             return True
@@ -160,11 +192,13 @@ class Simulator:
             _heappop(heap)
             event = entry[2]
             if event.cancelled:
+                self._cancelled -= 1
                 continue
             if self.observer is not None:
                 self._fire(event)
                 continue
             # _fire() inlined: this loop runs once per event.
+            event._sim = None
             self._now = entry[0]
             self._events_fired += 1
             if not event.daemon:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import collections
 from typing import Deque, TYPE_CHECKING
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelState
 from repro.sim.engine import Simulator
 from repro.sim.packet import Message, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import FbflyNetwork
+
+_OFF = ChannelState.OFF
 
 
 class Host:
@@ -63,16 +65,25 @@ class Host:
         self._push()
 
     def _push(self) -> None:
+        pending = self._pending
         tracer = self.network.tracer
-        while self._pending and self.uplink.can_enqueue(
-                self._pending[0].size_bytes):
-            packet = self._pending.popleft()
-            packet.inject_time = self.sim.now
+        uplink = self.uplink
+        now = self.sim._now
+        while pending:
+            packet = pending[0]
+            # Channel.can_enqueue, read directly: this runs whenever the
+            # uplink frees space.
+            if (uplink.state is _OFF or uplink.draining
+                    or uplink._queue_bytes + packet.size_bytes
+                    > uplink.queue_capacity_bytes):
+                return
+            pending.popleft()
+            packet.inject_time = now
             self.bytes_sent += packet.size_bytes
             if tracer is not None:
                 from repro.sim.tracing import INJECTION
-                tracer.record(self.sim.now, INJECTION, self.id, packet)
-            self.uplink.enqueue(packet)
+                tracer.record(now, INJECTION, self.id, packet)
+            uplink.enqueue(packet)
 
     @property
     def pending_packets(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelState
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 
@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: A routing strategy maps (switch, packet) to candidate output channels.
 RoutingStrategy = Callable[["Switch", Packet], List[Channel]]
+
+_OFF = ChannelState.OFF
 
 
 class _BlockedPacket:
@@ -131,13 +133,35 @@ class Switch:
     # ------------------------------------------------------------------
 
     def _route(self, packet: Packet, in_channel: Channel) -> None:
-        try:
-            candidates = self._candidates(packet)
-        except RuntimeError:
-            # Routing found no powered path (restricted routing raises).
-            if self.network.drop_handler is None:
-                raise
-            candidates = []
+        # _candidates(), and _dispatch() when a candidate has room,
+        # inlined: this runs once per packet-hop.
+        size = packet.size_bytes
+        local = self.host_out.get(packet.message.dst)
+        if local is not None:
+            candidates = [local]
+            # _choose() over a single candidate.
+            chosen = (local if local.state is not _OFF
+                      and not local.draining
+                      and local._queue_bytes + size
+                      <= local.queue_capacity_bytes else None)
+        else:
+            try:
+                candidates = self.routing(self, packet)
+            except RuntimeError:
+                # Routing found no powered path (restricted routing
+                # raises).
+                if self.network.drop_handler is None:
+                    raise
+                candidates = []
+            chosen = self._choose(candidates, size)
+        if chosen is not None:
+            chosen.enqueue(packet)
+            in_channel.release_credits(size)
+            self.packets_routed += 1
+            probe = self.network.probe
+            if probe is not None:
+                probe.on_packet_forwarded()
+            return
         if not candidates:
             if self.network.drop_handler is None:
                 raise RuntimeError(
@@ -145,10 +169,6 @@ class Switch:
                     "topology disconnected?"
                 )
             self._drop(packet, in_channel, "unroutable")
-            return
-        chosen = self._choose(candidates, packet.size_bytes)
-        if chosen is not None:
-            self._dispatch(packet, chosen, in_channel)
             return
         probe = self.network.probe
         if probe is not None:
@@ -172,15 +192,17 @@ class Switch:
 
         One pass; the tie list holds every least-occupied candidate with
         room, in candidate order, so ``rng.choice`` draws as it would
-        from a filter-then-min selection.
+        from a filter-then-min selection.  Channel state is read
+        directly, as ``Channel.can_enqueue`` reads it.
         """
         best = None
         best_depth = 0
         ties = None
         for channel in candidates:
-            if not channel.can_enqueue(size_bytes):
+            depth = channel._queue_bytes
+            if (channel.state is _OFF or channel.draining
+                    or depth + size_bytes > channel.queue_capacity_bytes):
                 continue
-            depth = channel.queue_bytes
             if best is None or depth < best_depth:
                 best, best_depth, ties = channel, depth, None
             elif depth == best_depth:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Protocol
 
 
@@ -46,12 +47,20 @@ class Workload(Protocol):
         ...
 
 
+#: The fields ``TraceEvent``'s generated ordering compares, in order, as
+#: one tuple built in C.
+_ORDER_KEY = attrgetter("time_ns", "src", "dst", "size_bytes")
+
+
 def merge_event_streams(
     streams: Iterable[Iterator[TraceEvent]],
 ) -> Iterator[TraceEvent]:
     """Merge per-host sorted streams into one global sorted stream.
 
     Uses a lazy heap merge, so per-host generators are only advanced as
-    the simulation consumes events.
+    the simulation consumes events.  Events compare by the tuple
+    ``TraceEvent``'s ``order=True`` comparison builds, without its
+    Python-level ``__lt__``/``__eq__`` calls; equal keys keep stream
+    order, as equal events did.
     """
-    return heapq.merge(*streams)
+    return heapq.merge(*streams, key=_ORDER_KEY)

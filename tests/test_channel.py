@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.power.link_rates import RateLadder
+from repro.power.link_rates import DEFAULT_RATE_LADDER, RateLadder
 from repro.sim.channel import Channel, ChannelState
 from repro.sim.engine import Simulator
 from repro.sim.packet import Message
+from repro.units import serialization_ns
 
 
 class SinkNode:
@@ -63,6 +64,30 @@ class TestTransmission:
         sim.run()
         times = [t for t, _ in sink.received]
         assert times[1] - times[0] == pytest.approx(200.0)
+
+    @pytest.mark.parametrize("how", ["initial", "set_rate", "power_on"])
+    def test_serialization_follows_every_rate_change(self, how):
+        # The channel keeps the rate in bytes per ns beside the rate;
+        # each way of changing the rate must keep the two in step, to
+        # the bit.
+        for rate in DEFAULT_RATE_LADDER.rates:
+            sim = Simulator()
+            if how == "initial":
+                channel, sink = make_channel(sim, rate_gbps=rate)
+            else:
+                start = 2.5 if rate != 2.5 else 40.0
+                channel, sink = make_channel(sim, rate_gbps=start)
+                if how == "set_rate":
+                    channel.set_rate(rate, reactivation_ns=0.0)
+                else:
+                    channel.power_off()
+                    channel.power_on(reactivation_ns=0.0, rate_gbps=rate)
+                    sim.run()
+            begin = sim.now
+            channel.enqueue(packet(1500))
+            sim.run()
+            assert sink.received[0][0] - begin == (
+                serialization_ns(1500, rate) + 10.0)
 
     def test_lower_rate_serializes_slower(self):
         sim = Simulator()
@@ -285,6 +310,25 @@ class TestPowerOff:
         channel.power_off()
         with pytest.raises(RuntimeError):
             channel.enqueue(packet(10), force=True)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_enqueue_on_off_channel_says_powered_off(self, force):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.power_off()
+        with pytest.raises(RuntimeError, match="test is powered off"):
+            channel.enqueue(packet(10), force=force)
+
+    def test_enqueue_errors_name_the_cause(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim, queue_capacity_bytes=1000,
+                                  credit_bytes=100)
+        channel.enqueue(packet(600))
+        with pytest.raises(RuntimeError, match="output queue of test is full"):
+            channel.enqueue(packet(600))
+        channel.draining = True
+        with pytest.raises(RuntimeError, match="test is draining"):
+            channel.enqueue(packet(10))
 
     def test_set_rate_on_off_channel_rejected(self):
         sim = Simulator()

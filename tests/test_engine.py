@@ -1,8 +1,13 @@
 """The discrete-event engine."""
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig, EpochController
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
@@ -95,6 +100,229 @@ class TestCancellation:
         sim.schedule(20, lambda: None)
         sim.run()
         assert sim.events_fired == 1
+
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(10, fired.append, "f")
+        sim.run()
+        event.cancel()
+        assert sim.live_events == 0
+        assert not event.cancelled
+        # A double-counted cancel would leave live_events at -1, and
+        # run() would then stop before firing g.
+        sim.schedule(5, fired.append, "g")
+        sim.run()
+        assert fired == ["f", "g"]
+
+    def test_cancel_from_its_own_callback_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        box = []
+
+        def fn():
+            fired.append("self")
+            box[0].cancel()
+
+        box.append(sim.schedule(10, fn))
+        sim.schedule(20, fired.append, "next")
+        sim.run(until_ns=15)
+        assert sim.live_events == 1
+        sim.run()
+        assert fired == ["self", "next"]
+        assert not box[0].cancelled
+
+
+class TestPurge:
+    """Cancelled entries are dropped from the heap once they outnumber
+    the live ones; nothing about what fires, or when, changes."""
+
+    def test_purge_bounds_the_heap_and_keeps_pop_order(self):
+        rng = random.Random(7)
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(rng.choice([1.0, 2.0, 3.0, 4.0]),
+                               fired.append, i) for i in range(1000)]
+        cancelled = set(rng.sample(range(1000), 990))
+        for i in sorted(cancelled):
+            events[i].cancel()
+        assert sim.live_events == 10
+        assert sim.pending_events <= 10 + engine._PURGE_FLOOR
+        sim.run()
+        survivors = [i for i in range(1000) if i not in cancelled]
+        assert fired == sorted(survivors, key=lambda i: events[i].time)
+        assert sim.events_fired == 10
+
+    def test_purge_from_inside_a_running_callback(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(50.0 + i % 5, fired.append, i)
+                  for i in range(300)]
+
+        def cancel_most():
+            fired.append("cancel")
+            for event in doomed[:290]:
+                event.cancel()
+
+        sim.schedule(10.0, cancel_most)
+        sim.run(until_ns=100.0)
+        assert sim.pending_events == 0
+        assert fired == ["cancel"] + sorted(
+            range(290, 300), key=lambda i: doomed[i].time)
+
+
+class ReferenceEvent:
+    def __init__(self, scheduler, fn, args, daemon):
+        self.scheduler = scheduler
+        self.fn, self.args, self.daemon = fn, args, daemon
+
+    def cancel(self):
+        pending = self.scheduler.pending
+        for i, entry in enumerate(pending):
+            if entry[2] is self:
+                del pending[i]
+                return
+
+
+class ReferenceScheduler:
+    """The engine's contract as a sorted list: events fire in (time,
+    scheduling order); run() without a horizon stops once only daemons
+    remain; cancelling a fired event does nothing."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_fired = 0
+        self.pending = []       # sorted [(time, seq, event)]
+        self.seq = 0
+
+    @property
+    def live_events(self):
+        return sum(1 for _, _, event in self.pending if not event.daemon)
+
+    def schedule(self, delay_ns, fn, *args, daemon=False):
+        return self.schedule_at(self.now + delay_ns, fn, *args,
+                                daemon=daemon)
+
+    def schedule_at(self, time_ns, fn, *args, daemon=False):
+        assert time_ns >= self.now
+        self.seq += 1
+        event = ReferenceEvent(self, fn, args, daemon)
+        self.pending.append((time_ns, self.seq, event))
+        self.pending.sort(key=lambda entry: entry[:2])
+        return event
+
+    def _fire_next(self):
+        time_ns, _, event = self.pending.pop(0)
+        self.now = time_ns
+        self.events_fired += 1
+        event.fn(*event.args)
+
+    def step(self):
+        if not self.pending:
+            return False
+        self._fire_next()
+        return True
+
+    def run(self, until_ns=None):
+        if until_ns is None:
+            while self.live_events:
+                self._fire_next()
+            return
+        while self.pending and self.pending[0][0] <= until_ns:
+            self._fire_next()
+        self.now = until_ns
+
+
+DELAYS = st.sampled_from([0.0, 1.0, 2.0, 5.0])
+
+
+def schedule_action(children):
+    return st.tuples(st.sampled_from(["schedule", "schedule_at"]), DELAYS,
+                     st.booleans(), children)
+
+
+CANCEL = st.tuples(st.just("cancel"), st.integers(0, 400))
+#: Schedule ``count`` events ``delay`` apart, then cancel all but every
+#: ``keep``-th: enough cancelled entries to cross the real purge floor.
+BURST = st.tuples(st.just("burst"), st.integers(1, 150),
+                  st.sampled_from([1.0, 2.0]), st.integers(2, 20))
+#: What a callback does when it fires: schedule more events (which may
+#: themselves act) and cancel any handle, fired ones included.
+CALLBACK_ACTIONS = st.recursive(
+    st.lists(CANCEL, max_size=2),
+    lambda inner: st.lists(st.one_of(CANCEL, schedule_action(inner)),
+                           max_size=3),
+    max_leaves=8)
+ACTION = st.one_of(CANCEL, BURST, schedule_action(CALLBACK_ACTIONS))
+RUN = st.one_of(st.tuples(st.just("step")),
+                st.tuples(st.just("run")),
+                st.tuples(st.just("run_until"), DELAYS))
+
+
+def play(scheduler, program):
+    """Run ``program`` against ``scheduler``; the observations after each
+    step or run call (fired ``(time, tag)`` pairs so far and counters)."""
+    fired = []
+    handles = []
+    tags = iter(range(10**9))
+
+    def act(action):
+        kind = action[0]
+        if kind == "cancel":
+            if handles:
+                handles[action[1] % len(handles)].cancel()
+        elif kind == "burst":
+            _, count, delay, keep = action
+            burst = [act(("schedule", delay * (i % 3), False, []))
+                     for i in range(count)]
+            for i, event in enumerate(burst):
+                if i % keep:
+                    event.cancel()
+        else:
+            entry, delay, daemon, children = action
+            tag = next(tags)
+            if entry == "schedule":
+                event = scheduler.schedule(delay, callback, tag, children,
+                                           daemon=daemon)
+            else:
+                event = scheduler.schedule_at(scheduler.now + delay,
+                                              callback, tag, children,
+                                              daemon=daemon)
+            handles.append(event)
+            return event
+
+    def callback(tag, children):
+        fired.append((scheduler.now, tag))
+        for child in children:
+            act(child)
+
+    observed = []
+    for item in program:
+        kind = item[0]
+        if kind == "step":
+            scheduler.step()
+        elif kind == "run":
+            scheduler.run()
+        elif kind == "run_until":
+            scheduler.run(until_ns=scheduler.now + item[1])
+        else:
+            act(item)
+            continue
+        observed.append((list(fired), scheduler.now,
+                         scheduler.events_fired, scheduler.live_events))
+    return observed
+
+
+class TestAgainstReference:
+    @given(st.lists(st.one_of(ACTION, RUN), max_size=40),
+           st.sampled_from([0, 1, 3, engine._PURGE_FLOOR]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_firings_as_a_sorted_list(self, program, floor):
+        # Drain at the end: run() leaves daemons, a horizon fires them.
+        program = program + [("run",), ("run_until", 50.0)]
+        with mock.patch.object(engine, "_PURGE_FLOOR", floor):
+            got = play(Simulator(), program)
+        assert got == play(ReferenceScheduler(), program)
 
 
 class TestRunUntil:

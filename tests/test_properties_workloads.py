@@ -34,6 +34,24 @@ class TestMergeStreams:
             sorted(e.time_ns for e in merged)
         assert len(merged) == sum(len(t) for t in time_lists)
 
+    @given(st.lists(st.lists(st.builds(
+        TraceEvent,
+        # Few distinct values, so exact ties on time_ns, and on every
+        # field, are common.
+        time_ns=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        src=st.integers(0, 2),
+        dst=st.integers(3, 4),
+        size_bytes=st.integers(1, 2),
+    ), max_size=12), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_is_the_trace_event_sort(self, event_lists):
+        streams = [sorted(events) for events in event_lists]
+        merged = list(merge_event_streams(iter(s) for s in streams))
+        # sorted() is stable, so equal events keep stream order: compare
+        # identities, not just values.
+        want = sorted(e for stream in streams for e in stream)
+        assert [id(e) for e in merged] == [id(e) for e in want]
+
 
 class TestTransformsProperties:
     @given(events_strategy, st.integers(0, 2**31))

@@ -37,6 +37,24 @@ class TestHostNic:
         assert host.pending_packets == 0
         assert tiny_network.hosts[5].messages_received == 1
 
+    @pytest.mark.parametrize("state", ["draining", "off"])
+    def test_unusable_uplink_holds_packets_in_the_nic(self, tiny_network,
+                                                      state):
+        host = tiny_network.hosts[0]
+        if state == "draining":
+            host.uplink.draining = True
+        else:
+            host.uplink.power_off()
+        host.submit_message(Message(0, 5, 3000, 0.0))
+        assert host.pending_packets == 2
+        if state == "off":
+            host.uplink.power_on(reactivation_ns=0.0)
+        host.uplink.draining = False
+        host.on_output_space(host.uplink)
+        assert host.pending_packets == 0
+        tiny_network.run()
+        assert tiny_network.hosts[5].messages_received == 1
+
     def test_misrouted_packet_detected(self, tiny_network):
         host = tiny_network.hosts[0]
         stray = Message(2, 3, 100, 0.0).packetize(100)[0]
@@ -58,6 +76,31 @@ class TestSwitchRouting:
         tiny_network.run()
         down = tiny_network.host_down[1]
         assert down.stats.packets_sent == 1
+
+    @pytest.mark.parametrize("obstacle", ["draining", "full"])
+    def test_unusable_local_downlink_blocks_the_packet(self, tiny_network,
+                                                       obstacle):
+        # Host 0 and 1 are on switch 0: the packet's only candidate is
+        # the host-1 downlink.
+        net = tiny_network
+        switch, down = net.switches[0], net.host_down[1]
+        if obstacle == "draining":
+            down.draining = True
+        else:
+            filler = Message(0, 1, down.queue_capacity_bytes, 0.0)
+            down._queue.extend(filler.packetize(down.queue_capacity_bytes))
+            down._queue_bytes = down.queue_capacity_bytes
+        net.submit(0.0, 0, 1, 500)
+        net.sim.run(until_ns=10_000.0)
+        assert switch.blocked_packets == 1
+        assert switch.packets_routed == 0
+        down.draining = False
+        down._queue.clear()
+        down._queue_bytes = 0
+        switch.on_output_space(down)
+        assert switch.blocked_packets == 0
+        net.run()
+        assert net.hosts[1].messages_received == 1
 
     def test_packets_counted_per_switch(self, tiny_network):
         tiny_network.submit(0.0, 0, 7, 1000)
