@@ -3,6 +3,8 @@
 
 PY := PYTHONPATH=src python
 JOBS ?= 4
+SEED ?= 1
+PAIRS ?= 10
 
 .PHONY: test bench e2e pair smoke-sweep campaigns \
 	golden-refresh clean-cache
@@ -18,12 +20,14 @@ e2e:             ## end-to-end benchmark: every workload, per-layer shares
 
 pair:            ## speed-up check: make pair BASE=<rev> WORKLOAD=<w>
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" \
-		|| { echo "usage: make pair BASE=<rev> WORKLOAD=<w>"; exit 2; }
+		|| { echo "usage: make pair BASE=<rev> WORKLOAD=<w>" \
+			"[SEED=$(SEED)] [PAIRS=$(PAIRS)]"; exit 2; }
 	@tmp=$$(mktemp -d); \
 	git worktree add --detach $$tmp/base $(BASE) \
 		|| { rmdir $$tmp; exit 1; }; \
 	python3 e2ebench/e2e.py pair --base $$tmp/base --head . \
-		--workload $(WORKLOAD) --pairs 10; status=$$?; \
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS); \
+		status=$$?; \
 	git worktree remove --force $$tmp/base; rmdir $$tmp; exit $$status
 
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers

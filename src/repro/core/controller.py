@@ -157,11 +157,9 @@ class EpochController:
         if log is not None:
             log.epoch_mark(now)
         for group in self.groups:
-            reading = GroupReading(
-                utilization=group.utilization_since_last(epoch_ns),
-                queue_fraction=group.max_queue_fraction(),
-                credit_stalls=group.credit_stalls_since_last(),
-            )
+            reading = GroupReading(group.utilization_since_last(epoch_ns),
+                                   group.max_queue_fraction(),
+                                   group.credit_stalls_since_last())
             if group.is_off:
                 if log is not None:
                     log.record(Decision(

@@ -57,10 +57,10 @@ controller's own gating events.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     CONTROL_FAULT_RESTART,
     FAILSAFE_DEADMAN,
@@ -74,6 +74,14 @@ from repro.obs.decisions import (
     Decision,
     DecisionLog,
 )
+from repro.sim.channel import ChannelState
+
+_OFF = ChannelState.OFF
+
+#: The reasons the crash-recovery journal reads; every other record
+#: passes the tap after one set lookup.
+_JOURNALED = frozenset((CONTROL_FAULT_RESTART, GATED_OFF, TOPOLOGY_OFF,
+                        GATED_WAKE, TOPOLOGY_ON))
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,14 @@ class GuardedGroup:
 
     Telemetry reads pass straight through (the guard observes the same
     lossy channel the controller does); actuations are filtered by the
-    guard's staleness veto and journaled for retry.
+    guard's staleness veto and journaled for retry.  Rate and power
+    state are hardware state, which a chaos proxy only delegates, so
+    they are read from the raw group directly.
     """
 
     def __init__(self, inner, guard: "FailsafeGuard"):
         self._inner = inner
+        self._raw = getattr(inner, "raw", inner)
         self._guard = guard
         self.name = inner.name
         self.channels = inner.channels
@@ -148,17 +159,17 @@ class GuardedGroup:
     def raw(self):
         """The real group (beneath any chaos proxy): the guard's
         switch-local action path."""
-        return getattr(self._inner, "raw", self._inner)
+        return self._raw
 
     @property
     def current_rate(self) -> float:
-        """The wrapped group's configured rate (pass-through)."""
-        return self._inner.current_rate
+        """The real group's configured rate."""
+        return self._raw.current_rate
 
     @property
     def is_off(self) -> bool:
-        """Whether the wrapped group is powered off (pass-through)."""
-        return self._inner.is_off
+        """Whether the real group is powered off."""
+        return self._raw.is_off
 
     def utilization_since_last(self, epoch_ns: float) -> float:
         """Pass-through: the guard reads the same (possibly lossy)
@@ -247,6 +258,8 @@ class FailsafeGuard:
 
     def _observe(self, decision: Decision) -> None:
         reason = decision.reason
+        if reason not in _JOURNALED:
+            return
         if reason == CONTROL_FAULT_RESTART:
             self._last_restart_ns = decision.time_ns
         elif reason in (GATED_OFF, TOPOLOGY_OFF):
@@ -316,9 +329,15 @@ class FailsafeGuard:
 
     def _tend(self, group: GuardedGroup, epoch: int, down: bool) -> None:
         st = group._st
-        raw = group.raw
+        raw = group._raw
         streak = getattr(group._inner, "lost_streak", 0)
-        dark = raw.is_off or any(ch.draining for ch in raw.channels)
+        off = draining = False
+        for ch in raw.channels:
+            if ch.state is _OFF:
+                off = True
+            if ch.draining:
+                draining = True
+        dark = off or draining
         if down or streak > self.config.staleness_ttl_epochs:
             # Deadman: nobody can verify this group is safe to leave
             # dark.  Force it on at (at least) the floor; never lower
@@ -343,13 +362,13 @@ class FailsafeGuard:
                 self._maybe_relieve(group, raw)
             return
         if not down:
-            self._maybe_recover(group, raw, st)
+            if off:
+                self._maybe_recover(group, raw, st)
             self._maybe_retry(group, raw, st, epoch)
 
     def _maybe_recover(self, group: GuardedGroup, raw, st) -> None:
-        """Wake groups a crashed-and-restarted controller forgot."""
-        if not raw.is_off:
-            return
+        """Wake a powered-off group a crashed-and-restarted controller
+        forgot (``_tend`` calls it only for powered-off groups)."""
         record = self._journal.get(group.name)
         if record is None or record[0] != "off":
             return
@@ -365,10 +384,13 @@ class FailsafeGuard:
     def _maybe_retry(self, group: GuardedGroup, raw, st,
                      epoch: int) -> None:
         """Re-issue a lost actuation with seeded exponential backoff."""
-        if st.intended_rate is None or raw.is_off:
+        if st.intended_rate is None:
             return
-        if any(ch._pending_rate is not None for ch in raw.channels):
-            return  # still applying; judge it next epoch
+        for ch in raw.channels:
+            if ch.state is _OFF:
+                return
+            if ch._pending_rate is not None:
+                return  # still applying; judge it next epoch
         if raw.current_rate == st.intended_rate:
             st.retry_attempt = 0
             return
@@ -380,9 +402,8 @@ class FailsafeGuard:
         st.retry_attempt += 1
         backoff = min(self.config.retry_max_epochs,
                       2 ** (st.retry_attempt - 1))
-        jitter = int(random.Random(
-            f"failsafe:{self.seed}:{group.name}:{st.retry_attempt}"
-        ).random() < 0.5)
+        jitter = int(keyed_draw(
+            f"failsafe:{self.seed}:{group.name}:{st.retry_attempt}") < 0.5)
         st.next_retry_epoch = epoch + backoff + jitter
         # The retry travels the same lossy actuation path the
         # controller's command did — it may be lost again, hence the

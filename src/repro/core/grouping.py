@@ -11,16 +11,23 @@ channel load is asymmetric (Figure 7).
 A :class:`ChannelGroup` is the unit the epoch controller makes decisions
 for; its utilization is the max across member channels (the pair must
 satisfy its hungriest direction).
+
+The reads run once per group per epoch, so they read channel state
+(``state``, ``_queue_bytes``) directly instead of through the
+channel's properties, and take maxima with explicit compare loops,
+which keep ``max()``'s first-maximum result.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import FbflyNetwork
+
+_OFF = ChannelState.OFF
 
 
 class ChannelGroup:
@@ -47,13 +54,13 @@ class ChannelGroup:
     @property
     def current_rate(self) -> float:
         """The group's configured rate (members are kept in lockstep)."""
-        return self.channels[0].rate_gbps
+        return self.channels[0]._rate
 
     @property
     def is_off(self) -> bool:
         """True when any member is powered off (skip rate decisions)."""
         for ch in self.channels:
-            if ch.is_off:
+            if ch.state is _OFF:
                 return True
         return False
 
@@ -65,33 +72,40 @@ class ChannelGroup:
         """
         if epoch_ns <= 0:
             raise ValueError(f"epoch must be positive, got {epoch_ns}")
+        last = self._last_busy_ns
         worst = 0.0
         for ch in self.channels:
             busy = ch.busy_ns()
-            delta = busy - self._last_busy_ns[ch]
-            self._last_busy_ns[ch] = busy
-            worst = max(worst, delta / epoch_ns)
+            fraction = (busy - last[ch]) / epoch_ns
+            last[ch] = busy
+            if fraction > worst:
+                worst = fraction
         return worst
 
     def max_queue_fraction(self) -> float:
         """Worst output-queue occupancy across members, instantaneous."""
-        return max(ch.queue_bytes / ch.queue_capacity_bytes
-                   for ch in self.channels)
+        worst = -1.0    # below any occupancy: the first member sets it
+        for ch in self.channels:
+            fraction = ch._queue_bytes / ch.queue_capacity_bytes
+            if fraction > worst:
+                worst = fraction
+        return worst
 
     def credit_stalls_since_last(self) -> int:
         """Credit-blocked transmission attempts since the previous call."""
+        last = self._last_stalls
         total = 0
         for ch in self.channels:
             stalls = ch.stats.credit_stalls
-            total += stalls - self._last_stalls[ch]
-            self._last_stalls[ch] = stalls
+            total += stalls - last[ch]
+            last[ch] = stalls
         return total
 
     def set_rate(self, rate_gbps: float, reactivation_ns: float) -> bool:
         """Retune every member; returns True if any reconfigured."""
         changed = False
         for ch in self.channels:
-            if not ch.is_off:
+            if ch.state is not _OFF:
                 changed |= ch.set_rate(rate_gbps, reactivation_ns)
         return changed
 

@@ -29,9 +29,13 @@ from dataclasses import dataclass
 from typing import Dict, Protocol, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupReading:
     """One epoch's raw observations of a control group.
+
+    Frozen, with a hand-written initializer that stores the instance
+    dict in one go (one is built per group per epoch; see
+    :class:`repro.obs.decisions.Decision`).
 
     Attributes:
         utilization: Busy-time fraction at the current rate.
@@ -44,6 +48,12 @@ class GroupReading:
     utilization: float
     queue_fraction: float
     credit_stalls: int
+
+    def __init__(self, utilization: float, queue_fraction: float,
+                 credit_stalls: int):
+        object.__setattr__(self, "__dict__", {
+            "utilization": utilization, "queue_fraction": queue_fraction,
+            "credit_stalls": credit_stalls})
 
 
 class CongestionSensor(Protocol):

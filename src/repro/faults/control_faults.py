@@ -42,10 +42,11 @@ fault-aware — because the group API is the single seam every
 controller already goes through.
 
 Determinism: every stochastic choice is a **stateless hashed draw** —
-``random.Random(f"ctl:{seed}:{kind}:{group}:{epoch}")`` — so the fault
-process is independent of ``PYTHONHASHSEED``, of query order, and
-identical between a protected and an unprotected arm of the same
-campaign (CPython seeds string arguments through SHA-512, not
+``keyed_draw(f"ctl:{seed}:{kind}:{group}:{epoch}")``, the first value
+of a ``random.Random`` seeded with that key (:mod:`repro.keyed`) — so
+the fault process is independent of ``PYTHONHASHSEED``, of query
+order, and identical between a protected and an unprotected arm of the
+same campaign (CPython seeds string arguments through SHA-512, not
 ``hash()``).
 
 Everything the injector does is auditable: each induced loss, stale
@@ -60,10 +61,10 @@ run summary's ``control_plane`` field.
 from __future__ import annotations
 
 import collections
-import random
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     CONTROL_FAULT_ACTUATION_DELAYED,
     CONTROL_FAULT_ACTUATION_LOST,
@@ -205,6 +206,7 @@ class ChaosGroup:
     def __init__(self, group, chaos: "ControlPlaneChaos"):
         self._group = group
         self._chaos = chaos
+        self._sim = chaos.sim
         self.name = group.name
         self.channels = group.channels
         self.channel_names = tuple(ch.name for ch in self.channels)
@@ -243,15 +245,19 @@ class ChaosGroup:
     # -- telemetry (intercepted) -----------------------------------------
 
     def _sample(self, epoch_ns: float) -> None:
+        """Read the real group and deliver this timestamp's report.
+
+        The reads call it only when the clock has moved since the last
+        sample, so the delta counters are consumed once per epoch.
+        """
         chaos = self._chaos
-        now = chaos.sim.now
-        if now == self._sampled_at:
-            return
+        now = self._sim.now
         self._sampled_at = now
         epoch = chaos.epoch_index(now)
-        true = (self._group.utilization_since_last(epoch_ns),
-                self._group.max_queue_fraction(),
-                self._group.credit_stalls_since_last())
+        group = self._group
+        true = (group.utilization_since_last(epoch_ns),
+                group.max_queue_fraction(),
+                group.credit_stalls_since_last())
         self._history.append((epoch, true))
         reading, status, age = chaos.deliver(
             self.name, epoch, now, true, self._history)
@@ -259,25 +265,30 @@ class ChaosGroup:
         if status == "lost":
             self.lost_streak += 1
             self.staleness_epochs = self.lost_streak
+            self.delivered_ok = False
         else:
             self.lost_streak = 0
             self.staleness_epochs = age
-        self.delivered_ok = status != "lost"
-        chaos.note_telemetry(self, status, now)
+            self.delivered_ok = True
+        if status != "ok":
+            chaos.note_telemetry(self, status, now)
 
     def utilization_since_last(self, epoch_ns: float) -> float:
         """The busy fraction *as delivered* by the faulty pipeline."""
-        self._sample(epoch_ns)
+        if self._sampled_at != self._sim.now:
+            self._sample(epoch_ns)
         return self._delivered[0]
 
     def max_queue_fraction(self) -> float:
         """The queue occupancy *as delivered* by the faulty pipeline."""
-        self._sample(self._chaos.epoch_ns)
+        if self._sampled_at != self._sim.now:
+            self._sample(self._chaos.epoch_ns)
         return self._delivered[1]
 
     def credit_stalls_since_last(self) -> int:
         """The credit stalls *as delivered* by the faulty pipeline."""
-        self._sample(self._chaos.epoch_ns)
+        if self._sampled_at != self._sim.now:
+            self._sample(self._chaos.epoch_ns)
         return self._delivered[2]
 
     # -- actuation (intercepted) -----------------------------------------
@@ -362,15 +373,13 @@ class ControlPlaneChaos:
         key = (kind, group)
         draw = self._selection.get(key)
         if draw is None:
-            draw = random.Random(
-                f"ctlsel:{self.scenario.seed}:{kind}:{group}").random()
+            draw = keyed_draw(f"ctlsel:{self.scenario.seed}:{kind}:{group}")
             self._selection[key] = draw
         return draw < fraction
 
     def _draw(self, kind: str, group: str, epoch: int) -> float:
         """Stateless per-(kind, group, epoch) uniform draw."""
-        return random.Random(
-            f"ctl:{self.scenario.seed}:{kind}:{group}:{epoch}").random()
+        return keyed_draw(f"ctl:{self.scenario.seed}:{kind}:{group}:{epoch}")
 
     @staticmethod
     def _active(fault, now: float) -> bool:
@@ -436,9 +445,9 @@ class ControlPlaneChaos:
         else:
             self.telemetry_corrupt += 1
             reason = CONTROL_FAULT_TELEMETRY_CORRUPT
+        rate = cgroup.raw.current_rate
         self._log(cgroup.name, cgroup.channel_names, reason,
-                  old_rate=cgroup.current_rate,
-                  new_rate=cgroup.current_rate)
+                  old_rate=rate, new_rate=rate)
 
     # -- actuation pipeline ----------------------------------------------
 

@@ -20,6 +20,7 @@ from typing import Dict
 
 from repro.core.sensors import GroupReading
 from repro.faults.scenario import SensorFault
+from repro.keyed import keyed_draw
 
 
 class FaultySensor:
@@ -48,8 +49,7 @@ class FaultySensor:
         name = self._group_name(group_key)
         hit = self._affected.get(name)
         if hit is None:
-            draw = random.Random(
-                f"sensorfault:{self.seed}:{name}").random()
+            draw = keyed_draw(f"sensorfault:{self.seed}:{name}")
             hit = draw < self.fault.fraction
             self._affected[name] = hit
         return hit

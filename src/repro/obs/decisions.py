@@ -137,7 +137,7 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -247,9 +247,15 @@ def classify_reason(old_rate: float, new_rate: float, changed: bool,
     return HOLD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decision:
     """One epoch decision for one control group.
+
+    Frozen, with a hand-written initializer: a run builds one per
+    group per epoch (and per injected fault), and the generated frozen
+    ``__init__`` pays one ``object.__setattr__`` per field.  This one
+    stores the whole instance dict at once; its parameters, their
+    order and defaults are the field list's (a test pins that).
 
     Attributes:
         time_ns: Simulation time of the decision.
@@ -292,9 +298,34 @@ class Decision:
     forecast_gbps: Optional[float] = None
     observed_gbps: Optional[float] = None
 
+    def __init__(self, time_ns: float, controller: str, group: str,
+                 channels: Tuple[str, ...], old_rate: Optional[float],
+                 new_rate: Optional[float], reason: str, changed: bool,
+                 estimate: float = 0.0, utilization: float = 0.0,
+                 queue_fraction: float = 0.0, credit_stalls: int = 0,
+                 reactivation_ns: float = 0.0,
+                 old_mode: Optional[str] = None,
+                 new_mode: Optional[str] = None,
+                 forecast_gbps: Optional[float] = None,
+                 observed_gbps: Optional[float] = None):
+        object.__setattr__(self, "__dict__", {
+            "time_ns": time_ns, "controller": controller, "group": group,
+            "channels": channels, "old_rate": old_rate,
+            "new_rate": new_rate, "reason": reason, "changed": changed,
+            "estimate": estimate, "utilization": utilization,
+            "queue_fraction": queue_fraction,
+            "credit_stalls": credit_stalls,
+            "reactivation_ns": reactivation_ns, "old_mode": old_mode,
+            "new_mode": new_mode, "forecast_gbps": forecast_gbps,
+            "observed_gbps": observed_gbps})
+
     def to_dict(self) -> Dict[str, object]:
-        """The decision as a JSON-safe dict (channels as a list)."""
-        out = asdict(self)
+        """The decision as a JSON-safe dict (channels as a list).
+
+        What ``dataclasses.asdict`` returns, copied straight from the
+        instance dict: every field is a scalar but ``channels``.
+        """
+        out = dict(self.__dict__)
         out["channels"] = list(self.channels)
         return out
 
@@ -347,14 +378,17 @@ class DecisionLog:
                 or unregistered reason fails loudly instead of
                 accumulating under a phantom category.
         """
-        if decision.reason not in _KNOWN_REASONS:
+        reason = decision.reason
+        if reason not in _KNOWN_REASONS:
             raise ValueError(
-                f"unknown decision reason {decision.reason!r}; legal "
+                f"unknown decision reason {reason!r}; legal "
                 f"reasons: {', '.join(REASONS)}")
         self.decisions_recorded += 1
-        self.records.append(decision)
-        self.reason_counts[decision.reason] = (
-            self.reason_counts.get(decision.reason, 0) + 1)
+        # A zero-length ring drops every record anyway.
+        if self.max_records != 0:
+            self.records.append(decision)
+        counts = self.reason_counts
+        counts[reason] = counts.get(reason, 0) + 1
         if decision.changed:
             key = (decision.old_rate, decision.new_rate)
             self.transition_counts[key] = (

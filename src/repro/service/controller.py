@@ -32,7 +32,7 @@ Actuation reliability is the **intent journal**: every command sent
 while retries are enabled is journaled until acknowledged; a command
 unacknowledged past its timeout is re-sent with a fresh transport
 sequence number under seeded exponential backoff
-(``random.Random(f"svcretry:{seed}:{group}:{attempt}")``), bounded by
+(``keyed_draw(f"svcretry:{seed}:{group}:{attempt}")``), bounded by
 ``retry_max_attempts``, and the journal itself is bounded by
 ``journal_cap`` with an eviction counter — a permanently lost
 actuation cannot grow memory over a multi-hour run.
@@ -41,10 +41,10 @@ actuation cannot grow memory over a multi-hour run.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,
@@ -445,9 +445,8 @@ class ServiceDecisionLoop:
                 continue
             state.command_seq += 1
             seq = state.command_seq
-            jitter = 0.8 + 0.4 * random.Random(
-                f"svcretry:{config.seed}:{name}:{entry.attempts}"
-            ).random()
+            jitter = 0.8 + 0.4 * keyed_draw(
+                f"svcretry:{config.seed}:{name}:{entry.attempts}")
             backoff = (config.retry_timeout_ns
                        * (2 ** (entry.attempts - 1)) * jitter)
             state.journal[name] = IntentEntry(

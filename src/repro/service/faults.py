@@ -31,7 +31,7 @@ loop's per-record processing cost inside a window, which is how the
 campaign drives the backpressure/shedding machinery.
 
 Determinism: every draw is a stateless string-seeded hash
-(``random.Random(f"svc:{seed}:{kind}:{group}:{n}")``), the idiom of
+(``keyed_draw(f"svc:{seed}:{kind}:{group}:{n}")``), the idiom of
 the simulator-side injector, so service chaos is independent of
 ``PYTHONHASHSEED`` and identical between campaign arms.  Every
 injection is audited into the DecisionLog under the existing
@@ -41,7 +41,6 @@ injection is audited into the DecisionLog under the existing
 from __future__ import annotations
 
 import collections
-import random
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, Optional, Tuple
 
@@ -49,6 +48,7 @@ from repro.faults.control_faults import (
     CONTROLLER_GROUP,
     ControlFaultScenario,
 )
+from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     CONTROL_FAULT_ACTUATION_DELAYED,
     CONTROL_FAULT_ACTUATION_LOST,
@@ -121,14 +121,12 @@ class ServiceChaos:
         key = (kind, group)
         draw = self._selection.get(key)
         if draw is None:
-            draw = random.Random(
-                f"svcsel:{self.scenario.seed}:{kind}:{group}").random()
+            draw = keyed_draw(f"svcsel:{self.scenario.seed}:{kind}:{group}")
             self._selection[key] = draw
         return draw < fraction
 
     def _draw(self, kind: str, group: str, n: int) -> float:
-        return random.Random(
-            f"svc:{self.scenario.seed}:{kind}:{group}:{n}").random()
+        return keyed_draw(f"svc:{self.scenario.seed}:{kind}:{group}:{n}")
 
     @staticmethod
     def _active(fault, now: float) -> bool:

@@ -49,9 +49,12 @@ from repro.obs.decisions import (
     TOPOLOGY_OFF,
     TOPOLOGY_ON,
 )
+from repro.sim.channel import ChannelState
 from repro.topo.demand import DemandMatrixEstimator
 
 Link = Tuple[int, int]
+
+_OFF = ChannelState.OFF
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ class DemandAwareTopologyController(EpochController):
         if group.name in self._dark:
             return False
         for ch in group.channels:
-            if ch.is_off or ch.draining:
+            if ch.state is _OFF or ch.draining:
                 return True
         return False
 

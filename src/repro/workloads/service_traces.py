@@ -9,7 +9,8 @@ group, per epoch, the offered demand in Gb/s.  Two sources:
   group's demand to a true zero for part of the day (so power gating
   genuinely engages), seeded multiplicative jitter, and occasional
   demand bursts.  All randomness is stateless string-seeded hashing
-  (``random.Random(f"svctrace:{seed}:{group}:{epoch}")``), so any
+  (one ``random.Random(f"svctrace:{seed}:{group}:{epoch}")`` stream
+  per group-epoch, via :func:`repro.keyed.keyed_stream`), so any
   epoch's demand can be computed independently — which is what lets a
   service restored from a checkpoint regenerate the tail of the trace
   without replaying the head, and keeps the trace independent of
@@ -25,8 +26,9 @@ Both expose the same two-method surface (``groups``,
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Sequence, Tuple
+
+from repro.keyed import keyed_stream
 
 
 class DiurnalTraceSource:
@@ -83,7 +85,7 @@ class DiurnalTraceSource:
         demand = base * self.peak_gbps
         if demand <= 0.0:
             return 0.0
-        rng = random.Random(f"svctrace:{self.seed}:{group}:{epoch}")
+        rng = keyed_stream(f"svctrace:{self.seed}:{group}:{epoch}")
         demand *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         if rng.random() < self.burst_probability:
             demand *= self.burst_multiplier

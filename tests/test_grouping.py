@@ -1,6 +1,7 @@
 """Control groups: independent channels vs link pairs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.grouping import ChannelGroup, independent_groups, paired_groups
 from repro.sim.network import FbflyNetwork, NetworkConfig
@@ -83,3 +84,45 @@ class TestChannelGroup:
         group = ChannelGroup("solo", [fwd])
         with pytest.raises(ValueError):
             group.utilization_since_last(0.0)
+
+
+class TestReadsMatchMax:
+    """The reads' compare loops return what ``max()`` over the members
+    returns, bit for bit (the first maximum, ties included)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(members=st.integers(1, 4),
+           epochs=st.lists(st.lists(
+               st.tuples(st.floats(0.0, 5000.0), st.integers(0, 65536)),
+               min_size=4, max_size=4), min_size=1, max_size=4),
+           epoch_ns=st.sampled_from([1000.0, 333.0, 1e-3]))
+    def test_reads_equal_the_max_reference(self, members, epochs,
+                                           epoch_ns):
+        network = FbflyNetwork(FlattenedButterfly(k=2, n=3),
+                               NetworkConfig(seed=2))
+        channels = network.tunable_channels()[:members]
+        group = ChannelGroup("g", channels)
+        last = {ch: ch.busy_ns() for ch in channels}
+        for samples in epochs:
+            for ch, (busy_delta, queued) in zip(channels, samples):
+                ch.stats.busy_ns += busy_delta
+                ch._queue_bytes = queued
+            expected_util = 0.0
+            for ch in channels:
+                expected_util = max(expected_util,
+                                    (ch.busy_ns() - last[ch]) / epoch_ns)
+                last[ch] = ch.busy_ns()
+            expected_queue = max(ch.queue_bytes / ch.queue_capacity_bytes
+                                 for ch in channels)
+            assert group.utilization_since_last(epoch_ns) == expected_util
+            assert group.max_queue_fraction() == expected_queue
+            assert group.is_off is any(ch.is_off for ch in channels)
+            assert group.current_rate == channels[0].rate_gbps
+
+    def test_set_rate_skips_powered_off_members(self, network):
+        fwd, rev = network.link_pairs()[0]
+        group = ChannelGroup("pair", [fwd, rev])
+        rev.power_off()
+        assert group.set_rate(10.0, reactivation_ns=0.0) is True
+        assert fwd.rate_gbps == 10.0
+        assert rev.is_off

@@ -1,6 +1,10 @@
 """The controller decision audit log."""
 
+import copy
+import dataclasses
+import inspect
 import json
+import pickle
 
 import pytest
 
@@ -102,6 +106,16 @@ class TestDecisionLog:
         assert log.decisions_recorded == 1
         assert log.transitions_recorded == 1
 
+    def test_counters_only_mode_still_feeds_every_tap(self):
+        log = DecisionLog(max_records=0)
+        seen = []
+        log.taps.append(seen.append)
+        records = [_decision(i) for i in range(3)]
+        for record in records:
+            log.record(record)
+        assert seen == records
+        assert len(log) == 0
+
     def test_transitions_and_group_filters(self):
         log = DecisionLog()
         log.record(_decision(0))
@@ -159,6 +173,82 @@ class TestDecisionLog:
         assert payload["reason"] == ABOVE_THRESHOLD
         assert payload["old_rate"] == 10.0
         assert payload["new_rate"] == 20.0
+
+
+#: One value per Decision field, every one distinct from its default.
+FULL_DECISION = dict(
+    time_ns=5.0, controller="sw3", group="g7", channels=("a", "b"),
+    old_rate=10.0, new_rate=20.0, reason=ABOVE_THRESHOLD, changed=True,
+    estimate=0.75, utilization=0.6, queue_fraction=0.25, credit_stalls=3,
+    reactivation_ns=1000.0, old_mode="x1", new_mode="x4",
+    forecast_gbps=12.5, observed_gbps=11.0)
+
+
+class TestDecisionInitializer:
+    """Decision's hand-written initializer must stay the dataclass's."""
+
+    def test_signature_is_the_field_list(self):
+        params = list(
+            inspect.signature(Decision.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(Decision)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, field in zip(params, fields):
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            if field.default is dataclasses.MISSING:
+                assert param.default is param.empty, field.name
+            else:
+                assert param.default == field.default, field.name
+                assert type(param.default) is type(field.default)
+
+    def test_field_values_cover_every_field(self):
+        assert list(FULL_DECISION) == [
+            f.name for f in dataclasses.fields(Decision)]
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = Decision(**FULL_DECISION)
+        by_position = Decision(*FULL_DECISION.values())
+        assert by_keyword == by_position
+        assert vars(by_keyword) == FULL_DECISION
+        assert list(vars(by_keyword)) == list(FULL_DECISION)
+
+    def test_defaults_fill_the_optional_fields(self):
+        required = {f.name: FULL_DECISION[f.name]
+                    for f in dataclasses.fields(Decision)
+                    if f.default is dataclasses.MISSING}
+        d = Decision(**required)
+        for field in dataclasses.fields(Decision):
+            expected = (FULL_DECISION[field.name]
+                        if field.name in required else field.default)
+            assert getattr(d, field.name) == expected
+        with pytest.raises(TypeError):
+            Decision(*list(required.values())[:-1])
+
+    def test_equality_hash_and_repr(self):
+        a, b = Decision(**FULL_DECISION), Decision(**FULL_DECISION)
+        assert a == b and hash(a) == hash(b)
+        other = dataclasses.replace(a, group="g8")
+        assert other != a and other.group == "g8"
+        assert repr(a) == "Decision(" + ", ".join(
+            f"{name}={value!r}" for name, value in FULL_DECISION.items()
+        ) + ")"
+
+    def test_round_trips(self):
+        d = Decision(**FULL_DECISION)
+        assert dataclasses.asdict(d) == FULL_DECISION
+        assert d.to_dict() == {**FULL_DECISION, "channels": ["a", "b"]}
+        assert dataclasses.replace(d) == d
+        for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d),
+                      copy.copy(d)):
+            assert clone == d and clone is not d
+            assert vars(clone) == FULL_DECISION
+
+    def test_assignment_is_refused(self):
+        d = Decision(**FULL_DECISION)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.reason = HOLD
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del d.group
+        assert d.reason == ABOVE_THRESHOLD
 
 
 class TestEpochControllerAudit:

@@ -1,5 +1,10 @@
 """Congestion sensors and their controller integration."""
 
+import copy
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from repro.core.controller import ControllerConfig, EpochController
@@ -22,6 +27,56 @@ def reading(utilization=0.0, queue_fraction=0.0, credit_stalls=0):
     return GroupReading(utilization=utilization,
                         queue_fraction=queue_fraction,
                         credit_stalls=credit_stalls)
+
+
+class TestGroupReadingInitializer:
+    """GroupReading's hand-written initializer must stay the
+    dataclass's."""
+
+    VALUES = dict(utilization=0.4, queue_fraction=0.125, credit_stalls=2)
+
+    def test_signature_is_the_field_list(self):
+        params = list(
+            inspect.signature(GroupReading.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(GroupReading)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, field in zip(params, fields):
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            assert field.default is dataclasses.MISSING
+            assert param.default is param.empty
+        assert list(self.VALUES) == [f.name for f in fields]
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = GroupReading(**self.VALUES)
+        by_position = GroupReading(*self.VALUES.values())
+        assert by_keyword == by_position
+        assert list(vars(by_keyword).items()) == list(self.VALUES.items())
+        with pytest.raises(TypeError):
+            GroupReading(0.4, 0.125)
+
+    def test_equality_hash_and_repr(self):
+        a, b = GroupReading(**self.VALUES), GroupReading(**self.VALUES)
+        assert a == b and hash(a) == hash(b)
+        assert dataclasses.replace(a, credit_stalls=3) != a
+        assert repr(a) == ("GroupReading(utilization=0.4, "
+                           "queue_fraction=0.125, credit_stalls=2)")
+
+    def test_round_trips(self):
+        r = GroupReading(**self.VALUES)
+        assert dataclasses.asdict(r) == self.VALUES
+        assert dataclasses.replace(r) == r
+        for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r),
+                      copy.copy(r)):
+            assert clone == r and clone is not r
+            assert vars(clone) == self.VALUES
+
+    def test_assignment_is_refused(self):
+        r = GroupReading(**self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.utilization = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.credit_stalls
+        assert r.utilization == 0.4
 
 
 class TestUtilizationSensor:
