@@ -10,15 +10,16 @@ per-pair utilization ratios plus the workload-level host asymmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments.report import format_table, pct
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.workloads.synthetic_traces import advert_workload, search_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -34,6 +35,8 @@ class AsymmetryResult:
 
     def rows(self) -> List[List[object]]:
         """The result's data rows, matching ``format_table``'s columns."""
+        import numpy as np
+
         if len(self.pair_ratios) == 0:
             return [["(no loaded pairs)", "-", "-"]]
         return [
@@ -57,6 +60,8 @@ class AsymmetryResult:
 def run(scale: Optional[ExperimentScale] = None,
         workload: str = "search", seed: int = 1) -> AsymmetryResult:
     """Run the experiment and return its result object."""
+    import numpy as np
+
     scale = scale or current_scale()
     topology = FlattenedButterfly(k=scale.k, n=scale.n)
     network = FbflyNetwork(topology, NetworkConfig(seed=seed))

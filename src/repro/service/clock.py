@@ -30,13 +30,23 @@ decide, deliver, restart).  The settle loop watches that counter;
 ``SETTLE_STABLE_YIELDS`` consecutive yields without progress means
 every task is parked on a clock future or an empty queue, and it is
 safe to advance time.
+
+The clock is also the service's one door to asyncio: it imports the
+module when it is constructed and hands the other service modules the
+few primitives they need (:meth:`VirtualClock.create_future`,
+:meth:`~VirtualClock.create_task`, :meth:`~VirtualClock.gather`,
+:meth:`~VirtualClock.run`).  Importing the service therefore does not
+load asyncio (and the ``ssl`` it pulls in); only building one does.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Awaitable, Coroutine, List, \
+    Optional, Tuple
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Consecutive no-progress event-loop yields that count as quiescent.
 SETTLE_STABLE_YIELDS = 4
@@ -51,11 +61,33 @@ class VirtualClock:
     """Virtual-time scheduler shared by every service task."""
 
     def __init__(self, start_ns: float = 0.0):
+        import asyncio
+
+        self._asyncio = asyncio
         self.now_ns = float(start_ns)
         #: Monotone progress counter; bumped by any observable work.
         self.progress = 0
         self._seq = 0
         self._waiters: List[Tuple[float, int, asyncio.Future]] = []
+
+    # -- asyncio primitives -----------------------------------------------
+
+    def create_future(self) -> asyncio.Future:
+        """A fresh future on the running event loop."""
+        return self._asyncio.get_running_loop().create_future()
+
+    def create_task(self, coro: Coroutine[Any, Any, Any]) -> asyncio.Task:
+        """Schedule ``coro`` as a task on the running event loop."""
+        return self._asyncio.get_running_loop().create_task(coro)
+
+    def gather(self, *aws: Awaitable[Any]) -> asyncio.Future:
+        """Wait for every awaitable; exceptions (cancellation too) come
+        back as results rather than being raised."""
+        return self._asyncio.gather(*aws, return_exceptions=True)
+
+    def run(self, main: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``main`` to completion on a fresh event loop."""
+        return self._asyncio.run(main)
 
     # -- progress (quiescence) -------------------------------------------
 
@@ -67,16 +99,24 @@ class VirtualClock:
 
     async def sleep(self, delta_ns: float) -> None:
         """Park the calling task for ``delta_ns`` of virtual time."""
-        await self.sleep_until(self.now_ns + max(0.0, delta_ns))
+        # ``max`` keeps its first argument on a tie or a NaN, so a NaN
+        # delta reaches sleep_until's guard instead of becoming zero.
+        await self.sleep_until(self.now_ns + max(delta_ns, 0.0))
 
     async def sleep_until(self, wake_ns: float) -> None:
-        """Park the calling task until virtual time ``wake_ns``."""
-        if wake_ns <= self.now_ns:
+        """Park the calling task until virtual time ``wake_ns``.
+
+        A NaN wake time raises ``ValueError``: no advance could ever
+        release it, and :meth:`drive` would spin forever.
+        """
+        if not wake_ns > self.now_ns:
+            if wake_ns != wake_ns:
+                raise ValueError("cannot sleep until NaN")
             # Still yield once: keeps scheduling order fair and gives
             # the driver a chance to observe progress between steps.
-            await asyncio.sleep(0)
+            await self._asyncio.sleep(0)
             return
-        future = asyncio.get_running_loop().create_future()
+        future = self.create_future()
         self._seq += 1
         heapq.heappush(self._waiters, (float(wake_ns), self._seq, future))
         await future
@@ -94,9 +134,10 @@ class VirtualClock:
 
         Returns the number of tasks woken.  Time never moves backward.
         """
-        if time_ns < self.now_ns:
-            raise ValueError(
-                f"virtual time cannot rewind: {time_ns} < {self.now_ns}")
+        # Written so that a NaN time fails too.
+        if not time_ns >= self.now_ns:
+            raise ValueError(f"virtual time cannot rewind or be NaN: "
+                             f"{time_ns} < {self.now_ns}")
         self.now_ns = float(time_ns)
         woken = 0
         while self._waiters and self._waiters[0][0] <= self.now_ns:
@@ -110,10 +151,11 @@ class VirtualClock:
 
     async def _settle(self) -> None:
         """Yield until no runnable task makes progress."""
+        sleep = self._asyncio.sleep
         stable = 0
         for _ in range(SETTLE_MAX_YIELDS):
             before = self.progress
-            await asyncio.sleep(0)
+            await sleep(0)
             stable = stable + 1 if self.progress == before else 0
             if stable >= SETTLE_STABLE_YIELDS:
                 return
@@ -128,6 +170,8 @@ class VirtualClock:
         horizon is the only work left.  Leaves ``now_ns`` at the
         horizon so summaries cover the full requested duration.
         """
+        if horizon_ns != horizon_ns:
+            raise ValueError("cannot drive until NaN")
         while True:
             await self._settle()
             wake = self.next_wake()

@@ -28,11 +28,10 @@ goldens stay machine-independent.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.decisions import SERVICE_SHED, Decision, DecisionLog
 from repro.obs.metrics import MetricsRegistry, SERVICE_LATENCY_BUCKETS_NS
@@ -50,6 +49,9 @@ from repro.service.streams import EpochTick, TelemetryStream
 from repro.service.supervisor import PowerJournal, Supervisor
 from repro.service.transport import ActuationTransport
 from repro.workloads.service_traces import DiurnalTraceSource
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 @dataclass(frozen=True)
@@ -340,8 +342,7 @@ class ControlPlaneService:
             self.clock, self.config, self.stream, self.transport,
             self.log, chaos=self.chaos, state=state,
             latency_observer=self._observe_latency)
-        self.loop_task = asyncio.get_running_loop().create_task(
-            self.loop.run())
+        self.loop_task = self.clock.create_task(self.loop.run())
         self.clock.note()
         return self.loop
 
@@ -418,8 +419,8 @@ class ControlPlaneService:
     async def _main(self) -> None:
         config = self.config
         self.spawn_decision_loop(self._initial_state)
-        tasks = [asyncio.get_running_loop().create_task(coro) for coro
-                 in self._background_coros()]
+        tasks = [self.clock.create_task(coro)
+                 for coro in self._background_coros()]
         try:
             # One drain epoch past the horizon lets the final tick's
             # decisions and acks land before the summary is cut.
@@ -429,10 +430,8 @@ class ControlPlaneService:
             for task in tasks + [self.loop_task]:
                 if task is not None:
                     task.cancel()
-            await asyncio.gather(
-                *(t for t in tasks + [self.loop_task]
-                  if t is not None),
-                return_exceptions=True)
+            await self.clock.gather(
+                *(t for t in tasks + [self.loop_task] if t is not None))
 
     def _background_coros(self):
         coros = [self._generate()]
@@ -450,7 +449,7 @@ class ControlPlaneService:
     def run(self) -> ServiceSummary:
         """Run to the horizon and summarize."""
         started = time.perf_counter()
-        asyncio.run(self._main())
+        self.clock.run(self._main())
         return self.summarize(time.perf_counter() - started)
 
     def summarize(self, wall_seconds: float = 0.0) -> ServiceSummary:

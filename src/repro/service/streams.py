@@ -36,12 +36,14 @@ is slower than the offered load.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Union
 
 from repro.service.clock import VirtualClock
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ class TelemetryStream:
     async def get(self) -> StreamItem:
         """Pop the oldest queued item, waiting if the stream is empty."""
         while not self._items:
-            future = asyncio.get_running_loop().create_future()
+            future = self.clock.create_future()
             self._getter = future
             try:
                 await future

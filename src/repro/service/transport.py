@@ -21,9 +21,8 @@ original is harmless.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 
 from repro.obs.decisions import (
     CONTROL_FAULT_ACTUATION_DELAYED,
@@ -31,6 +30,9 @@ from repro.obs.decisions import (
 )
 from repro.service.clock import VirtualClock
 from repro.service.plant import FabricPlant
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class ActuationTransport:
             return
         if fate == "delayed":
             self.delayed += 1
-        task = asyncio.get_running_loop().create_task(
+        task = self.clock.create_task(
             self._deliver(command, self.base_delay_ns + extra_ns))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)

@@ -116,7 +116,8 @@ class Simulator:
         Daemon events do not prevent :meth:`run` from finishing once all
         real work has drained.
         """
-        if delay_ns < 0:
+        # Written so that a NaN delay fails too.
+        if not delay_ns >= 0:
             raise ValueError(f"cannot schedule into the past: delay={delay_ns}")
         return self.schedule_at(self._now + delay_ns, fn, *args,
                                 daemon=daemon)
@@ -129,7 +130,9 @@ class Simulator:
         callers in the channels and switches compute ``now + delay``
         themselves and call this directly.
         """
-        if time_ns < self._now:
+        # Written so that a NaN time fails too: it would corrupt the
+        # heap order.
+        if not time_ns >= self._now:
             raise ValueError(
                 f"cannot schedule into the past: t={time_ns} < now={self._now}"
             )

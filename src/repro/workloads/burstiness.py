@@ -5,16 +5,21 @@ claims the paper makes about its production traces: burstiness "at a
 variety of timescales" with low average utilization, and asymmetric
 per-direction load.  These metrics quantify both so tests can assert the
 generators actually have the properties the results depend on.
+
+numpy is imported inside the functions that build arrays, so importing
+this module (or :mod:`repro.workloads`, which re-exports it) does not
+load it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
 from repro.units import gbps_to_bytes_per_ns
 from repro.workloads.base import TraceEvent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def utilization_series(
@@ -30,6 +35,8 @@ def utilization_series(
     (an *offered-load* series; serialization spreading is the network's
     business).
     """
+    import numpy as np
+
     if duration_ns <= 0 or window_ns <= 0:
         raise ValueError("duration and window must be positive")
     num_windows = int(np.ceil(duration_ns / window_ns))
@@ -43,6 +50,8 @@ def utilization_series(
 
 def coefficient_of_variation(series: np.ndarray) -> float:
     """Std/mean of a load series — the burstiness index per timescale."""
+    import numpy as np
+
     mean = float(np.mean(series))
     if mean == 0.0:
         return 0.0
@@ -77,6 +86,8 @@ def host_asymmetry(
     The imbalance between the two is what makes independent
     unidirectional-channel control pay off (Section 3.3.1 / Figure 7).
     """
+    import numpy as np
+
     injected = np.zeros(num_hosts)
     received = np.zeros(num_hosts)
     for event in events:
@@ -91,6 +102,8 @@ def mean_asymmetry_ratio(events: Sequence[TraceEvent], num_hosts: int) -> float:
     1.0 means perfectly symmetric hosts; production-like traffic with
     read-heavy file servers sits well above it.
     """
+    import numpy as np
+
     injected, received = host_asymmetry(events, num_hosts)
     ratios = []
     for i in range(num_hosts):

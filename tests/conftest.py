@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
+from repro.experiments import sweep
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
@@ -35,3 +42,32 @@ def drain(network: FbflyNetwork, slack_ns: float = 5_000_000.0):
     network.sim.run()
     network.stats.finalize(network.sim.now)
     return network.stats
+
+
+@dataclass(frozen=True)
+class GoldenRefresh:
+    """One ``golden-refresh`` CLI run: exit status, target, stdout."""
+
+    status: int
+    directory: Path
+    stdout: str
+
+
+@pytest.fixture(scope="session")
+def golden_refresh(tmp_path_factory) -> GoldenRefresh:
+    """Every golden payload, built once per session by the CLI.
+
+    Building the eight payloads is most of the suite's run time, so the
+    CLI test and the golden-value tests share this one no-cache run.
+    """
+    directory = tmp_path_factory.mktemp("golden")
+    stdout = io.StringIO()
+    # main() reconfigures the process-wide sweep runner; undo it.
+    saved = sweep._default_runner
+    try:
+        with contextlib.redirect_stdout(stdout):
+            status = main(["golden-refresh", "--output", str(directory),
+                           "--no-cache"])
+    finally:
+        sweep._default_runner = saved
+    return GoldenRefresh(status, directory, stdout.getvalue())

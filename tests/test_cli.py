@@ -115,13 +115,14 @@ class TestExecution:
         assert main(["table2", "--json"]) == 0
 
     def test_golden_refresh_writes_requested_directory(
-            self, tmp_path, capsys):
-        assert main(["golden-refresh", "--output", str(tmp_path),
-                     "--no-cache"]) == 0
-        out = capsys.readouterr().out
+            self, golden_refresh):
+        # The run itself is the session-wide one the golden-value tests
+        # compare against (see conftest.golden_refresh).
+        assert golden_refresh.status == 0
+        out = golden_refresh.stdout
         assert "wrote" in out
         for name in ("table1", "figure1", "figure7"):
-            assert (tmp_path / f"{name}.json").exists()
+            assert (golden_refresh.directory / f"{name}.json").exists()
 
     def test_simulation_experiment_reports_sweep_stats(
             self, tmp_path, capsys):

@@ -70,6 +70,24 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_schedule_at_rejects_nan(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, fired.append, "a")
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule_at(3.0, fired.append, "c")
+        sim.run()
+        # A NaN heap key used to break the heap order: b, c, nan, a.
+        assert fired == ["b", "c", "a"]
+
+    def test_schedule_rejects_nan_delay(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         fired = []

@@ -89,6 +89,59 @@ class TestVirtualClock:
         with pytest.raises(ValueError, match="rewind"):
             clock.advance_to(10.0)
 
+    def test_advance_to_rejects_nan(self):
+        clock = VirtualClock(start_ns=50.0)
+        with pytest.raises(ValueError, match="rewind"):
+            clock.advance_to(float("nan"))
+        assert clock.now_ns == 50.0
+
+    # The timeouts below turn a regression (a task parked forever on a
+    # NaN wake, or drive() spinning) into a failure, not a hang.
+
+    def test_sleep_until_rejects_nan(self):
+        async def main():
+            await asyncio.wait_for(
+                VirtualClock().sleep_until(float("nan")), timeout=10)
+
+        with pytest.raises(ValueError, match="NaN"):
+            asyncio.run(main())
+
+    def test_sleep_rejects_nan(self):
+        async def main():
+            await asyncio.wait_for(
+                VirtualClock().sleep(float("nan")), timeout=10)
+
+        with pytest.raises(ValueError, match="NaN"):
+            asyncio.run(main())
+
+    def test_drive_returns_when_a_task_asks_for_nan(self):
+        async def main():
+            clock = VirtualClock()
+            woke = []
+
+            async def sleeper(wake_ns):
+                await clock.sleep_until(wake_ns)
+                woke.append(clock.now_ns)
+                clock.note()
+
+            bad = asyncio.ensure_future(sleeper(float("nan")))
+            good = asyncio.ensure_future(sleeper(20.0))
+            await asyncio.wait_for(clock.drive(100.0), timeout=10)
+            return bad, good, woke, clock.now_ns
+
+        bad, good, woke, now = asyncio.run(main())
+        assert isinstance(bad.exception(), ValueError)
+        assert good.done() and woke == [20.0]
+        assert now == 100.0
+
+    def test_drive_rejects_nan_horizon(self):
+        async def main():
+            await asyncio.wait_for(VirtualClock().drive(float("nan")),
+                                   timeout=10)
+
+        with pytest.raises(ValueError, match="NaN"):
+            asyncio.run(main())
+
     def test_sleep_in_the_past_still_yields(self):
         async def main():
             clock = VirtualClock(start_ns=100.0)
