@@ -25,7 +25,6 @@ from repro.core.grouping import (
 )
 from repro.obs.decisions import (
     POWERED_OFF,
-    Decision,
     DecisionLog,
     classify_reason,
 )
@@ -162,16 +161,12 @@ class EpochController:
                                    group.credit_stalls_since_last())
             if group.is_off:
                 if log is not None:
-                    log.record(Decision(
-                        time_ns=now, controller=self.name,
-                        group=group.name,
-                        channels=group.channel_names,
-                        old_rate=None, new_rate=None,
-                        reason=POWERED_OFF, changed=False,
-                        utilization=reading.utilization,
-                        queue_fraction=reading.queue_fraction,
-                        credit_stalls=reading.credit_stalls,
-                    ))
+                    log.record(now, self.name, group.name,
+                               group.channel_names, None, None,
+                               POWERED_OFF, False, 0.0,
+                               reading.utilization,
+                               reading.queue_fraction,
+                               reading.credit_stalls)
                 continue
             self._decide_group(group, reading, ladder, now, log)
         self.epochs_run += 1
@@ -197,16 +192,10 @@ class EpochController:
         if changed:
             self.reconfigurations += 1
         if log is not None:
-            log.record(Decision(
-                time_ns=now, controller=self.name, group=group.name,
-                channels=group.channel_names,
-                old_rate=current, new_rate=new_rate,
-                reason=classify_reason(current, new_rate, changed,
+            log.record(now, self.name, group.name, group.channel_names,
+                       current, new_rate,
+                       classify_reason(current, new_rate, changed,
                                        estimate, ladder, self.policy),
-                changed=changed, estimate=estimate,
-                utilization=reading.utilization,
-                queue_fraction=reading.queue_fraction,
-                credit_stalls=reading.credit_stalls,
-                reactivation_ns=(self.config.reactivation_ns
-                                 if changed else 0.0),
-            ))
+                       changed, estimate, reading.utilization,
+                       reading.queue_fraction, reading.credit_stalls,
+                       self.config.reactivation_ns if changed else 0.0)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.decisions import (
-    Decision,
     DecisionLog,
     TOPOLOGY_OFF,
     TOPOLOGY_ON,
@@ -238,7 +237,7 @@ class DynamicTopologyController:
             channels = tuple(sorted(
                 ch.name for ch, c in self._channel_class.items()
                 if c is cls))
-            self.decision_log.record(Decision(
+            self.decision_log.record(
                 time_ns=self.network.sim.now, controller=self.name,
                 group=cls.value, channels=channels,
                 old_rate=(ladder.max_rate if going_off else None),
@@ -247,7 +246,7 @@ class DynamicTopologyController:
                 changed=False,
                 reactivation_ns=(0.0 if going_off
                                  else self.config.reactivation_ns),
-                old_mode=old_mode.name, new_mode=new_mode.name))
+                old_mode=old_mode.name, new_mode=new_mode.name)
 
     def _apply_mode(self) -> None:
         off_classes = _OFF_CLASSES[self.mode]

@@ -71,7 +71,6 @@ from repro.obs.decisions import (
     GATED_WAKE,
     TOPOLOGY_OFF,
     TOPOLOGY_ON,
-    Decision,
     DecisionLog,
 )
 from repro.sim.channel import ChannelState
@@ -256,16 +255,17 @@ class FailsafeGuard:
 
     # -- decision-log journal (crash recovery source) --------------------
 
-    def _observe(self, decision: Decision) -> None:
-        reason = decision.reason
+    def _observe(self, reason: str, group: str, time_ns: float,
+                 changed: bool) -> None:
+        """The decision-log tap: journal restarts and power intent."""
         if reason not in _JOURNALED:
             return
         if reason == CONTROL_FAULT_RESTART:
-            self._last_restart_ns = decision.time_ns
+            self._last_restart_ns = time_ns
         elif reason in (GATED_OFF, TOPOLOGY_OFF):
-            self._journal_put(decision.group, ("off", decision.time_ns))
+            self._journal_put(group, ("off", time_ns))
         elif reason in (GATED_WAKE, TOPOLOGY_ON):
-            self._journal_put(decision.group, ("on", decision.time_ns))
+            self._journal_put(group, ("on", time_ns))
 
     def _journal_put(self, name: str, entry: Tuple[str, float]) -> None:
         """Insert a power-intent entry under the ``journal_cap`` bound
@@ -476,12 +476,9 @@ class FailsafeGuard:
              changed: bool) -> None:
         if self.decision_log is None:
             return
-        self.decision_log.record(Decision(
-            time_ns=self.sim.now, controller="failsafe",
-            group=group.name,
-            channels=group.channel_names,
-            old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=changed))
+        self.decision_log.record(
+            self.sim.now, "failsafe", group.name, group.channel_names,
+            old_rate, new_rate, reason, changed)
 
     def digest(self) -> Dict[str, object]:
         """JSON-safe guard accounting for the run summary."""

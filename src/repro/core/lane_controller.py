@@ -34,7 +34,6 @@ from repro.obs.decisions import (
     HOLD,
     POWERED_OFF,
     REACTIVATION_PENDING,
-    Decision,
     DecisionLog,
 )
 from repro.power.lanes import (
@@ -161,14 +160,9 @@ class LaneAwareController:
             utilization = group.utilization_since_last(epoch_ns)
             if group.is_off:
                 if log is not None:
-                    log.record(Decision(
-                        time_ns=now, controller=self.name,
-                        group=group.name,
-                        channels=group.channel_names,
-                        old_rate=None, new_rate=None,
-                        reason=POWERED_OFF, changed=False,
-                        utilization=utilization,
-                    ))
+                    log.record(now, self.name, group.name,
+                               group.channel_names, None, None,
+                               POWERED_OFF, False, 0.0, utilization)
                 continue
             current = self._config_of[group]
             if utilization > self.config.target_utilization:
@@ -179,17 +173,14 @@ class LaneAwareController:
                 new = current
             if new == current:
                 if log is not None:
-                    log.record(Decision(
-                        time_ns=now, controller=self.name,
-                        group=group.name,
-                        channels=group.channel_names,
-                        old_rate=current.gbps, new_rate=current.gbps,
-                        reason=self._classify(current, new, False,
+                    log.record(now, self.name, group.name,
+                               group.channel_names, current.gbps,
+                               current.gbps,
+                               self._classify(current, new, False,
                                               utilization),
-                        changed=False, estimate=utilization,
-                        utilization=utilization,
-                        old_mode=str(current), new_mode=str(current),
-                    ))
+                               False, utilization, utilization,
+                               old_mode=str(current),
+                               new_mode=str(current))
                 continue
             latency = self.config.reactivation.latency_ns(current, new)
             changed = False
@@ -201,17 +192,13 @@ class LaneAwareController:
                 self.reconfigurations += 1
                 self.reconfiguration_stall_ns += latency
             if log is not None:
-                log.record(Decision(
-                    time_ns=now, controller=self.name, group=group.name,
-                    channels=group.channel_names,
-                    old_rate=current.gbps, new_rate=new.gbps,
-                    reason=self._classify(current, new, changed,
+                log.record(now, self.name, group.name,
+                           group.channel_names, current.gbps, new.gbps,
+                           self._classify(current, new, changed,
                                           utilization),
-                    changed=changed, estimate=utilization,
-                    utilization=utilization,
-                    reactivation_ns=latency if changed else 0.0,
-                    old_mode=str(current), new_mode=str(new),
-                ))
+                           changed, utilization, utilization,
+                           reactivation_ns=latency if changed else 0.0,
+                           old_mode=str(current), new_mode=str(new))
         self.epochs_run += 1
         self._event = self.network.sim.schedule(epoch_ns, self._on_epoch,
                                                 daemon=True)

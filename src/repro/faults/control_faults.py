@@ -73,7 +73,6 @@ from repro.obs.decisions import (
     CONTROL_FAULT_TELEMETRY_CORRUPT,
     CONTROL_FAULT_TELEMETRY_LOST,
     CONTROL_FAULT_TELEMETRY_STALE,
-    Decision,
     DecisionLog,
 )
 
@@ -515,11 +514,9 @@ class ControlPlaneChaos:
              new_rate: Optional[float]) -> None:
         if self.decision_log is None:
             return
-        self.decision_log.record(Decision(
-            time_ns=self.sim.now, controller="chaos", group=group,
-            channels=channel_names,
-            old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=False))
+        self.decision_log.record(self.sim.now, "chaos", group,
+                                 channel_names, old_rate, new_rate,
+                                 reason, False)
 
     def digest(self) -> Dict[str, object]:
         """JSON-safe injection accounting for the run summary."""

@@ -37,7 +37,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.controller import ControllerConfig, EpochController
 from repro.obs.decisions import (
-    Decision,
     GATED_OFF,
     GATED_WAKE,
     PINNED_HOLD,
@@ -330,12 +329,12 @@ class FaultAwareEpochController(EpochController):
                          new_rate: Optional[float]) -> None:
         if self.decision_log is None:
             return
-        self.decision_log.record(Decision(
+        self.decision_log.record(
             time_ns=self.network.sim.now, controller=self.name,
             group=group.name,
             channels=group.channel_names,
             old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=False))
+            changed=False)
 
     # ------------------------------------------------------------------
 
@@ -358,19 +357,13 @@ class FaultAwareEpochController(EpochController):
         if changed:
             self.reconfigurations += 1
         if log is not None:
-            log.record(Decision(
-                time_ns=now, controller=self.name, group=name,
-                channels=group.channel_names,
-                old_rate=current, new_rate=new_rate,
-                reason=classify_reason(current, new_rate, changed,
+            log.record(now, self.name, name, group.channel_names,
+                       current, new_rate,
+                       classify_reason(current, new_rate, changed,
                                        estimate, ladder, self.policy),
-                changed=changed, estimate=estimate,
-                utilization=reading.utilization,
-                queue_fraction=reading.queue_fraction,
-                credit_stalls=reading.credit_stalls,
-                reactivation_ns=(self.config.reactivation_ns
-                                 if changed else 0.0),
-            ))
+                       changed, estimate, reading.utilization,
+                       reading.queue_fraction, reading.credit_stalls,
+                       self.config.reactivation_ns if changed else 0.0)
         # Gating bookkeeping runs on the *estimate*: the controller
         # trusts its sensor, stuck or not — that trust is the hazard
         # the pinned spanning set exists to bound.

@@ -16,7 +16,17 @@ what it did (old rate -> new rate) and *why* (a reason code), into a
   :func:`repro.experiments.runner.run_simulation` audit every run at
   near-zero cost (``max_records=0``) and still prove, in the run
   record, that the log accounts for every reconfiguration counted in
-  the final stats.
+  the final stats,
+- **taps**: observers called with ``(reason, group, time_ns,
+  changed)`` for every record, which is how the failsafe guard and the
+  service's power journal remember power intent.
+
+Controllers call :meth:`DecisionLog.record` with the decision's
+fields, not with a built record.  A :class:`Decision` is built only
+when the ring keeps it or the spill writes it, so the counters-only
+audit (``max_records=0``, no spill) builds none: it costs the counter
+updates and the taps, nothing more.  Retained records and spilled
+lines are the same whichever way the log is configured.
 
 Reason codes:
 
@@ -139,7 +149,7 @@ import collections
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: Reason codes (see module docstring).
 ABOVE_THRESHOLD = "above_threshold"
@@ -355,11 +365,13 @@ class DecisionLog:
         #: ``(old_rate, new_rate) -> count`` over *initiated* transitions.
         self.transition_counts: Dict[Tuple[float, float], int] = {}
         self.decisions_recorded = 0
-        #: Observer callables invoked with every recorded
-        #: :class:`Decision` (after validation and counting).  The
-        #: failsafe guard registers one to journal controller intent;
-        #: empty by default, so the hot path pays one truthiness check.
-        self.taps: List = []
+        #: Observer callables invoked as ``tap(reason, group, time_ns,
+        #: changed)`` for every recorded decision (after validation and
+        #: counting), whether or not a :class:`Decision` is kept: the
+        #: failsafe guard and the service's power journal register one
+        #: to journal power intent, and read nothing else.  Empty by
+        #: default, so the hot path pays one truthiness check.
+        self.taps: List[Callable[[str, str, float, bool], None]] = []
         self._spill_path = Path(spill_path) if spill_path else None
         self._spill_file = None
         if self._spill_path is not None:
@@ -369,36 +381,56 @@ class DecisionLog:
 
     # -- recording (called by the controllers) --------------------------
 
-    def record(self, decision: Decision) -> None:
-        """Append one decision; updates counters and the spill file.
+    def record(self, time_ns: float, controller: str, group: str,
+               channels: Tuple[str, ...], old_rate: Optional[float],
+               new_rate: Optional[float], reason: str, changed: bool,
+               estimate: float = 0.0, utilization: float = 0.0,
+               queue_fraction: float = 0.0, credit_stalls: int = 0,
+               reactivation_ns: float = 0.0,
+               old_mode: Optional[str] = None,
+               new_mode: Optional[str] = None,
+               forecast_gbps: Optional[float] = None,
+               observed_gbps: Optional[float] = None) -> None:
+        """Count one decision; keep and spill it if the log does.
+
+        The parameters are :class:`Decision`'s fields, in its order
+        and with its defaults.  The counters always move; a
+        :class:`Decision` is built only when the ring keeps it
+        (``max_records != 0``) or the spill file writes it, so the
+        counters-only audit every run carries builds none.  Taps get
+        ``(reason, group, time_ns, changed)``.
 
         Raises:
-            ValueError: If ``decision.reason`` is not in
-                :data:`REASONS` — the taxonomy is closed, so a typo'd
-                or unregistered reason fails loudly instead of
-                accumulating under a phantom category.
+            ValueError: If ``reason`` is not in :data:`REASONS` — the
+                taxonomy is closed, so a typo'd or unregistered reason
+                fails loudly instead of accumulating under a phantom
+                category.
         """
-        reason = decision.reason
         if reason not in _KNOWN_REASONS:
             raise ValueError(
                 f"unknown decision reason {reason!r}; legal "
                 f"reasons: {', '.join(REASONS)}")
         self.decisions_recorded += 1
-        # A zero-length ring drops every record anyway.
-        if self.max_records != 0:
-            self.records.append(decision)
         counts = self.reason_counts
         counts[reason] = counts.get(reason, 0) + 1
-        if decision.changed:
-            key = (decision.old_rate, decision.new_rate)
+        if changed:
+            key = (old_rate, new_rate)
             self.transition_counts[key] = (
                 self.transition_counts.get(key, 0) + 1)
-        if self._spill_file is not None:
-            self._spill_file.write(
-                json.dumps(decision.to_dict(), sort_keys=True) + "\n")
+        if self.max_records != 0 or self._spill_file is not None:
+            decision = Decision(
+                time_ns, controller, group, channels, old_rate, new_rate,
+                reason, changed, estimate, utilization, queue_fraction,
+                credit_stalls, reactivation_ns, old_mode, new_mode,
+                forecast_gbps, observed_gbps)
+            if self.max_records != 0:
+                self.records.append(decision)
+            if self._spill_file is not None:
+                self._spill_file.write(
+                    json.dumps(decision.to_dict(), sort_keys=True) + "\n")
         if self.taps:
             for tap in self.taps:
-                tap(decision)
+                tap(reason, group, time_ns, changed)
 
     def epoch_mark(self, time_ns: float) -> None:
         """Record one controller epoch boundary."""

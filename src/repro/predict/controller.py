@@ -43,7 +43,6 @@ from repro.core.controller import EpochController
 from repro.core.grouping import ChannelGroup
 from repro.core.sensors import GroupReading
 from repro.obs.decisions import (
-    Decision,
     DecisionLog,
     FORECAST_HOLD,
     FORECAST_MISS,
@@ -130,18 +129,12 @@ class PredictiveEpochController(EpochController):
                                               changed, raw, missed, ladder)
 
         if log is not None:
-            log.record(Decision(
-                time_ns=now, controller=self.name, group=group.name,
-                channels=group.channel_names,
-                old_rate=current, new_rate=new_rate,
-                reason=reason, changed=changed, estimate=estimate,
-                utilization=reading.utilization,
-                queue_fraction=reading.queue_fraction,
-                credit_stalls=reading.credit_stalls,
-                reactivation_ns=(self.config.reactivation_ns
-                                 if changed else 0.0),
-                forecast_gbps=predicted, observed_gbps=observed,
-            ))
+            log.record(now, self.name, group.name, group.channel_names,
+                       current, new_rate, reason, changed, estimate,
+                       reading.utilization, reading.queue_fraction,
+                       reading.credit_stalls,
+                       self.config.reactivation_ns if changed else 0.0,
+                       forecast_gbps=predicted, observed_gbps=observed)
 
     def predict_summary(self) -> dict:
         """JSON-safe digest stamped onto the run summary."""

@@ -40,7 +40,7 @@ from repro.core.grouping import (
     paired_groups,
 )
 from repro.core.sensors import GroupReading
-from repro.obs.decisions import Decision, DecisionLog, classify_reason
+from repro.obs.decisions import DecisionLog, classify_reason
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.sim.taps import EpochDemandTap
 
@@ -132,20 +132,14 @@ class OracleController(EpochController):
         if changed:
             self.reconfigurations += 1
         if log is not None:
-            log.record(Decision(
-                time_ns=now, controller=self.name, group=group.name,
-                channels=group.channel_names,
-                old_rate=current, new_rate=new_rate,
-                reason=classify_reason(current, new_rate, changed, raw,
+            log.record(now, self.name, group.name, group.channel_names,
+                       current, new_rate,
+                       classify_reason(current, new_rate, changed, raw,
                                        ladder, None),
-                changed=changed, estimate=raw,
-                utilization=reading.utilization,
-                queue_fraction=reading.queue_fraction,
-                credit_stalls=reading.credit_stalls,
-                reactivation_ns=(self.config.reactivation_ns
-                                 if changed else 0.0),
-                forecast_gbps=demand, observed_gbps=raw * current,
-            ))
+                       changed, raw, reading.utilization,
+                       reading.queue_fraction, reading.credit_stalls,
+                       self.config.reactivation_ns if changed else 0.0,
+                       forecast_gbps=demand, observed_gbps=raw * current)
 
     def predict_summary(self) -> Dict[str, object]:
         """JSON-safe digest stamped onto the run summary."""

@@ -29,7 +29,11 @@ Quiescence detection is cooperative: service code calls
 decide, deliver, restart).  The settle loop watches that counter;
 ``SETTLE_STABLE_YIELDS`` consecutive yields without progress means
 every task is parked on a clock future or an empty queue, and it is
-safe to advance time.
+safe to advance time.  Where the event loop shows its ready queue and
+timer heap (CPython's), quiescence is also detected exactly: a yield
+without progress that leaves both empty means nothing else can run,
+so the settle ends there.  The extra yields it skips would only have
+resumed the settling task, so the interleaving is the same either way.
 
 The clock is also the service's one door to asyncio: it imports the
 module when it is constructed and hands the other service modules the
@@ -150,13 +154,28 @@ class VirtualClock:
         return woken
 
     async def _settle(self) -> None:
-        """Yield until no runnable task makes progress."""
+        """Yield until no runnable task makes progress.
+
+        A yield without progress that leaves the event loop's ready
+        queue and timer heap both empty ends the settle at once:
+        nothing else can run, so further yields would only resume this
+        task.  Otherwise (or on a loop without those attributes) it
+        takes ``SETTLE_STABLE_YIELDS`` such yields in a row.
+        """
         sleep = self._asyncio.sleep
+        loop = self._asyncio.get_running_loop()
+        exact = hasattr(loop, "_ready") and hasattr(loop, "_scheduled")
         stable = 0
         for _ in range(SETTLE_MAX_YIELDS):
             before = self.progress
             await sleep(0)
-            stable = stable + 1 if self.progress == before else 0
+            if self.progress != before:
+                stable = 0
+                continue
+            # ``_scheduled`` is read afresh: the loop may rebuild it.
+            if exact and not loop._ready and not loop._scheduled:
+                return
+            stable += 1
             if stable >= SETTLE_STABLE_YIELDS:
                 return
         raise RuntimeError(

@@ -56,7 +56,6 @@ from repro.obs.decisions import (
     SERVICE_RETRY,
     SERVICE_SAFE_FLOOR,
     SERVICE_STALE_HOLD,
-    Decision,
     DecisionLog,
 )
 from repro.service.clock import VirtualClock
@@ -498,7 +497,5 @@ class ServiceDecisionLoop:
     def _record(self, group: str, reason: str, now: float,
                 changed: bool, old_rate: Optional[float],
                 new_rate: Optional[float]) -> None:
-        self.log.record(Decision(
-            time_ns=now, controller=CONTROLLER_LABEL, group=group,
-            channels=(), old_rate=old_rate, new_rate=new_rate,
-            reason=reason, changed=changed))
+        self.log.record(now, CONTROLLER_LABEL, group, (), old_rate,
+                        new_rate, reason, changed)

@@ -57,7 +57,6 @@ from repro.obs.decisions import (
     CONTROL_FAULT_TELEMETRY_CORRUPT,
     CONTROL_FAULT_TELEMETRY_LOST,
     CONTROL_FAULT_TELEMETRY_STALE,
-    Decision,
     DecisionLog,
 )
 from repro.service.clock import VirtualClock
@@ -259,9 +258,8 @@ class ServiceChaos:
     def _log(self, group: str, reason: str, now: float) -> None:
         if self.decision_log is None:
             return
-        self.decision_log.record(Decision(
-            time_ns=now, controller="chaos", group=group, channels=(),
-            old_rate=None, new_rate=None, reason=reason, changed=False))
+        self.decision_log.record(now, "chaos", group, (), None, None,
+                                 reason, False)
 
     def digest(self) -> Dict[str, object]:
         """JSON-safe injection accounting (the simulator injector's

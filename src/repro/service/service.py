@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.decisions import SERVICE_SHED, Decision, DecisionLog
+from repro.obs.decisions import SERVICE_SHED, DecisionLog
 from repro.obs.metrics import MetricsRegistry, SERVICE_LATENCY_BUCKETS_NS
 from repro.power.link_rates import RateLadder
 from repro.service.checkpoint import MemoryCheckpointStore
@@ -313,10 +313,8 @@ class ControlPlaneService:
     def _on_shed(self, record) -> None:
         self.sheds += 1
         self._shed_counter.inc()
-        self.log.record(Decision(
-            time_ns=self.clock.now_ns, controller="service",
-            group=record.group, channels=(), old_rate=None,
-            new_rate=None, reason=SERVICE_SHED, changed=False))
+        self.log.record(self.clock.now_ns, "service", record.group, (),
+                        None, None, SERVICE_SHED, False)
         if self.capture_events:
             self.events.append({"kind": "shed",
                                 "time_ns": self.clock.now_ns,

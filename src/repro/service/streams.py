@@ -46,9 +46,15 @@ if TYPE_CHECKING:
     import asyncio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TelemetryRecord:
     """One control group's epoch reading, as emitted on the wire.
+
+    Frozen, with a hand-written initializer: the plant emits one per
+    group per epoch, and the generated frozen ``__init__`` pays one
+    ``object.__setattr__`` per field.  This one stores the whole
+    instance dict at once; its parameters, their order and defaults
+    are the field list's (a test pins that).
 
     Attributes:
         seq: Stream-unique monotone sequence number.
@@ -71,6 +77,15 @@ class TelemetryRecord:
     utilization: float
     queue_fraction: float
     is_off: bool
+
+    def __init__(self, seq: int, epoch: int, group: str, time_ns: float,
+                 demand_gbps: float, utilization: float,
+                 queue_fraction: float, is_off: bool):
+        object.__setattr__(self, "__dict__", {
+            "seq": seq, "epoch": epoch, "group": group,
+            "time_ns": time_ns, "demand_gbps": demand_gbps,
+            "utilization": utilization, "queue_fraction": queue_fraction,
+            "is_off": is_off})
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from repro.obs.decisions import (
     SERVICE_RECOVERED,
     SERVICE_RESTART,
     SERVICE_SAFE_FLOOR,
-    Decision,
     DecisionLog,
 )
 from repro.service.clock import VirtualClock
@@ -63,13 +62,13 @@ class PowerJournal:
         #: group -> ("off" | "on", time_ns of the deciding record).
         self.last_power: Dict[str, Tuple[str, float]] = {}
 
-    def observe(self, decision: Decision) -> None:
+    def observe(self, reason: str, group: str, time_ns: float,
+                changed: bool) -> None:
         """The tap callable (append to ``DecisionLog.taps``)."""
-        if decision.reason in self._OFF_REASONS:
-            self.last_power[decision.group] = ("off", decision.time_ns)
-        elif (decision.reason in self._ON_REASONS
-                or decision.changed):
-            self.last_power[decision.group] = ("on", decision.time_ns)
+        if reason in self._OFF_REASONS:
+            self.last_power[group] = ("off", time_ns)
+        elif reason in self._ON_REASONS or changed:
+            self.last_power[group] = ("on", time_ns)
 
     def dark_groups(self):
         """Groups whose last power intent was a gate-off, sorted."""
@@ -124,10 +123,10 @@ class Supervisor:
         self.restarts += 1
         state = self.service.load_checkpoint_state()
         loop = self.service.spawn_decision_loop(state)
-        self.log.record(Decision(
+        self.log.record(
             time_ns=now, controller="supervisor",
             group=SUPERVISOR_GROUP, channels=(), old_rate=None,
-            new_rate=None, reason=SERVICE_RESTART, changed=False))
+            new_rate=None, reason=SERVICE_RESTART, changed=False)
         self._recover(loop, now)
 
     def _recover(self, loop, now: float) -> None:
@@ -139,10 +138,10 @@ class Supervisor:
                 continue
             self.recoveries += 1
             loop.release_gate(name)
-            self.log.record(Decision(
+            self.log.record(
                 time_ns=now, controller="supervisor", group=name,
                 channels=(), old_rate=None,
                 new_rate=max(loop.config.floor_rate_gbps,
                              g.last_good_rate),
-                reason=SERVICE_RECOVERED, changed=False))
+                reason=SERVICE_RECOVERED, changed=False)
             loop.recover_group(name, now)

@@ -185,7 +185,10 @@ class Simulator:
             while self._live_events > 0 and self.step():
                 pass
             return
-        if until_ns < self._now:
+        # Written so that a NaN horizon fails too: every comparison
+        # with it is false, so it would fire the whole queue and leave
+        # ``now`` at NaN, after which no event could be scheduled.
+        if not until_ns >= self._now:
             raise ValueError(f"until={until_ns} is in the past (now={self._now})")
         heap = self._heap
         while heap:

@@ -305,24 +305,23 @@ class LinkFaultInjector:
                    new_rate: Optional[float]) -> None:
         if self.decision_log is None:
             return
-        from repro.obs.decisions import Decision
         forward = self.network.switch_channel(a, b)
         reverse = self.network.switch_channel(b, a)
-        self.decision_log.record(Decision(
+        self.decision_log.record(
             time_ns=self.network.sim.now, controller="faults",
             group=f"link({a},{b})",
             channels=(forward.name, reverse.name),
             old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=False))
+            changed=False)
 
     def _log_partition(self, event: PartitionEvent) -> None:
         if self.decision_log is None:
             return
-        from repro.obs.decisions import Decision, PARTITION
-        self.decision_log.record(Decision(
+        from repro.obs.decisions import PARTITION
+        self.decision_log.record(
             time_ns=event.time_ns, controller="faults", group="fabric",
             channels=(), old_rate=None, new_rate=None, reason=PARTITION,
-            changed=False))
+            changed=False)
 
     # ------------------------------------------------------------------
 

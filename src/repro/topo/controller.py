@@ -43,7 +43,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.core.controller import ControllerConfig, EpochController
 from repro.faults.policy import SpanningSetGuard, link_endpoints
 from repro.obs.decisions import (
-    Decision,
     TOPOLOGY_GUARD_VETO,
     TOPOLOGY_HELD,
     TOPOLOGY_OFF,
@@ -414,15 +413,12 @@ class DemandAwareTopologyController(EpochController):
                       forecast: Optional[float] = None) -> None:
         if self.decision_log is None:
             return
-        self.decision_log.record(Decision(
-            time_ns=self.network.sim.now, controller=self.name,
-            group=group.name,
-            channels=group.channel_names,
-            old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=False,
+        self.decision_log.record(
+            self.network.sim.now, self.name, group.name,
+            group.channel_names, old_rate, new_rate, reason, False,
             reactivation_ns=(self.config.reactivation_ns
                              if reason == TOPOLOGY_ON else 0.0),
-            forecast_gbps=forecast))
+            forecast_gbps=forecast)
 
     # -- reporting ------------------------------------------------------
 

@@ -88,6 +88,18 @@ class TestScheduling:
             sim.schedule(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
+    def test_run_rejects_nan_horizon(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1e12, fired.append, "late")
+        with pytest.raises(ValueError):
+            sim.run(until_ns=float("nan"))
+        # Nothing fired and the clock is intact, so the run goes on.
+        assert fired == [] and sim.now == 0.0
+        sim.schedule(5.0, fired.append, "next")
+        sim.run(until_ns=10.0)
+        assert fired == ["next"] and sim.now == 10.0
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         fired = []

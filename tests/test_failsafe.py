@@ -31,7 +31,6 @@ from repro.obs.decisions import (
     FAILSAFE_RECOVERED,
     FAILSAFE_RETRY,
     GATED_OFF,
-    Decision,
     DecisionLog,
 )
 from repro.sim.network import FbflyNetwork, NetworkConfig
@@ -330,9 +329,9 @@ class TestRetryWithBackoff:
 
 class TestCrashRecovery:
     def record(self, log, reason, group="up", t=100.0):
-        log.record(Decision(time_ns=t, controller="c", group=group,
-                            channels=(), old_rate=None, new_rate=None,
-                            reason=reason, changed=False))
+        log.record(time_ns=t, controller="c", group=group, channels=(),
+                   old_rate=None, new_rate=None, reason=reason,
+                   changed=False)
 
     def test_journal_tracks_gating_and_restarts(self):
         log = DecisionLog()
@@ -406,9 +405,9 @@ class TestJournalBound:
     never to unbounded memory on a long-running control plane."""
 
     def record(self, log, group, t):
-        log.record(Decision(time_ns=t, controller="c", group=group,
-                            channels=(), old_rate=None, new_rate=None,
-                            reason=GATED_OFF, changed=False))
+        log.record(time_ns=t, controller="c", group=group, channels=(),
+                   old_rate=None, new_rate=None, reason=GATED_OFF,
+                   changed=False)
 
     def test_cap_evicts_oldest_and_counts(self):
         log = DecisionLog()

@@ -11,26 +11,36 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import copy
+import dataclasses
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.control_faults import (
     ControlFaultScenario,
+    ControllerCrash,
     DecisionDelay,
     DecisionLoss,
+    TelemetryDropout,
 )
+from repro.obs.decisions import DecisionLog
 from repro.power.link_rates import RateLadder
 from repro.service import (
     ActuationTransport,
+    ControlPlaneService,
     EpochTick,
     FabricPlant,
     RateCommand,
     ServiceChaos,
+    ServiceConfig,
     TelemetryRecord,
     TelemetryStream,
     VirtualClock,
 )
+from repro.service.clock import SETTLE_MAX_YIELDS, SETTLE_STABLE_YIELDS
 from repro.workloads.service_traces import DiurnalTraceSource
 
 
@@ -167,6 +177,169 @@ class TestVirtualClock:
 
         with pytest.raises(RuntimeError, match="quiesce"):
             asyncio.run(main())
+
+
+async def _reference_settle(clock):
+    """``VirtualClock._settle`` without exact quiescence: always
+    ``SETTLE_STABLE_YIELDS`` yields in a row without progress."""
+    stable = 0
+    for _ in range(SETTLE_MAX_YIELDS):
+        before = clock.progress
+        await asyncio.sleep(0)
+        stable = stable + 1 if clock.progress == before else 0
+        if stable >= SETTLE_STABLE_YIELDS:
+            return
+    raise RuntimeError("service failed to quiesce")
+
+
+class TestExactQuiescence:
+    """Ending a settle once the event loop has nothing else to run
+    must leave the interleaving exactly as the 4-yield rule has it."""
+
+    def run_service(self, monkeypatch, reference):
+        if reference:
+            monkeypatch.setattr(VirtualClock, "_settle", _reference_settle)
+        wakes = []
+        advance_to = VirtualClock.advance_to
+
+        def recorded(clock, time_ns):
+            wakes.append(time_ns)
+            return advance_to(clock, time_ns)
+        monkeypatch.setattr(VirtualClock, "advance_to", recorded)
+        config = ServiceConfig(groups=8, epochs=240, seed=1)
+        quarter_ns = config.duration_ns / 4
+        scenario = ControlFaultScenario(
+            name="settle", seed=1,
+            dropout=TelemetryDropout(fraction=0.6, probability=0.95,
+                                     start_ns=0.2 * quarter_ns,
+                                     end_ns=2.4 * quarter_ns),
+            loss=DecisionLoss(probability=0.3, start_ns=0.1 * quarter_ns),
+            crashes=(ControllerCrash(time_ns=3.2 * quarter_ns),))
+        log = DecisionLog(max_records=None)
+        summary = ControlPlaneService(config, scenario=scenario,
+                                      decision_log=log).run()
+        monkeypatch.undo()
+        return ([d.to_dict() for d in log.records], list(log.epochs),
+                wakes, summary.digest())
+
+    def test_service_run_matches_the_four_yield_rule(self, monkeypatch):
+        exact = self.run_service(monkeypatch, reference=False)
+        reference = self.run_service(monkeypatch, reference=True)
+        assert exact[0] and exact[2]
+        assert exact == reference
+
+    def spin(self, monkeypatch, reference):
+        if reference:
+            monkeypatch.setattr(VirtualClock, "_settle", _reference_settle)
+
+        async def main():
+            clock = VirtualClock()
+            seen = []
+
+            async def spinner():
+                # Runnable through more than SETTLE_STABLE_YIELDS
+                # yields, none of which notes progress.
+                for _ in range(3 * SETTLE_STABLE_YIELDS):
+                    seen.append(clock.now_ns)
+                    await asyncio.sleep(0)
+
+            async def sleeper():
+                await clock.sleep(10.0)
+                clock.note()
+
+            tasks = [asyncio.ensure_future(spinner()),
+                     asyncio.ensure_future(sleeper())]
+            await clock.drive(20.0)
+            await asyncio.gather(*tasks)
+            return seen
+
+        seen = asyncio.run(main())
+        monkeypatch.undo()
+        return seen
+
+    def test_runnable_coroutine_sees_time_advance_at_the_same_point(
+            self, monkeypatch):
+        exact = self.spin(monkeypatch, reference=False)
+        assert exact == self.spin(monkeypatch, reference=True)
+        # Time moved while the spinner was still runnable.
+        assert exact[0] == 0.0 and exact[-1] == 20.0
+
+    def test_quiet_loop_settles_after_one_idle_yield(self):
+        async def main():
+            clock = VirtualClock()
+            yields = 0
+            real_sleep = asyncio.sleep
+
+            async def counting_sleep(delay):
+                nonlocal yields
+                yields += 1
+                await real_sleep(delay)
+
+            clock._asyncio = type("AsyncioProxy", (), {
+                "sleep": staticmethod(counting_sleep),
+                "get_running_loop": staticmethod(
+                    asyncio.get_running_loop)})
+            await clock._settle()
+            return yields
+
+        assert asyncio.run(main()) == 1
+
+
+class TestTelemetryRecordInitializer:
+    """TelemetryRecord's hand-written initializer must stay the
+    dataclass's."""
+
+    VALUES = dict(seq=7, epoch=3, group="g2", time_ns=1500.0,
+                  demand_gbps=12.5, utilization=0.625,
+                  queue_fraction=0.25, is_off=False)
+
+    def test_signature_is_the_field_list(self):
+        params = list(inspect.signature(
+            TelemetryRecord.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(TelemetryRecord)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, field in zip(params, fields):
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            assert field.default is dataclasses.MISSING
+            assert param.default is param.empty
+        assert list(self.VALUES) == [f.name for f in fields]
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = TelemetryRecord(**self.VALUES)
+        by_position = TelemetryRecord(*self.VALUES.values())
+        assert by_keyword == by_position
+        assert list(vars(by_keyword).items()) == list(self.VALUES.items())
+        with pytest.raises(TypeError):
+            TelemetryRecord(*list(self.VALUES.values())[:-1])
+
+    def test_equality_hash_and_repr(self):
+        a, b = TelemetryRecord(**self.VALUES), TelemetryRecord(**self.VALUES)
+        assert a == b and hash(a) == hash(b)
+        assert dataclasses.replace(a, utilization=0.5) != a
+        assert repr(a) == "TelemetryRecord(" + ", ".join(
+            f"{name}={value!r}" for name, value in self.VALUES.items()
+        ) + ")"
+
+    def test_round_trips(self):
+        r = TelemetryRecord(**self.VALUES)
+        assert dataclasses.asdict(r) == self.VALUES
+        assert dataclasses.replace(r) == r
+        # What the chaos layer's corruption does to a reading.
+        corrupt = dataclasses.replace(r, utilization=1.0, demand_gbps=40.0)
+        assert vars(corrupt) == {**self.VALUES, "utilization": 1.0,
+                                 "demand_gbps": 40.0}
+        for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r),
+                      copy.copy(r)):
+            assert clone == r and clone is not r
+            assert vars(clone) == self.VALUES
+
+    def test_assignment_is_refused(self):
+        r = TelemetryRecord(**self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.utilization = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.group
+        assert r.utilization == 0.625
 
 
 class ScanStream:

@@ -25,7 +25,6 @@ from repro.obs.decisions import (
     SERVICE_RETRY,
     SERVICE_SAFE_FLOOR,
     SERVICE_STALE_HOLD,
-    Decision,
     DecisionLog,
 )
 from repro.service import (
@@ -279,22 +278,21 @@ class TestIntentJournal:
 
 class TestPowerJournal:
     def decision(self, reason, group="a", t=1.0, changed=False):
-        return Decision(time_ns=t, controller="service", group=group,
-                        channels=(), old_rate=None, new_rate=None,
-                        reason=reason, changed=changed)
+        """The tap payload: ``(reason, group, time_ns, changed)``."""
+        return reason, group, t, changed
 
     def test_gate_off_marks_dark_and_wake_clears(self):
         journal = PowerJournal()
-        journal.observe(self.decision(GATED_OFF))
+        journal.observe(*self.decision(GATED_OFF))
         assert journal.dark_groups() == ["a"]
-        journal.observe(self.decision(GATED_WAKE, t=2.0))
+        journal.observe(*self.decision(GATED_WAKE, t=2.0))
         assert journal.dark_groups() == []
 
     def test_any_changed_send_marks_lit(self):
         journal = PowerJournal()
-        journal.observe(self.decision(GATED_OFF))
-        journal.observe(self.decision(BELOW_THRESHOLD, t=2.0,
-                                      changed=True))
+        journal.observe(*self.decision(GATED_OFF))
+        journal.observe(*self.decision(BELOW_THRESHOLD, t=2.0,
+                                       changed=True))
         assert journal.dark_groups() == []
 
 
