@@ -682,7 +682,7 @@ def main(argv=None) -> int:
 
     if args.experiment == "golden-refresh":
         target = args.output or golden.default_golden_dir()
-        for path in golden.refresh(target):
+        for path in golden.refresh(target, jobs=sweep.active_runner().jobs):
             print(f"wrote {path}")
         return 0
 

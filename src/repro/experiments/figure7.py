@@ -17,6 +17,7 @@ from repro.experiments.report import format_table, pct
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
+from repro.sums import left_sum
 
 
 @dataclass
@@ -44,7 +45,7 @@ class Figure7Result:
     def fast_time(self, summary: SimulationSummary,
                   threshold_gbps: float = 10.0) -> float:
         """Aggregate time fraction at speeds >= threshold."""
-        return sum(frac for rate, frac in summary.time_at_rate.items()
+        return left_sum(frac for rate, frac in summary.time_at_rate.items()
                    if rate is not None and rate >= threshold_gbps)
 
     def format_chart(self) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List
 
@@ -135,15 +136,37 @@ def default_golden_dir() -> Path:
     return Path("tests") / "golden"
 
 
-def refresh(directory: Path) -> List[Path]:
-    """Recompute and rewrite every golden file; returns written paths."""
+def _golden_text(name: str) -> str:
+    """One golden file's contents (a picklable worker task)."""
+    return json.dumps(GOLDEN_BUILDERS[name](), sort_keys=True,
+                      indent=1) + "\n"
+
+
+def refresh(directory: Path, jobs: int = 1) -> List[Path]:
+    """Recompute and rewrite every golden file; returns written paths.
+
+    The payloads are independent, so ``jobs > 1`` builds them on a
+    process pool; every builder pins its own serial no-cache runner,
+    so the bytes do not depend on the worker count.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    names = list(GOLDEN_BUILDERS)
+    workers = min(jobs, len(names))
+    if workers > 1:
+        # The campaign payloads, declared last, simulate the most:
+        # submitting them first lets the workers finish together.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {name: pool.submit(_golden_text, name)
+                       for name in reversed(names)}
+            texts = {name: future.result()
+                     for name, future in futures.items()}
+    else:
+        texts = {name: _golden_text(name) for name in names}
     written = []
-    for name, builder in GOLDEN_BUILDERS.items():
+    for name in names:
         path = directory / f"{name}.json"
-        path.write_text(json.dumps(builder(), sort_keys=True, indent=1)
-                        + "\n")
+        path.write_text(texts[name])
         written.append(path)
     return written
 

@@ -143,29 +143,32 @@ class ServiceChaos:
         which report is in flight, corruption mangles it, a dropout
         loses whatever would have arrived.
         """
-        history = self._history.get(record.group)
-        if history is None:
-            history = self._history[record.group] = collections.deque(
-                maxlen=self._depth)
-        history.append(record)
         if self.scenario is None:
             return record
         sc = self.scenario
         now = record.time_ns
         delivered = record
-        if (self._active(sc.stale, now)
-                and self._affected("stale", record.group,
-                                   sc.stale.fraction)):
-            target = record.epoch - sc.stale.epochs
-            chosen = history[0]
-            for entry in history:
-                if entry.epoch <= target:
-                    chosen = entry
-            if chosen.epoch < record.epoch:
-                delivered = chosen
-                self.telemetry_stale += 1
-                self._log(record.group, CONTROL_FAULT_TELEMETRY_STALE,
-                          now)
+        stale = sc.stale
+        if stale is not None:
+            # Only a stale fault reads the history, so only it keeps one.
+            history = self._history.get(record.group)
+            if history is None:
+                history = self._history[record.group] = collections.deque(
+                    maxlen=self._depth)
+            history.append(record)
+            if (self._active(stale, now)
+                    and self._affected("stale", record.group,
+                                       stale.fraction)):
+                target = record.epoch - stale.epochs
+                chosen = history[0]
+                for entry in history:
+                    if entry.epoch <= target:
+                        chosen = entry
+                if chosen.epoch < record.epoch:
+                    delivered = chosen
+                    self.telemetry_stale += 1
+                    self._log(record.group, CONTROL_FAULT_TELEMETRY_STALE,
+                              now)
         if (self._active(sc.corrupt, now)
                 and self._affected("corrupt", record.group,
                                    sc.corrupt.fraction)):

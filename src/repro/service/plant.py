@@ -127,6 +127,7 @@ class FabricPlant:
              demands: Dict[str, float]) -> None:
         """Advance every group one epoch under ``demands`` (Gb/s)."""
         epoch_s = self.epoch_ns / 1e9
+        max_rate = self.ladder.max_rate
         self.epochs_stepped += 1
         for name, g in self.groups.items():
             demand = demands.get(name, 0.0)
@@ -139,7 +140,7 @@ class FabricPlant:
             self.offered_gbs += demand * epoch_s
             self.served_gbs += served * epoch_s
             self.rate_fraction_sum += (
-                0.0 if g.is_off else g.rate_gbps / self.ladder.max_rate)
+                0.0 if g.is_off else g.rate_gbps / max_rate)
             if g.is_off and demand > 1e-9:
                 g.dark_demand_epochs += 1
                 self.stranded_epochs += 1
@@ -161,11 +162,11 @@ class FabricPlant:
             capacity = g.capacity_gbps(now_ns)
             utilization = (min(1.0, g.demand_gbps / capacity)
                            if capacity > 0.0 else 0.0)
+            # Positional (the field order): one record per group per
+            # epoch, and keywords cost half as much again per record.
             out.append(TelemetryRecord(
-                seq=next_seq(), epoch=epoch, group=name, time_ns=now_ns,
-                demand_gbps=g.demand_gbps, utilization=utilization,
-                queue_fraction=g.queue_gbs / self.queue_cap_gbs,
-                is_off=g.is_off))
+                next_seq(), epoch, name, now_ns, g.demand_gbps,
+                utilization, g.queue_gbs / self.queue_cap_gbs, g.is_off))
         return out
 
     # -- accounting --------------------------------------------------------

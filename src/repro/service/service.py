@@ -29,6 +29,7 @@ goldens stay machine-independent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -48,6 +49,7 @@ from repro.service.plant import FabricPlant
 from repro.service.streams import EpochTick, TelemetryStream
 from repro.service.supervisor import PowerJournal, Supervisor
 from repro.service.transport import ActuationTransport
+from repro.sums import left_sum
 from repro.workloads.service_traces import DiurnalTraceSource
 
 if TYPE_CHECKING:
@@ -93,12 +95,14 @@ class ServiceConfig:
     supervised: bool = True
     retries: bool = True
 
-    @property
+    # Derived once per config (the loop reads both every epoch); a
+    # cached_property writes the instance dict, so frozen is no bar.
+    @functools.cached_property
     def group_names(self) -> Tuple[str, ...]:
         """Fleet-ordered control-group names."""
         return tuple(f"g{i}" for i in range(self.groups))
 
-    @property
+    @functools.cached_property
     def ladder(self) -> RateLadder:
         """The legal rate ladder."""
         return RateLadder(self.ladder_rates)
@@ -469,7 +473,7 @@ class ControlPlaneService:
             resumed=self.resumed,
             decisions=state.decisions_made,
             decisions_per_sec=dps,
-            latency_mean_ns=(sum(latencies) / len(latencies)
+            latency_mean_ns=(left_sum(latencies) / len(latencies)
                              if latencies else 0.0),
             latency_p50_ns=_percentile(latencies, 0.50),
             latency_p90_ns=_percentile(latencies, 0.90),

@@ -26,8 +26,13 @@ ingest queue between the load generator and the decision loop:
 
 Ingest costs the same whatever the number of groups: the stream keeps
 a running count of queued data records and holds a per-group queue
-only while that group has records queued, so the shed fallback scans
-at most ``capacity`` groups.
+only while that group has records queued, so at most ``capacity``
+groups are ever candidates.  Picking the fallback victim builds
+nothing per group: one pass finds the deepest queue length, a second
+the least group name at that length.  When every queued group holds
+exactly one record (the running count equals the number of queues,
+as under a fleet-wide burst) all are deepest, so the victim is the
+least name and the length pass is skipped.
 
 Shedding disabled (``capacity=None``) gives the unprotected arm: an
 unbounded queue whose latency grows without bound once the consumer
@@ -182,14 +187,21 @@ class TelemetryStream:
     def _shed_oldest(self, prefer: str) -> None:
         """Evict the oldest record of ``prefer``, else of the
         most-backlogged group (ties by name)."""
+        group_seqs = self._group_seqs
         victim_group = prefer
-        if victim_group not in self._group_seqs:
-            _, victim_group = min((-len(q), name) for name, q in
-                                  self._group_seqs.items())
-        queue = self._group_seqs[victim_group]
+        if victim_group not in group_seqs:
+            if self._backlog == len(group_seqs):
+                # Every queue is one record deep, so every group ties
+                # for deepest and the least name decides.
+                victim_group = min(group_seqs)
+            else:
+                deepest = max(map(len, group_seqs.values()))
+                victim_group = min(name for name, q in group_seqs.items()
+                                   if len(q) == deepest)
+        queue = group_seqs[victim_group]
         seq = queue.popleft()
         if not queue:
-            del self._group_seqs[victim_group]
+            del group_seqs[victim_group]
         self._backlog -= 1
         record = self._items.pop(seq)
         self.shed += 1

@@ -55,8 +55,9 @@ class PowerJournal:
     """
 
     #: Reasons that mark a group dark / lit when they carry a send.
-    _OFF_REASONS = (GATED_OFF,)
-    _ON_REASONS = (GATED_WAKE, SERVICE_SAFE_FLOOR, SERVICE_RECOVERED)
+    _OFF_REASONS = frozenset({GATED_OFF})
+    _ON_REASONS = frozenset({GATED_WAKE, SERVICE_SAFE_FLOOR,
+                             SERVICE_RECOVERED})
 
     def __init__(self):
         #: group -> ("off" | "on", time_ns of the deciding record).

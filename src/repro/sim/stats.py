@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.power.channel_models import ChannelPowerModel
+from repro.sums import left_sum
 
 
 @dataclass
@@ -76,7 +77,7 @@ class ChannelStats:
 
     def total_time_ns(self) -> float:
         """Total accounted time across all rates."""
-        return sum(self.time_at_rate.values())
+        return left_sum(self.time_at_rate.values())
 
     def energy(self, model: ChannelPowerModel, off_power: float = 0.0) -> float:
         """Normalized-power x time integral (units: ns at normalized W).
@@ -238,7 +239,7 @@ class NetworkStats:
         chans = self.channels if channels is None else list(channels)
         if not chans:
             return 0.0
-        return sum(c.busy_ns for c in chans) / (len(chans) * self.duration_ns)
+        return left_sum(c.busy_ns for c in chans) / (len(chans) * self.duration_ns)
 
     def power_fraction(
         self,
@@ -255,7 +256,7 @@ class NetworkStats:
         chans = self.channels if channels is None else list(channels)
         if not chans:
             return 0.0
-        energy = sum(c.energy(model, off_power=off_power) for c in chans)
+        energy = left_sum(c.energy(model, off_power=off_power) for c in chans)
         baseline = len(chans) * self.duration_ns
         return energy / baseline
 

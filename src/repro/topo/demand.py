@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.sums import left_sum
+
 GroupPair = Tuple[int, int]
 
 
@@ -147,13 +149,13 @@ class DemandMatrixEstimator:
     def row_sum(self, src: int) -> float:
         """Raw outgoing demand of one group over the latest epoch."""
         self._check_pair((src, src))
-        return sum(gbps for (s, _), gbps in self._last_observed.items()
+        return left_sum(gbps for (s, _), gbps in self._last_observed.items()
                    if s == src)
 
     def col_sum(self, dst: int) -> float:
         """Raw incoming demand of one group over the latest epoch."""
         self._check_pair((dst, dst))
-        return sum(gbps for (_, d), gbps in self._last_observed.items()
+        return left_sum(gbps for (_, d), gbps in self._last_observed.items()
                    if d == dst)
 
     def matrix(self) -> List[List[float]]:

@@ -29,6 +29,7 @@ import math
 import random
 from typing import Iterator, List
 
+from repro.sums import left_sum
 from repro.units import gbps_to_bytes_per_ns
 from repro.workloads.base import TraceEvent, merge_event_streams
 
@@ -98,7 +99,7 @@ class SkewedMatrixWorkload:
         ranks = self._switch_ranks()
         weights = [1.0 / (ranks[s] + 1) ** self.zipf_s
                    for s in range(self.num_switches)]
-        total = sum(weights)
+        total = left_sum(weights)
         return [w / total for w in weights]
 
     def _switch_ranks(self) -> List[int]:

@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Sequence
 
+from repro.sums import left_sum
 from repro.units import US, gbps_to_bytes_per_ns
 from repro.workloads.base import TraceEvent, merge_event_streams
 
@@ -331,7 +332,7 @@ class BurstyTraceWorkload:
     @staticmethod
     def _zipf_cdf(n: int, skew: float) -> Sequence[float]:
         weights = [1.0 / (rank ** skew) for rank in range(1, n + 1)]
-        total = sum(weights)
+        total = left_sum(weights)
         cdf = []
         acc = 0.0
         for w in weights:

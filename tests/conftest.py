@@ -58,7 +58,8 @@ def golden_refresh(tmp_path_factory) -> GoldenRefresh:
     """Every golden payload, built once per session by the CLI.
 
     Building the eight payloads is most of the suite's run time, so the
-    CLI test and the golden-value tests share this one no-cache run.
+    CLI test and the golden-value tests share this one no-cache run,
+    which builds them on two worker processes.
     """
     directory = tmp_path_factory.mktemp("golden")
     stdout = io.StringIO()
@@ -67,7 +68,7 @@ def golden_refresh(tmp_path_factory) -> GoldenRefresh:
     try:
         with contextlib.redirect_stdout(stdout):
             status = main(["golden-refresh", "--output", str(directory),
-                           "--no-cache"])
+                           "--no-cache", "--jobs", "2"])
     finally:
         sweep._default_runner = saved
     return GoldenRefresh(status, directory, stdout.getvalue())

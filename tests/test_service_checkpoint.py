@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,11 @@ from repro.service import (
     ServiceConfig,
     fresh_state,
 )
-from repro.service.checkpoint import decode_checkpoint, encode_checkpoint
+from repro.service.checkpoint import (
+    CheckpointEncoder,
+    decode_checkpoint,
+    encode_checkpoint,
+)
 
 # -- hypothesis strategies -------------------------------------------------
 
@@ -203,3 +209,123 @@ class TestCrashRecovery:
     def test_fresh_state_round_trips(self):
         state = fresh_state(("a", "b"), 40.0)
         assert DecisionState.from_dict(state.to_dict()) == state
+
+
+# -- fragment reuse --------------------------------------------------------
+
+#: Values that compare one way and encode another (0.0 == -0.0,
+#: 1 == 1.0 == True, NaN != NaN), None, and a string.
+LOOK_ALIKES = (0.0, -0.0, 0, False, 1, 1.0, True, float("nan"),
+               float("inf"), 2.5, None, "0")
+FIELDS = ("believed_rate", "fresh_demand", "gated", "idle_epochs")
+GROUP_NAMES = ("a", "b", "c", "d")
+
+#: One step on a live checkpoint payload: set a field to a look-alike
+#: (the same object each time) or to an equal but distinct copy of
+#: one, drop a group, give it a fresh dict with the same values, grow
+#: a list it holds in place, add or remove a key, churn the journal,
+#: or save.
+CHECKPOINT_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["set", "copy_value"]),
+              st.sampled_from(GROUP_NAMES), st.sampled_from(FIELDS),
+              st.integers(0, len(LOOK_ALIKES) - 1)),
+    st.tuples(st.sampled_from(["drop", "new_dict", "grow_list",
+                               "add_key", "del_key", "journal",
+                               "unjournal"]),
+              st.sampled_from(GROUP_NAMES)),
+    st.just(("save",)))
+
+
+def _distinct_copy(value):
+    """An equal float that is not the same object (other values as is)."""
+    if type(value) is float:
+        return float(repr(value))
+    return value
+
+
+def _canonical(payload):
+    return json.dumps({"schema": CHECKPOINT_SCHEMA_VERSION,
+                       "state": payload}, sort_keys=True).encode("utf-8")
+
+
+class TestFragmentReuse:
+    """The stores reuse unchanged group fragments; every stored byte
+    string must still be exactly the canonical encoding."""
+
+    @given(steps=st.lists(CHECKPOINT_STEPS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_every_save_stores_the_canonical_bytes(self, steps):
+        groups = {}
+        journal = {}
+        memory = MemoryCheckpointStore()
+        with tempfile.TemporaryDirectory() as tmp:
+            disk = FileCheckpointStore(Path(tmp) / "svc.json")
+            for n, (op, *args) in enumerate(steps + [("save",)]):
+                if op == "save":
+                    payload = {"epoch": n, "time_ns": n * 1e10,
+                               "controller": {"acks": n, "groups": groups,
+                                             "journal": dict(journal)}}
+                    expected = _canonical(payload)
+                    assert expected == encode_checkpoint(payload)
+                    for store in (memory, disk):
+                        store.save(payload)
+                        raw = (store._raw if store is memory
+                               else disk.path.read_bytes())
+                        assert raw == expected
+                        assert encode_checkpoint(store.load()) == raw
+                    continue
+                name = args[0]
+                group = groups.setdefault(
+                    name, {field: 0.0 for field in FIELDS})
+                if op == "set":
+                    group[args[1]] = LOOK_ALIKES[args[2]]
+                elif op == "copy_value":
+                    group[args[1]] = _distinct_copy(LOOK_ALIKES[args[2]])
+                elif op == "drop":
+                    del groups[name]
+                elif op == "new_dict":
+                    groups[name] = dict(group)
+                elif op == "grow_list":
+                    group.setdefault("history", []).append(len(steps))
+                elif op == "add_key":
+                    group["extra"] = 1.5
+                elif op == "del_key":
+                    group.pop("extra", None)
+                elif op == "journal":
+                    journal[name] = {"seq": n, "rate_gbps": 2.5}
+                else:
+                    journal.pop(name, None)
+
+    def test_look_alike_values_re_encode(self):
+        encoder = CheckpointEncoder()
+        group = {"rate": 0.0}
+        payload = {"controller": {"groups": {"g": group}}}
+        for value in (0.0, -0.0, 0, False, 1, 1.0, True, float("nan"),
+                      float("nan"), 0.0):
+            group["rate"] = value
+            assert encoder.encode(payload) == _canonical(payload)
+
+    def test_payloads_off_the_groups_path_encode_whole(self):
+        encoder = CheckpointEncoder()
+        for payload in ({"epoch": 7, "x": [1.5, "a"]},
+                        {"controller": 5},
+                        {"controller": {"groups": {}}},
+                        {"controller": {"groups": {1: {"a": 1}}}},
+                        {"controller": {"groups": {"g": [1, {"a": 2}]}}},
+                        # A value that encodes like the splice marker,
+                        # sorted ahead of the groups it stands for.
+                        {"controller": {"acks": "\x00checkpoint groups\x00",
+                                        "groups": {"g": {"a": 1}}}}):
+            assert encoder.encode(payload) == _canonical(payload)
+
+    def test_service_run_saves_the_canonical_bytes(self):
+        class CheckedStore(MemoryCheckpointStore):
+            def save(self, state):
+                super().save(state)
+                assert self._raw == _canonical(state)
+
+        store = CheckedStore()
+        service = ControlPlaneService(
+            dataclasses.replace(SMALL, groups=12), checkpoint_store=store)
+        service.run()
+        assert store.saves == service.checkpoints > 0

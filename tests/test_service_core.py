@@ -416,6 +416,16 @@ STREAM_STEPS = st.tuples(
     st.integers(min_value=0, max_value=7))
 
 
+#: Burst steps: ``count`` records for one group (its queue deepens, so
+#: sheds take the mixed-backlog path), one record for each of the
+#: first ``count`` groups (every queue holds one: the all-singleton
+#: path), a tick, or ``count`` gets.
+BURST_STEPS = st.tuples(
+    st.sampled_from(["burst", "fleet", "fleet", "tick", "get"]),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=1, max_value=6))
+
+
 class TestTelemetryStream:
     def make(self, capacity=3, **kwargs):
         return TelemetryStream(VirtualClock(), capacity=capacity,
@@ -530,6 +540,57 @@ class TestTelemetryStream:
         assert stream.backpressure is ref.backpressure
         assert stream.backpressure_raises == ref.backpressure_raises
         assert stream.shed == len(ref.shed)
+        assert stream.shed_by_group == ref.shed_by_group
+
+    def test_all_singleton_backlog_sheds_the_least_name(self):
+        shed = []
+        stream = self.make(capacity=3, on_shed=shed.append)
+        for seq, group in enumerate(["c", "a", "b", "d", "e"]):
+            stream.offer(record(seq, group))
+        # d sheds a (the least of a, b, c); e then sheds b.
+        assert [r.group for r in shed] == ["a", "b"]
+        assert stream.shed_by_group == {"a": 1, "b": 1}
+
+    def test_mixed_backlog_sheds_the_deepest_group_first(self):
+        shed = []
+        stream = self.make(capacity=4, on_shed=shed.append)
+        for seq, group in enumerate(["b", "c", "c", "a", "d", "e", "f"]):
+            stream.offer(record(seq, group, epoch=seq))
+        # d sheds c's oldest (c is deepest); e and f then find every
+        # queue at one record and shed a, then b.
+        assert [(r.group, r.seq) for r in shed] \
+            == [("c", 1), ("a", 3), ("b", 0)]
+
+    @given(groups=st.integers(min_value=1, max_value=8),
+           capacity=st.sampled_from([1, 2, 3, 5, 10]),
+           steps=st.lists(BURST_STEPS, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_bursts_shed_like_the_scan_reference(self, groups, capacity,
+                                                 steps):
+        shed = []
+        stream = self.make(capacity=capacity, on_shed=shed.append)
+        ref = ScanStream(capacity, stream.high_watermark,
+                         stream.low_watermark)
+        seq = 0
+        for op, n, count in steps:
+            if op == "get":
+                for _ in range(min(count, len(ref.items))):
+                    assert get_queued(stream) == ref.get()
+                continue
+            if op == "tick":
+                items = [EpochTick(seq=seq, epoch=seq, time_ns=0.0)]
+            elif op == "burst":
+                items = [record(seq + i, f"g{n % groups}", epoch=seq + i)
+                         for i in range(count)]
+            else:
+                items = [record(seq + i, f"g{(n + i) % groups}",
+                                epoch=seq)
+                         for i in range(count)]
+            for item in items:
+                assert stream.offer(item) is ref.offer(item)
+            seq += len(items)
+            assert shed == ref.shed
+            assert stream.data_backlog() == ref.data_backlog()
         assert stream.shed_by_group == ref.shed_by_group
 
 
