@@ -32,30 +32,38 @@ DSL:
   cold_restart`): every in-memory accumulator — gating bookkeeping,
   sensor smoothing — is gone.
 
-Injection is a **group proxy** (:class:`ChaosGroup`): the chaos layer
-replaces every entry of ``controller.groups`` with a wrapper that
-intercepts the telemetry reads (``utilization_since_last`` /
+One injector applies a scenario, whoever drives it:
+:class:`ControlFaultInjector` decides every fault and keeps the
+counters and the audit, without IO.  Two drivers inherit it and add
+only their seams.  In the simulator, :class:`ControlPlaneChaos`
+injects through a **group proxy** (:class:`ChaosGroup`): it replaces
+every entry of ``controller.groups`` with a wrapper that intercepts
+the telemetry reads (``utilization_since_last`` /
 ``max_queue_fraction`` / ``credit_stalls_since_last``) and the
 actuation (``set_rate``) and delegates everything else.  This works
 for *any* registry-routed controller — reactive, predictive,
 fault-aware — because the group API is the single seam every
-controller already goes through.
+controller already goes through.  The live service's driver is
+:class:`repro.service.faults.ServiceChaos`, on its record and command
+streams.
 
 Determinism: every stochastic choice is a **stateless hashed draw** —
-``keyed_draw(f"ctl:{seed}:{kind}:{group}:{epoch}")``, the first value
-of a ``random.Random`` seeded with that key (:mod:`repro.keyed`) — so
-the fault process is independent of ``PYTHONHASHSEED``, of query
-order, and identical between a protected and an unprotected arm of the
-same campaign (CPython seeds string arguments through SHA-512, not
-``hash()``).
+``keyed_draw(f"ctl:{seed}:{kind}:{group}:{epoch}")`` (``svc:`` in the
+service), the first value of a ``random.Random`` seeded with that key
+(:mod:`repro.keyed`) — so the fault process is independent of
+``PYTHONHASHSEED``, of query order, and identical between a protected
+and an unprotected arm of the same campaign (CPython seeds string
+arguments through SHA-512, not ``hash()``).
 
 Everything the injector does is auditable: each induced loss, stale
 delivery, corruption, dropped/delayed actuation, crash and restart is
 recorded in the :class:`~repro.obs.decisions.DecisionLog` under the
 ``control_fault_*`` reasons with ``changed=False`` (the transition
 audit — ``transition_counts`` summing to ``reconfigurations`` — is
-untouched), and aggregated in :meth:`ControlPlaneChaos.digest` for the
-run summary's ``control_plane`` field.
+untouched), and aggregated in :meth:`ControlFaultInjector.digest` for
+the run summary's ``control_plane`` field.  A reading that several
+telemetry faults hit has one outcome, the last stage's: a stale report
+that is then lost counts as lost only.
 """
 
 from __future__ import annotations
@@ -182,10 +190,229 @@ class ControlFaultScenario:
 
 
 # ---------------------------------------------------------------------------
-# The group proxy
+# The injector: one fault model, two drivers
 # ---------------------------------------------------------------------------
 
-class ChaosGroup:
+class TelemetryFeed:
+    """One group's telemetry as the injector tracks it.
+
+    Attributes:
+        name: The group's name (the key of its draws and audit records).
+        lost_streak: Consecutive lost readings.
+        history: ``(epoch, reading)`` of the latest readings, filled
+            only when the scenario has a stale fault (nothing else
+            reads it).
+    """
+
+    def __init__(self, name: str, depth: int):
+        self.name = name
+        self.lost_streak = 0
+        self.history: Deque[Tuple[int, object]] = collections.deque(
+            maxlen=depth)
+
+
+class ControlFaultInjector:
+    """Applies a :class:`ControlFaultScenario` to readings and
+    commands, without IO.
+
+    Decides every fault — which groups a fault selects, whether it
+    fires, which stale report is in flight, what a command's fate is —
+    and keeps the counters, the lost streaks and the audit.  A driver
+    subclass supplies the seams: what a reading is (:meth:`_corrupt`,
+    :attr:`lost_reading`), what the audit knows of a group
+    (:meth:`_audit`), and what a lost or delayed command does.
+    Draws are keyed ``f"{prefix}:{seed}:{kind}:{group}:{n}"`` and
+    selections ``f"{prefix}sel:{seed}:{kind}:{group}"``.
+    """
+
+    #: Key prefix of the driver's draws (set by each driver).
+    prefix: str
+    #: What a lost reading reads as (set by each driver).
+    lost_reading: object
+
+    def __init__(self, scenario: Optional[ControlFaultScenario],
+                 decision_log: Optional[DecisionLog], epoch_ns: float):
+        self.scenario = scenario
+        self.decision_log = decision_log
+        self.epoch_ns = epoch_ns
+        self.telemetry_lost = 0
+        self.telemetry_stale = 0
+        self.telemetry_corrupt = 0
+        self.actuations_lost = 0
+        self.actuations_delayed = 0
+        self.crashes = 0
+        self.restarts = 0
+        self.max_lost_streak = 0
+        #: (kind, group) -> the per-run selection draw; see _affected.
+        self._selection: Dict[Tuple[str, str], float] = {}
+        depth = 4
+        if scenario is not None and scenario.stale is not None:
+            depth = max(depth, scenario.stale.epochs + 2)
+        #: Readings a feed keeps for the stale pick.
+        self.history_depth = depth
+
+    # -- determinism primitives ------------------------------------------
+
+    def _affected(self, kind: str, group: str, fraction: float) -> bool:
+        """Stable per-run group selection for one fault kind.
+
+        The selection draw depends only on (seed, kind, group), so it
+        is made once per run and remembered.
+        """
+        if fraction >= 1.0:
+            return True
+        if fraction <= 0.0:
+            return False
+        key = (kind, group)
+        draw = self._selection.get(key)
+        if draw is None:
+            draw = keyed_draw(
+                f"{self.prefix}sel:{self.scenario.seed}:{kind}:{group}")
+            self._selection[key] = draw
+        return draw < fraction
+
+    def _draw(self, kind: str, group: str, n: int) -> float:
+        """Stateless per-(kind, group, n) uniform draw."""
+        return keyed_draw(
+            f"{self.prefix}:{self.scenario.seed}:{kind}:{group}:{n}")
+
+    @staticmethod
+    def _active(fault, now: float) -> bool:
+        """Whether ``fault`` (``None``: no fault) is in its window."""
+        if fault is None or now < fault.start_ns:
+            return False
+        return fault.end_ns is None or now < fault.end_ns
+
+    # -- telemetry pipeline ----------------------------------------------
+
+    def _telemetry(self, feed: TelemetryFeed, epoch: int, now: float,
+                   reading) -> Tuple[object, str, int]:
+        """One reading through the faulty pipeline.
+
+        Returns ``(reading, status, age)``.  Status is ``ok``,
+        ``stale``, ``corrupt`` or ``lost``: one outcome per reading,
+        the last stage that fires, which is what gets counted and
+        audited.  Order matters: staleness picks which report is in
+        flight, corruption mangles it, and a dropout loses whatever
+        would have arrived.  ``age`` is the delivered report's age in
+        epochs, or the lost streak when the reading is lost.
+        """
+        sc = self.scenario
+        name = feed.name
+        status, age = "ok", 0
+        stale = sc.stale
+        if stale is not None:
+            history = feed.history
+            history.append((epoch, reading))
+            if (self._active(stale, now)
+                    and self._affected("stale", name, stale.fraction)):
+                target = epoch - stale.epochs
+                chosen = history[0]
+                for entry in history:
+                    if entry[0] <= target:
+                        chosen = entry
+                if chosen[0] < epoch:
+                    reading = chosen[1]
+                    status, age = "stale", epoch - chosen[0]
+        corrupt = sc.corrupt
+        if (self._active(corrupt, now)
+                and self._affected("corrupt", name, corrupt.fraction)):
+            reading = self._corrupt(reading, corrupt)
+            status = "corrupt"
+        dropout = sc.dropout
+        if (self._active(dropout, now)
+                and self._affected("dropout", name, dropout.fraction)
+                and self._draw("dropout", name, epoch)
+                < dropout.probability):
+            feed.lost_streak += 1
+            self.telemetry_lost += 1
+            self.max_lost_streak = max(self.max_lost_streak,
+                                       feed.lost_streak)
+            self._audit(now, feed, CONTROL_FAULT_TELEMETRY_LOST)
+            return self.lost_reading, "lost", feed.lost_streak
+        feed.lost_streak = 0
+        if status == "stale":
+            self.telemetry_stale += 1
+            self._audit(now, feed, CONTROL_FAULT_TELEMETRY_STALE)
+        elif status == "corrupt":
+            self.telemetry_corrupt += 1
+            self._audit(now, feed, CONTROL_FAULT_TELEMETRY_CORRUPT)
+        return reading, status, age
+
+    def _corrupt(self, reading, fault: CorruptReading):
+        """``reading`` as ``fault`` mangles it."""
+        raise NotImplementedError
+
+    # -- actuation pipeline ----------------------------------------------
+
+    def _actuation_fate(self, feed: TelemetryFeed, n: int, now: float,
+                        new_rate: Optional[float] = None
+                        ) -> Tuple[str, float]:
+        """``(fate, late_ns)`` of one command to ``feed``'s group:
+        ``ok``, ``lost`` or ``delayed`` (a loss outranks a delay), and
+        how late a delayed one lands.  ``n`` indexes the draws."""
+        sc = self.scenario
+        name = feed.name
+        loss = sc.loss
+        if (self._active(loss, now)
+                and self._affected("loss", name, loss.fraction)
+                and self._draw("loss", name, n) < loss.probability):
+            self.actuations_lost += 1
+            self._audit(now, feed, CONTROL_FAULT_ACTUATION_LOST, new_rate)
+            return "lost", 0.0
+        delay = sc.delay
+        if (self._active(delay, now)
+                and self._affected("delay", name, delay.fraction)
+                and self._draw("delay", name, n) < delay.probability):
+            self.actuations_delayed += 1
+            self._audit(now, feed, CONTROL_FAULT_ACTUATION_DELAYED,
+                        new_rate)
+            return "delayed", delay.epochs * self.epoch_ns
+        return "ok", 0.0
+
+    # -- controller lifetime ---------------------------------------------
+
+    def note_crash(self, now: float) -> None:
+        """Count and audit one controller crash."""
+        self.crashes += 1
+        self._audit(now, None, CONTROL_FAULT_CRASH)
+
+    def note_restart(self, now: float) -> None:
+        """Count and audit one cold restart."""
+        self.restarts += 1
+        self._audit(now, None, CONTROL_FAULT_RESTART)
+
+    # -- audit ------------------------------------------------------------
+
+    def _audit(self, now: float, feed: Optional[TelemetryFeed],
+               reason: str, new_rate: Optional[float] = None) -> None:
+        """Record one injection (``feed=None``: the controller itself;
+        ``new_rate``: a command's rate).  This base records the group's
+        name only."""
+        if self.decision_log is not None:
+            name = CONTROLLER_GROUP if feed is None else feed.name
+            self.decision_log.record(now, "chaos", name, (), None, None,
+                                     reason, False)
+
+    def digest(self) -> Dict[str, object]:
+        """JSON-safe injection accounting for the run summary."""
+        return {
+            "telemetry_lost": self.telemetry_lost,
+            "telemetry_stale": self.telemetry_stale,
+            "telemetry_corrupt": self.telemetry_corrupt,
+            "actuations_lost": self.actuations_lost,
+            "actuations_delayed": self.actuations_delayed,
+            "crashes": self.crashes,
+            "restarts": self.restarts,
+            "max_lost_streak": self.max_lost_streak,
+        }
+
+
+# ---------------------------------------------------------------------------
+# The simulator driver: a group proxy
+# ---------------------------------------------------------------------------
+
+class ChaosGroup(TelemetryFeed):
     """A :class:`~repro.core.grouping.ChannelGroup` seen through a
     faulty control plane.
 
@@ -203,22 +430,16 @@ class ChaosGroup:
     """
 
     def __init__(self, group, chaos: "ControlPlaneChaos"):
+        super().__init__(group.name, chaos.history_depth)
         self._group = group
         self._chaos = chaos
         self._sim = chaos.sim
-        self.name = group.name
         self.channels = group.channels
         self.channel_names = tuple(ch.name for ch in self.channels)
         self.delivered_ok = True
-        self.lost_streak = 0
         self.staleness_epochs = 0
         self._sampled_at: Optional[float] = None
         self._delivered: Tuple[float, float, int] = (0.0, 0.0, 0)
-        depth = 4
-        if chaos.scenario.stale is not None:
-            depth = max(depth, chaos.scenario.stale.epochs + 2)
-        self._history: Deque[Tuple[int, Tuple[float, float, int]]] = (
-            collections.deque(maxlen=depth))
 
     # -- delegation ------------------------------------------------------
 
@@ -252,25 +473,13 @@ class ChaosGroup:
         chaos = self._chaos
         now = self._sim.now
         self._sampled_at = now
-        epoch = chaos.epoch_index(now)
         group = self._group
         true = (group.utilization_since_last(epoch_ns),
                 group.max_queue_fraction(),
                 group.credit_stalls_since_last())
-        self._history.append((epoch, true))
-        reading, status, age = chaos.deliver(
-            self.name, epoch, now, true, self._history)
-        self._delivered = reading
-        if status == "lost":
-            self.lost_streak += 1
-            self.staleness_epochs = self.lost_streak
-            self.delivered_ok = False
-        else:
-            self.lost_streak = 0
-            self.staleness_epochs = age
-            self.delivered_ok = True
-        if status != "ok":
-            chaos.note_telemetry(self, status, now)
+        self._delivered, status, self.staleness_epochs = chaos._telemetry(
+            self, chaos.epoch_index(now), now, true)
+        self.delivered_ok = status != "lost"
 
     def utilization_since_last(self, epoch_ns: float) -> float:
         """The busy fraction *as delivered* by the faulty pipeline."""
@@ -314,11 +523,7 @@ def _would_change(group, rate_gbps: float) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# The injector
-# ---------------------------------------------------------------------------
-
-class ControlPlaneChaos:
+class ControlPlaneChaos(ControlFaultInjector):
     """Applies a :class:`ControlFaultScenario` to a live controller.
 
     Construction wraps every entry of ``controller.groups`` in a
@@ -326,161 +531,66 @@ class ControlPlaneChaos:
     events.  Must run *before* a failsafe guard wraps the same groups
     (the guard sits outside the chaos layer, like a switch-local
     watchdog observing the same lossy channel the controller does).
+    A reading is a ``(utilization, queue_fraction, credit_stalls)``
+    tuple; draws are indexed by the epoch.
     """
+
+    prefix = "ctl"
+    #: A lost report reads as idleness.
+    lost_reading = (0.0, 0.0, 0)
 
     def __init__(self, controller, scenario: ControlFaultScenario,
                  decision_log: Optional[DecisionLog] = None):
+        super().__init__(scenario, decision_log,
+                         controller.config.effective_epoch_ns)
         self.controller = controller
         self.network = controller.network
         self.sim = self.network.sim
-        self.epoch_ns = controller.config.effective_epoch_ns
-        self.scenario = scenario
-        self.decision_log = decision_log
-        self.telemetry_lost = 0
-        self.telemetry_stale = 0
-        self.telemetry_corrupt = 0
-        self.actuations_lost = 0
-        self.actuations_delayed = 0
-        self.crashes = 0
-        self.restarts = 0
-        self.max_lost_streak = 0
-        #: (kind, group) -> the per-run selection draw; see _affected.
-        self._selection: Dict[Tuple[str, str], float] = {}
         controller.groups = [ChaosGroup(group, self)
                              for group in controller.groups]
         for crash in scenario.crashes:
             self.sim.schedule_at(crash.time_ns, self._crash, crash,
                                  daemon=True)
 
-    # -- determinism primitives ------------------------------------------
-
     def epoch_index(self, now: float) -> int:
         """The epoch ordinal at ``now`` (decisions land on multiples of
         the epoch, so rounding is exact up to float noise)."""
         return int(round(now / self.epoch_ns))
 
-    def _affected(self, kind: str, group: str, fraction: float) -> bool:
-        """Stable per-run group selection for one fault kind.
-
-        The selection draw depends only on (seed, kind, group), so it
-        is made once per run and remembered.
-        """
-        if fraction >= 1.0:
-            return True
-        if fraction <= 0.0:
-            return False
-        key = (kind, group)
-        draw = self._selection.get(key)
-        if draw is None:
-            draw = keyed_draw(f"ctlsel:{self.scenario.seed}:{kind}:{group}")
-            self._selection[key] = draw
-        return draw < fraction
-
-    def _draw(self, kind: str, group: str, epoch: int) -> float:
-        """Stateless per-(kind, group, epoch) uniform draw."""
-        return keyed_draw(f"ctl:{self.scenario.seed}:{kind}:{group}:{epoch}")
-
     @staticmethod
-    def _active(fault, now: float) -> bool:
-        if now < fault.start_ns:
-            return False
-        return fault.end_ns is None or now < fault.end_ns
+    def _corrupt(reading, fault: CorruptReading):
+        if fault.kind == "stuck":
+            return (fault.value, fault.value, 0)
+        return (reading[0] * fault.factor, reading[1] * fault.factor,
+                reading[2])
 
-    # -- telemetry pipeline ----------------------------------------------
+    def _audit(self, now: float, cgroup: Optional[ChaosGroup],
+               reason: str, new_rate: Optional[float] = None) -> None:
+        """Telemetry records carry the group's channels and its
+        unchanged rate; command records the commanded one."""
+        if cgroup is None:
+            super()._audit(now, None, reason)
+        elif self.decision_log is not None:
+            rate = cgroup.raw.current_rate
+            self.decision_log.record(
+                now, "chaos", cgroup.name, cgroup.channel_names, rate,
+                rate if new_rate is None else new_rate, reason, False)
 
-    def deliver(self, group: str, epoch: int, now: float,
-                true: Tuple[float, float, int],
-                history) -> Tuple[Tuple[float, float, int], str, int]:
-        """One reading through the faulty pipeline.
-
-        Returns ``(reading, status, age_epochs)`` where status is one
-        of ``ok | stale | corrupt | lost``.  Order matters: staleness
-        picks which report is in flight, corruption mangles it, and a
-        dropout loses whatever would have arrived.
-        """
-        sc = self.scenario
-        reading, status, age = true, "ok", 0
-        if (sc.stale is not None and self._active(sc.stale, now)
-                and self._affected("stale", group, sc.stale.fraction)):
-            target = epoch - sc.stale.epochs
-            chosen = history[0]
-            for entry in history:
-                if entry[0] <= target:
-                    chosen = entry
-            if chosen[0] < epoch:
-                reading = chosen[1]
-                status = "stale"
-                age = epoch - chosen[0]
-        if (sc.corrupt is not None and self._active(sc.corrupt, now)
-                and self._affected("corrupt", group, sc.corrupt.fraction)):
-            c = sc.corrupt
-            if c.kind == "stuck":
-                reading = (c.value, c.value, 0)
-            else:
-                reading = (reading[0] * c.factor, reading[1] * c.factor,
-                           reading[2])
-            status = "corrupt"
-        if (sc.dropout is not None and self._active(sc.dropout, now)
-                and self._affected("dropout", group, sc.dropout.fraction)
-                and self._draw("dropout", group, epoch)
-                < sc.dropout.probability):
-            reading = (0.0, 0.0, 0)
-            status = "lost"
-        return reading, status, age
-
-    def note_telemetry(self, cgroup: ChaosGroup, status: str,
-                       now: float) -> None:
-        """Count and audit one delivery outcome (``ok`` is silent)."""
-        if status == "ok":
-            return
-        if status == "lost":
-            self.telemetry_lost += 1
-            self.max_lost_streak = max(self.max_lost_streak,
-                                       cgroup.lost_streak)
-            reason = CONTROL_FAULT_TELEMETRY_LOST
-        elif status == "stale":
-            self.telemetry_stale += 1
-            reason = CONTROL_FAULT_TELEMETRY_STALE
-        else:
-            self.telemetry_corrupt += 1
-            reason = CONTROL_FAULT_TELEMETRY_CORRUPT
-        rate = cgroup.raw.current_rate
-        self._log(cgroup.name, cgroup.channel_names, reason,
-                  old_rate=rate, new_rate=rate)
-
-    # -- actuation pipeline ----------------------------------------------
+    # -- actuation -------------------------------------------------------
 
     def actuate(self, cgroup: ChaosGroup, rate_gbps: float,
                 reactivation_ns: float) -> bool:
         """One rate command through the faulty pipeline."""
-        sc = self.scenario
         now = self.sim.now
-        epoch = self.epoch_index(now)
+        fate, late_ns = self._actuation_fate(
+            cgroup, self.epoch_index(now), now, rate_gbps)
         group = cgroup.raw
-        name = cgroup.name
-        if (sc.loss is not None and self._active(sc.loss, now)
-                and self._affected("loss", name, sc.loss.fraction)
-                and self._draw("loss", name, epoch) < sc.loss.probability):
-            claimed = _would_change(group, rate_gbps)
-            self.actuations_lost += 1
-            self._log(name, cgroup.channel_names,
-                      CONTROL_FAULT_ACTUATION_LOST,
-                      old_rate=group.current_rate, new_rate=rate_gbps)
-            return claimed
-        if (sc.delay is not None and self._active(sc.delay, now)
-                and self._affected("delay", name, sc.delay.fraction)
-                and self._draw("delay", name, epoch)
-                < sc.delay.probability):
-            claimed = _would_change(group, rate_gbps)
-            self.actuations_delayed += 1
-            self.sim.schedule(sc.delay.epochs * self.epoch_ns,
-                              self._apply_late, group, rate_gbps,
+        if fate == "ok":
+            return group.set_rate(rate_gbps, reactivation_ns)
+        if fate == "delayed":
+            self.sim.schedule(late_ns, self._apply_late, group, rate_gbps,
                               reactivation_ns, daemon=True)
-            self._log(name, cgroup.channel_names,
-                      CONTROL_FAULT_ACTUATION_DELAYED,
-                      old_rate=group.current_rate, new_rate=rate_gbps)
-            return claimed
-        return group.set_rate(rate_gbps, reactivation_ns)
+        return _would_change(group, rate_gbps)
 
     def _apply_late(self, group, rate_gbps: float,
                     reactivation_ns: float) -> None:
@@ -494,42 +604,14 @@ class ControlPlaneChaos:
         if controller._stopped:
             return
         controller.stop()
-        self.crashes += 1
-        self._log(CONTROLLER_GROUP, (), CONTROL_FAULT_CRASH,
-                  old_rate=None, new_rate=None)
+        self.note_crash(self.sim.now)
         if crash.restart_after_epochs is not None:
             self.sim.schedule(crash.restart_after_epochs * self.epoch_ns,
                               self._restart, daemon=True)
 
     def _restart(self) -> None:
-        self.restarts += 1
         self.controller.cold_restart()
-        self._log(CONTROLLER_GROUP, (), CONTROL_FAULT_RESTART,
-                  old_rate=None, new_rate=None)
-
-    # -- audit ------------------------------------------------------------
-
-    def _log(self, group: str, channel_names: Tuple[str, ...], reason: str,
-             old_rate: Optional[float],
-             new_rate: Optional[float]) -> None:
-        if self.decision_log is None:
-            return
-        self.decision_log.record(self.sim.now, "chaos", group,
-                                 channel_names, old_rate, new_rate,
-                                 reason, False)
-
-    def digest(self) -> Dict[str, object]:
-        """JSON-safe injection accounting for the run summary."""
-        return {
-            "telemetry_lost": self.telemetry_lost,
-            "telemetry_stale": self.telemetry_stale,
-            "telemetry_corrupt": self.telemetry_corrupt,
-            "actuations_lost": self.actuations_lost,
-            "actuations_delayed": self.actuations_delayed,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "max_lost_streak": self.max_lost_streak,
-        }
+        self.note_restart(self.sim.now)
 
 
 # ---------------------------------------------------------------------------

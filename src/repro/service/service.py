@@ -406,7 +406,7 @@ class ControlPlaneService:
         if self.loop_task is not None and not self.loop_task.done():
             self.loop_task.cancel()
             if self.chaos is not None:
-                self.chaos.note_crash()
+                self.chaos.note_crash(self.clock.now_ns)
             self.clock.note()
         if crash.restart_after_epochs is not None:
             await self.clock.sleep(crash.restart_after_epochs
@@ -416,7 +416,7 @@ class ControlPlaneService:
                 # volatile state is simply gone.
                 self.spawn_decision_loop(None)
                 if self.chaos is not None:
-                    self.chaos.note_restart()
+                    self.chaos.note_restart(self.clock.now_ns)
 
     async def _main(self) -> None:
         config = self.config
@@ -464,9 +464,12 @@ class ControlPlaneService:
         dps = (state.decisions_made / duration_s
                if duration_s > 0 else 0.0)
         self._dps_gauge.set(dps)
-        if self.supervisor is not None:
-            self._restart_counter.inc(self.supervisor.restarts)
-        self._retry_counter.inc(state.retries)
+        # Top the counters up to the run's totals, so summarizing again
+        # does not count the run twice.
+        restarts = (self.supervisor.restarts
+                    if self.supervisor is not None else 0)
+        self._restart_counter.inc(restarts - self._restart_counter.value)
+        self._retry_counter.inc(state.retries - self._retry_counter.value)
         return ServiceSummary(
             epochs=epochs_run,
             duration_s=duration_s,
@@ -491,8 +494,7 @@ class ControlPlaneService:
             sheds=self.sheds,
             backpressure_raises=self.stream.backpressure_raises,
             max_backlog=self.stream.max_backlog,
-            restarts=(self.supervisor.restarts
-                      if self.supervisor is not None else 0),
+            restarts=restarts,
             recoveries=(self.supervisor.recoveries
                         if self.supervisor is not None else 0),
             checkpoints=self.checkpoints,

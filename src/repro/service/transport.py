@@ -12,11 +12,11 @@ acknowledged once the plant actually applied them.
 The transport is deliberately dumb — no retries, no ordering repair.
 Reliability is the *controller's* job (the intent journal with
 timeout + seeded exponential backoff); the transport just tells the
-truth about what was delivered, and audits every loss and delay into
-the DecisionLog under the existing ``control_fault_actuation_*``
-reasons.  Deliveries are idempotent end-to-end because the plant
-treats a re-applied state as a no-op, so a retry racing a delayed
-original is harmless.
+truth about what was delivered, and the chaos injector that decides
+each fate audits every loss and delay into the DecisionLog under the
+existing ``control_fault_actuation_*`` reasons.  Deliveries are
+idempotent end-to-end because the plant treats a re-applied state as
+a no-op, so a retry racing a delayed original is harmless.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 
-from repro.obs.decisions import (
-    CONTROL_FAULT_ACTUATION_DELAYED,
-    CONTROL_FAULT_ACTUATION_LOST,
-)
 from repro.service.clock import VirtualClock
 from repro.service.plant import FabricPlant
 
@@ -127,10 +123,3 @@ class ActuationTransport:
             "delivered": self.delivered,
             "acked": self.acked,
         }
-
-
-#: Audit reasons the chaos adapter stamps on transport outcomes.
-TRANSPORT_AUDIT_REASONS = {
-    "lost": CONTROL_FAULT_ACTUATION_LOST,
-    "delayed": CONTROL_FAULT_ACTUATION_DELAYED,
-}

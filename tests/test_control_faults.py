@@ -34,12 +34,15 @@ from repro.faults.control_faults import (
     DecisionLoss,
     StaleTelemetry,
     TelemetryDropout,
+    TelemetryFeed,
     build_control_scenario,
     control_scenario_registered,
     register_control_scenario,
     registered_control_scenarios,
 )
 from repro.service import ServiceChaos, VirtualClock
+from repro.service.streams import TelemetryRecord
+from repro.service.transport import RateCommand
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import US
@@ -98,25 +101,28 @@ class TestDSLValidation:
 
 
 class TestDeliveryPipeline:
-    """chaos.deliver() is the single seam every reading goes through."""
+    """The injector's telemetry pipeline is the single seam every
+    reading goes through."""
 
-    def history(self, *entries):
-        return list(entries)
+    def deliver(self, chaos, epoch, now, true, *older):
+        """``true`` at ``epoch`` through the pipeline, after ``older``
+        ``(epoch, reading)`` entries: ``(reading, status, age)``."""
+        feed = TelemetryFeed("g", chaos.history_depth)
+        feed.history.extend(older)
+        return chaos._telemetry(feed, epoch, now, true)
 
     def test_clean_scenario_passes_readings_through(self):
         _, ctrl = make_controlled()
         chaos = attach(ctrl)
         true = (0.7, 0.4, 2)
-        reading, status, age = chaos.deliver(
-            "g", 5, 50_000.0, true, self.history((5, true)))
+        reading, status, age = self.deliver(chaos, 5, 50_000.0, true)
         assert (reading, status, age) == (true, "ok", 0)
 
     def test_dropout_zeroes_the_reading(self):
         _, ctrl = make_controlled()
         chaos = attach(ctrl, dropout=TelemetryDropout(probability=1.0))
         true = (0.7, 0.4, 2)
-        reading, status, _ = chaos.deliver(
-            "g", 5, 50_000.0, true, self.history((5, true)))
+        reading, status, _ = self.deliver(chaos, 5, 50_000.0, true)
         assert status == "lost"
         assert reading == (0.0, 0.0, 0)
 
@@ -124,9 +130,8 @@ class TestDeliveryPipeline:
         _, ctrl = make_controlled()
         chaos = attach(ctrl, stale=StaleTelemetry(epochs=2))
         old, new = (0.9, 0.8, 7), (0.1, 0.1, 0)
-        reading, status, age = chaos.deliver(
-            "g", 5, 50_000.0, new,
-            self.history((3, old), (4, (0.5, 0.5, 1)), (5, new)))
+        reading, status, age = self.deliver(
+            chaos, 5, 50_000.0, new, (3, old), (4, (0.5, 0.5, 1)))
         assert status == "stale"
         assert reading == old
         assert age == 2
@@ -138,8 +143,8 @@ class TestDeliveryPipeline:
         chaos = attach(ctrl, stale=StaleTelemetry(epochs=1),
                        corrupt=CorruptReading(kind="scale", factor=2.0))
         old, new = (0.3, 0.2, 4), (0.1, 0.1, 0)
-        reading, status, _ = chaos.deliver(
-            "g", 5, 50_000.0, new, self.history((4, old), (5, new)))
+        reading, status, _ = self.deliver(chaos, 5, 50_000.0, new,
+                                          (4, old))
         assert status == "corrupt"
         assert reading == (pytest.approx(0.6), pytest.approx(0.4), 4)
 
@@ -147,9 +152,8 @@ class TestDeliveryPipeline:
         _, ctrl = make_controlled()
         chaos = attach(ctrl, corrupt=CorruptReading(kind="stuck",
                                                     value=1.0))
-        reading, status, _ = chaos.deliver(
-            "g", 5, 50_000.0, (0.1, 0.1, 3),
-            self.history((5, (0.1, 0.1, 3))))
+        reading, status, _ = self.deliver(chaos, 5, 50_000.0,
+                                          (0.1, 0.1, 3))
         assert status == "corrupt"
         assert reading == (1.0, 1.0, 0)
 
@@ -158,9 +162,8 @@ class TestDeliveryPipeline:
         chaos = attach(ctrl, stale=StaleTelemetry(epochs=1),
                        corrupt=CorruptReading(kind="stuck", value=1.0),
                        dropout=TelemetryDropout(probability=1.0))
-        _, status, _ = chaos.deliver(
-            "g", 5, 50_000.0, (0.5, 0.5, 0),
-            self.history((4, (0.2, 0.2, 0)), (5, (0.5, 0.5, 0))))
+        _, status, _ = self.deliver(chaos, 5, 50_000.0, (0.5, 0.5, 0),
+                                    (4, (0.2, 0.2, 0)))
         assert status == "lost"
 
     def test_window_gates_activity(self):
@@ -168,10 +171,9 @@ class TestDeliveryPipeline:
         chaos = attach(ctrl, dropout=TelemetryDropout(
             probability=1.0, start_ns=100_000.0, end_ns=200_000.0))
         true = (0.5, 0.5, 0)
-        h = self.history((1, true))
-        assert chaos.deliver("g", 1, 50_000.0, true, h)[1] == "ok"
-        assert chaos.deliver("g", 1, 150_000.0, true, h)[1] == "lost"
-        assert chaos.deliver("g", 1, 250_000.0, true, h)[1] == "ok"
+        assert self.deliver(chaos, 1, 50_000.0, true)[1] == "ok"
+        assert self.deliver(chaos, 1, 150_000.0, true)[1] == "lost"
+        assert self.deliver(chaos, 1, 250_000.0, true)[1] == "ok"
 
 
 class TestChaosGroupSampling:
@@ -180,14 +182,14 @@ class TestChaosGroupSampling:
         # them in one epoch would corrupt the telemetry even with no
         # fault active.
         _, ctrl = make_controlled()
-        chaos = attach(ctrl)
+        chaos = attach(ctrl, stale=StaleTelemetry())
         cgroup = ctrl.groups[0]
         assert isinstance(cgroup, ChaosGroup)
         epoch_ns = chaos.epoch_ns
         first = cgroup.utilization_since_last(epoch_ns)
         assert cgroup.utilization_since_last(epoch_ns) == first
         assert cgroup.max_queue_fraction() == cgroup._delivered[1]
-        assert len(cgroup._history) == 1
+        assert len(cgroup.history) == 1
 
     def test_wrapping_replaces_every_group_and_delegates(self):
         _, ctrl = make_controlled()
@@ -372,6 +374,157 @@ class TestSelectionMemo:
                     assert chaos._affected(kind, group, 0.0) is False
                     assert chaos._affected(kind, group, 1.0) is True
         assert len(chaos._selection) <= len(SELECTION_KINDS) * len(groups)
+
+
+class SimDriver:
+    """The simulator driver: readings are ``(util, queue, stalls)``
+    tuples fed straight to the injector with a :class:`ChaosGroup` as
+    the feed (its reads need a running fabric), draws indexed by
+    epoch."""
+
+    epoch_ns = 10.0 * US
+    #: A lost report reads as idleness.
+    lost = (0.0, 0.0, 0)
+
+    def __init__(self, **faults):
+        _, self.ctrl = make_controlled(epoch_ns=self.epoch_ns)
+        self.chaos = attach(self.ctrl, **faults)
+        self.group = self.ctrl.groups[0]
+
+    def send(self, epoch, util, queue=0.5):
+        """One reading at ``epoch``, as delivered."""
+        return self.chaos._telemetry(self.group, epoch,
+                                     epoch * self.epoch_ns,
+                                     (util, queue, 3))[0]
+
+    @staticmethod
+    def util(reading):
+        return reading[0]
+
+    def lost_streak(self):
+        return self.group.lost_streak
+
+    def command(self):
+        """One rate command through ``set_rate``."""
+        self.group.set_rate(10.0, self.ctrl.config.reactivation_ns)
+
+
+class ServiceDriver:
+    """The service driver: readings are :class:`TelemetryRecord`
+    objects, draws indexed by epoch (telemetry) and seq (commands)."""
+
+    epoch_ns = 1e9
+    #: A lost record never reaches the stream.
+    lost = None
+
+    def __init__(self, **faults):
+        self.chaos = ServiceChaos(
+            VirtualClock(), ControlFaultScenario(name="t", **faults),
+            epoch_ns=self.epoch_ns)
+        self.seq = 0
+
+    def send(self, epoch, util, queue=0.5):
+        self.seq += 1
+        return self.chaos.deliver(TelemetryRecord(
+            seq=self.seq, epoch=epoch, group="g",
+            time_ns=epoch * self.epoch_ns, demand_gbps=4.0,
+            utilization=util, queue_fraction=queue, is_off=False))
+
+    @staticmethod
+    def util(record):
+        return record.utilization
+
+    def lost_streak(self):
+        return self.chaos._feeds["g"].lost_streak
+
+    def command(self):
+        self.seq += 1
+        return self.chaos.actuation_fate(RateCommand(
+            seq=self.seq, group="g", rate_gbps=10.0, epoch=0,
+            time_ns=0.0))
+
+
+DRIVERS = {"sim": SimDriver, "service": ServiceDriver}
+
+
+@pytest.mark.parametrize("layer", ["sim", "service"])
+class TestSharedInjector:
+    """Both drivers apply a scenario through the one injector: the
+    same picks, counts and outcome rule, on each driver's reading."""
+
+    def test_stale_pick_takes_the_age_and_falls_back_to_the_oldest(
+            self, layer):
+        driver = DRIVERS[layer](stale=StaleTelemetry(epochs=2))
+        delivered = [driver.util(driver.send(epoch, epoch / 10))
+                     for epoch in range(6)]
+        # Epochs 1 and 2 have no report two epochs old yet and get the
+        # oldest one held; from epoch 2 on, the report is two old.
+        assert delivered == [0.0, 0.0, 0.0, 0.1, 0.2, 0.3]
+        assert driver.chaos.telemetry_stale == 5
+
+    def test_stuck_corruption_pins_the_reading(self, layer):
+        driver = DRIVERS[layer](corrupt=CorruptReading(kind="stuck",
+                                                       value=0.8))
+        reading = driver.send(3, 0.1, queue=0.2)
+        if layer == "sim":
+            assert reading == (0.8, 0.8, 0)
+        else:
+            assert (reading.utilization, reading.queue_fraction,
+                    reading.demand_gbps, reading.epoch) == (
+                        0.8, 0.8, pytest.approx(3.2), 3)
+        assert driver.chaos.telemetry_corrupt == 1
+
+    def test_scale_corruption_scales_the_reading(self, layer):
+        driver = DRIVERS[layer](corrupt=CorruptReading(kind="scale",
+                                                       factor=2.0))
+        reading = driver.send(3, 0.1, queue=0.2)
+        if layer == "sim":
+            assert reading == (pytest.approx(0.2), pytest.approx(0.4), 3)
+        else:
+            assert (reading.utilization, reading.queue_fraction,
+                    reading.demand_gbps) == (
+                        pytest.approx(0.2), pytest.approx(0.4),
+                        pytest.approx(8.0))
+        assert driver.chaos.telemetry_corrupt == 1
+
+    def test_dropout_streak_and_its_maximum(self, layer):
+        cls = DRIVERS[layer]
+        driver = cls(dropout=TelemetryDropout(
+            probability=1.0, start_ns=0.5 * cls.epoch_ns,
+            end_ns=3.5 * cls.epoch_ns))
+        streaks, lost = [], []
+        for epoch in range(6):
+            reading = driver.send(epoch, 0.7)
+            lost.append(reading == driver.lost)
+            streaks.append(driver.lost_streak())
+        assert lost == [False, True, True, True, False, False]
+        assert streaks == [0, 1, 2, 3, 0, 0]
+        assert driver.chaos.telemetry_lost == 3
+        assert driver.chaos.max_lost_streak == 3
+
+    @pytest.mark.parametrize("loss_p, fate", [(1.0, "lost"),
+                                              (0.0, "delayed")])
+    def test_loss_outranks_delay(self, layer, loss_p, fate):
+        driver = DRIVERS[layer](loss=DecisionLoss(probability=loss_p),
+                                delay=DecisionDelay(epochs=2,
+                                                    probability=1.0))
+        outcome = driver.command()
+        assert (driver.chaos.actuations_lost,
+                driver.chaos.actuations_delayed) == (
+                    (1, 0) if fate == "lost" else (0, 1))
+        if layer == "service":
+            assert outcome == (fate, 0.0 if fate == "lost"
+                               else 2 * driver.epoch_ns)
+
+    def test_one_outcome_per_reading_the_last_stage_wins(self, layer):
+        driver = DRIVERS[layer](stale=StaleTelemetry(epochs=1),
+                                dropout=TelemetryDropout(probability=1.0))
+        for epoch in range(5):
+            assert driver.send(epoch, 0.5) == driver.lost
+        digest = driver.chaos.digest()
+        assert (digest["telemetry_lost"], digest["telemetry_stale"]) == (
+            5, 0)
+        assert digest["max_lost_streak"] == 5
 
 
 class TestRunnerWiring:

@@ -9,6 +9,7 @@ from unprotected the way the golden demands at full scale.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import pytest
 from repro.experiments import campaign, service_resilience
 from repro.faults.control_faults import (
     ControlFaultScenario,
+    ControllerCrash,
     TelemetryDropout,
 )
 from repro.service import ControlPlaneService, ServiceConfig
@@ -57,6 +59,23 @@ class TestDeterminism:
         assert "wall_seconds" not in digest
         assert json.loads(json.dumps(digest)) == digest
         assert summary.format_line()
+
+
+class TestSummary:
+    def test_summarizing_again_counts_the_run_once(self):
+        loss, _ = service_resilience.FAULTS["loss"]
+        scenario = dataclasses.replace(loss, crashes=(ControllerCrash(
+            time_ns=30.3 * SMALL.epoch_ns),))
+        service = ControlPlaneService(SMALL, scenario=scenario)
+        summary = service.run()
+        assert summary.retries > 0 and summary.restarts == 1
+        first = service.metrics.format_text()
+        service.summarize()
+        assert service.metrics.format_text() == first
+        counters = service.metrics.as_dict()
+        assert counters["service_retries_total"]["value"] == \
+            summary.retries
+        assert counters["service_restarts_total"]["value"] == 1
 
 
 class TestArmMatrix:
