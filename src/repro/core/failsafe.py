@@ -31,16 +31,18 @@ fabric safe with four mechanisms:
   diverges (a command was lost in flight), it re-issues the command
   through the same lossy path with seeded exponential backoff
   (``failsafe_retry``).
-- **Crash recovery from the DecisionLog** — the guard taps the
-  decision log (:attr:`repro.obs.decisions.DecisionLog.taps`) and
-  journals power events (``gated_off`` / ``gated_wake``, and the
-  topology controller's ``topology_off`` / ``topology_on`` — a
-  demand-darkened link group is exactly as strandable as a gated one)
-  and controller restarts.  A group that is still powered off after a
-  restart, whose journal shows the *pre-crash* controller gated it, is
-  stranded — the cold-restarted controller no longer knows it owns
-  that link — so the guard reconstructs the lost intent and wakes it
+- **Crash recovery from the DecisionLog** — the guard's power journal
+  taps the decision log for power events (``gated_off`` /
+  ``gated_wake``, ``topology_off`` / ``topology_on``) and controller
+  restarts.  A group still powered off that the *pre-crash*
+  controller gated is stranded — the cold-restarted controller no
+  longer knows it owns that link — so the guard wakes it
   (``failsafe_recovered``).
+
+The staleness ladder (fed the lost-report streak, forced by a silent
+controller) and the power journal are the live service's too
+(:mod:`repro.core.safety`); the actions and the retry backoff are this
+guard's own.
 
 The guard is **inert on a healthy control plane**: with no chaos layer
 attached, every reading reports delivered, the deadman never trips,
@@ -58,8 +60,9 @@ controller's own gating events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from repro.core.safety import FLOOR, HOLD, ON, PowerJournal, staleness
 from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     CONTROL_FAULT_RESTART,
@@ -76,11 +79,6 @@ from repro.obs.decisions import (
 from repro.sim.channel import ChannelState
 
 _OFF = ChannelState.OFF
-
-#: The reasons the crash-recovery journal reads; every other record
-#: passes the tap after one set lookup.
-_JOURNALED = frozenset((CONTROL_FAULT_RESTART, GATED_OFF, TOPOLOGY_OFF,
-                        GATED_WAKE, TOPOLOGY_ON))
 
 
 @dataclass(frozen=True)
@@ -105,12 +103,9 @@ class FailsafeConfig:
             ladder rate up: a held or floored link that is visibly
             backing up must not stay slow just because its reports
             are lost.
-        journal_cap: Hard bound on the power-intent journal.  The
-            journal is keyed by group name, so it is naturally small —
-            but a topology layer that invents transient group labels
-            (or a bug that does) must degrade to oldest-entry eviction
-            (counted in ``FailsafeGuard.journal_evictions``), never to
-            unbounded memory on a long-running control plane.
+        journal_cap: Hard bound on the power-intent journal: a layer
+            that invents transient group labels degrades to counted
+            oldest-entry eviction, never to unbounded memory.
     """
 
     staleness_ttl_epochs: int = 3
@@ -240,44 +235,21 @@ class FailsafeGuard:
         self.recoveries = 0
         self.reconfigurations = 0
         self.controller_down_epochs = 0
-        self._journal: Dict[str, Tuple[str, float]] = {}
-        self.journal_evictions = 0
-        self._last_restart_ns: Optional[float] = None
+        # A demand-darkened link group is exactly as strandable as a
+        # gated one.
+        self.power_journal = PowerJournal(
+            (GATED_OFF, TOPOLOGY_OFF), (GATED_WAKE, TOPOLOGY_ON),
+            restart_reasons=(CONTROL_FAULT_RESTART,),
+            cap=self.config.journal_cap)
         self._last_epochs_run = controller.epochs_run
         self._silent = 0
         if decision_log is not None:
-            decision_log.taps.append(self._observe)
+            decision_log.taps.append(self.power_journal.observe)
         # Scheduled after the controller's epoch event, so the FIFO
         # tie-break on same-time events runs the guard right after the
         # controller every epoch.
         self._event = self.sim.schedule(self.epoch_ns, self._on_epoch,
                                         daemon=True)
-
-    # -- decision-log journal (crash recovery source) --------------------
-
-    def _observe(self, reason: str, group: str, time_ns: float,
-                 changed: bool) -> None:
-        """The decision-log tap: journal restarts and power intent."""
-        if reason not in _JOURNALED:
-            return
-        if reason == CONTROL_FAULT_RESTART:
-            self._last_restart_ns = time_ns
-        elif reason in (GATED_OFF, TOPOLOGY_OFF):
-            self._journal_put(group, ("off", time_ns))
-        elif reason in (GATED_WAKE, TOPOLOGY_ON):
-            self._journal_put(group, ("on", time_ns))
-
-    def _journal_put(self, name: str, entry: Tuple[str, float]) -> None:
-        """Insert a power-intent entry under the ``journal_cap`` bound
-        (oldest entry evicted; dict insertion order is the age order,
-        since updating a key re-inserts it)."""
-        journal = self._journal
-        if name in journal:
-            del journal[name]
-        elif len(journal) >= self.config.journal_cap:
-            del journal[next(iter(journal))]
-            self.journal_evictions += 1
-        journal[name] = entry
 
     # -- actuation filter (called via GuardedGroup.set_rate) -------------
 
@@ -338,7 +310,8 @@ class FailsafeGuard:
             if ch.draining:
                 draining = True
         dark = off or draining
-        if down or streak > self.config.staleness_ttl_epochs:
+        rung = staleness(streak, self.config.staleness_ttl_epochs, down)
+        if rung == FLOOR:
             # Deadman: nobody can verify this group is safe to leave
             # dark.  Force it on at (at least) the floor; never lower
             # a live link's rate.
@@ -347,9 +320,9 @@ class FailsafeGuard:
                 self.deadman_floors += 1
             else:
                 self._maybe_relieve(group, raw)
-            self._release_gate(group.name)
+                self._release_gate(group.name)
             return
-        if streak > 0:
+        if rung == HOLD:
             # Inside the staleness TTL: if gating powered the group
             # off on dark telemetry, restore the last good posture.
             if dark:
@@ -357,29 +330,23 @@ class FailsafeGuard:
                         else self.floor)
                 self._wake(group, rate, FAILSAFE_HOLD)
                 self.holds += 1
-                self._release_gate(group.name)
             else:
                 self._maybe_relieve(group, raw)
             return
-        if not down:
-            if off:
-                self._maybe_recover(group, raw, st)
-            self._maybe_retry(group, raw, st, epoch)
+        if off:
+            self._maybe_recover(group, raw, st)
+        self._maybe_retry(group, raw, st, epoch)
 
     def _maybe_recover(self, group: GuardedGroup, raw, st) -> None:
         """Wake a powered-off group a crashed-and-restarted controller
-        forgot (``_tend`` calls it only for powered-off groups)."""
-        record = self._journal.get(group.name)
-        if record is None or record[0] != "off":
+        forgot (``_tend`` calls it only for powered-off groups); a
+        group gated by the *current* controller is left to it."""
+        if not self.power_journal.gated_before_restart(group.name):
             return
-        if (self._last_restart_ns is None
-                or record[1] >= self._last_restart_ns):
-            return  # gated by the *current* controller: it will probe
         rate = (st.last_good_rate if st.last_good_rate is not None
                 else self.floor)
         self._wake(group, rate, FAILSAFE_RECOVERED)
         self.recoveries += 1
-        self._release_gate(group.name)
 
     def _maybe_retry(self, group: GuardedGroup, raw, st,
                      epoch: int) -> None:
@@ -451,8 +418,9 @@ class FailsafeGuard:
 
     def _wake(self, group: GuardedGroup, rate_gbps: float,
               reason: str) -> None:
-        """Power a dark group back on at ``rate_gbps`` (switch-local:
-        acts on the raw channels, not the lossy command path)."""
+        """Power a dark group back on at ``rate_gbps`` and release its
+        gating claim (switch-local: acts on the raw channels, not the
+        lossy command path)."""
         for ch in group.raw.channels:
             if ch.is_off:
                 ch.power_on(self.reactivation_ns, rate_gbps=rate_gbps)
@@ -460,9 +428,10 @@ class FailsafeGuard:
                 ch.draining = False
         # Controller decisions for this group restart from scratch.
         group._st.intended_rate = None
-        self._journal_put(group.name, ("on", self.sim.now))
+        self.power_journal.put(group.name, ON, self.sim.now)
         self._log(group, reason, old_rate=None, new_rate=rate_gbps,
                   changed=False)
+        self._release_gate(group.name)
 
     def _release_gate(self, name: str) -> None:
         release = getattr(self.controller, "release_gate", None)

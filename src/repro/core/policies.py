@@ -42,6 +42,12 @@ class RatePolicy(Protocol):
         ...
 
 
+def _check_target(target_utilization: float) -> None:
+    if not 0.0 < target_utilization <= 1.0:
+        raise ValueError(
+            f"target must be in (0, 1], got {target_utilization}")
+
+
 def _check_utilization(utilization: float) -> None:
     if utilization < 0:
         raise ValueError(f"utilization cannot be negative: {utilization}")
@@ -51,9 +57,7 @@ class ThresholdPolicy:
     """The paper's heuristic: one target, halve below it, double above it."""
 
     def __init__(self, target_utilization: float = 0.5):
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(
-                f"target must be in (0, 1], got {target_utilization}")
+        _check_target(target_utilization)
         self.target_utilization = target_utilization
 
     def decide(self, group_key: object, current_rate: float,
@@ -107,9 +111,7 @@ class AggressivePolicy:
     """
 
     def __init__(self, target_utilization: float = 0.5):
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(
-                f"target must be in (0, 1], got {target_utilization}")
+        _check_target(target_utilization)
         self.target_utilization = target_utilization
 
     def decide(self, group_key: object, current_rate: float,
@@ -140,20 +142,15 @@ class DemandLadderPolicy:
     """
 
     def __init__(self, target_utilization: float = 0.5):
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(
-                f"target must be in (0, 1], got {target_utilization}")
+        _check_target(target_utilization)
         self.target_utilization = target_utilization
 
     def decide(self, group_key: object, current_rate: float,
                utilization: float, ladder: RateLadder) -> float:
         """Return the next-epoch rate for the group; see RatePolicy."""
         _check_utilization(utilization)
-        demand = utilization * current_rate
-        for rate in ladder.rates:
-            if demand <= self.target_utilization * rate:
-                return rate
-        return ladder.max_rate
+        return ladder.slowest_covering(utilization * current_rate,
+                                       self.target_utilization)
 
     def __repr__(self) -> str:
         return f"DemandLadderPolicy(target={self.target_utilization})"
@@ -170,9 +167,7 @@ class PredictivePolicy:
     """
 
     def __init__(self, target_utilization: float = 0.5, alpha: float = 0.5):
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(
-                f"target must be in (0, 1], got {target_utilization}")
+        _check_target(target_utilization)
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.target_utilization = target_utilization
@@ -187,10 +182,7 @@ class PredictivePolicy:
         previous = self._demand_gbps.get(group_key, observed)
         predicted = self.alpha * observed + (1.0 - self.alpha) * previous
         self._demand_gbps[group_key] = predicted
-        for rate in ladder.rates:
-            if predicted <= self.target_utilization * rate:
-                return rate
-        return ladder.max_rate
+        return ladder.slowest_covering(predicted, self.target_utilization)
 
     def __repr__(self) -> str:
         return (f"PredictivePolicy(target={self.target_utilization}, "

@@ -19,7 +19,8 @@ what it did (old rate -> new rate) and *why* (a reason code), into a
   the final stats,
 - **taps**: observers called with ``(reason, group, time_ns,
   changed)`` for every record, which is how the failsafe guard and the
-  service's power journal remember power intent.
+  service remember power intent (each registers a
+  :class:`repro.core.safety.PowerJournal`).
 
 Controllers call :meth:`DecisionLog.record` with the decision's
 fields, not with a built record.  A :class:`Decision` is built only

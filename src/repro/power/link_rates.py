@@ -98,6 +98,14 @@ class RateLadder:
         i = self.index(rate)
         return self._rates[min(len(self._rates) - 1, i + 1)]
 
+    def slowest_covering(self, demand: float, target: float = 1.0) -> float:
+        """The slowest rate with ``demand <= target * rate``, else the
+        fastest (the paper's Section 3.3 rate rule)."""
+        for rate in self._rates:
+            if demand <= target * rate:
+                return rate
+        return self._rates[-1]
+
     def clamp(self, rate: float) -> float:
         """The closest ladder rate that does not exceed ``rate``.
 

@@ -122,12 +122,7 @@ class OracleController(EpochController):
         else:
             demand = 0.0
             self.schedule_misses += 1
-        need = demand * (1.0 + self.headroom)
-        new_rate = ladder.max_rate
-        for rate in ladder.rates:
-            if need <= rate:
-                new_rate = rate
-                break
+        new_rate = ladder.slowest_covering(demand * (1.0 + self.headroom))
         changed = group.set_rate(new_rate, self.config.reactivation_ns)
         if changed:
             self.reconfigurations += 1

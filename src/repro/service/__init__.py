@@ -47,7 +47,7 @@ from repro.service.service import (
     ServiceSummary,
 )
 from repro.service.streams import EpochTick, TelemetryRecord, TelemetryStream
-from repro.service.supervisor import PowerJournal, Supervisor
+from repro.service.supervisor import Supervisor
 from repro.service.transport import ActuationTransport, RateCommand
 from repro.workloads.service_traces import (
     DiurnalTraceSource,
@@ -68,7 +68,6 @@ __all__ = [
     "IntentEntry",
     "MemoryCheckpointStore",
     "PlantGroup",
-    "PowerJournal",
     "RateCommand",
     "ServiceChaos",
     "ServiceConfig",

@@ -23,6 +23,10 @@ ladder** (resilient arms):
    (``service_safe_floor``) — capacity is sacrificed, availability is
    not.
 
+The rung, also each group's vote in the quorum, is the failsafe
+guard's rule (:mod:`repro.core.safety`) fed the epoch age; the actions
+are the loop's.
+
 The unprotected arm replaces all of that with the naive mapping the
 chaos DSL documents: a missing reading *is* a zero reading, so a
 telemetry dropout looks exactly like idleness and the gating ladder
@@ -34,8 +38,9 @@ unacknowledged past its timeout is re-sent with a fresh transport
 sequence number under seeded exponential backoff
 (``keyed_draw(f"svcretry:{seed}:{group}:{attempt}")``), bounded by
 ``retry_max_attempts``, and the journal itself is bounded by
-``journal_cap`` with an eviction counter — a permanently lost
-actuation cannot grow memory over a multi-hour run.
+``journal_cap`` with an eviction counter
+(:func:`repro.core.safety.bounded_put`) — a permanently lost actuation
+cannot grow memory over a multi-hour run.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.safety import FLOOR, FRESH, bounded_put, staleness
 from repro.keyed import keyed_draw
 from repro.obs.decisions import (
     ABOVE_THRESHOLD,
@@ -53,6 +59,7 @@ from repro.obs.decisions import (
     HOLD,
     POWERED_OFF,
     REACTIVATION_PENDING,
+    SERVICE_RECOVERED,
     SERVICE_RETRY,
     SERVICE_SAFE_FLOOR,
     SERVICE_STALE_HOLD,
@@ -81,18 +88,9 @@ class GroupState:
     gated: bool = False
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form, the inverse of :meth:`from_dict`."""
-        return {
-            "believed_rate": self.believed_rate,
-            "believed_off": self.believed_off,
-            "last_good_rate": self.last_good_rate,
-            "fresh_epoch": self.fresh_epoch,
-            "fresh_demand": self.fresh_demand,
-            "fresh_queue": self.fresh_queue,
-            "fresh_off": self.fresh_off,
-            "idle_epochs": self.idle_epochs,
-            "gated": self.gated,
-        }
+        """JSON-safe form (the fields in order), the inverse of
+        :meth:`from_dict`."""
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "GroupState":
@@ -111,15 +109,9 @@ class IntentEntry:
     first_send_ns: float
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form, the inverse of :meth:`from_dict`."""
-        return {
-            "rate_gbps": self.rate_gbps,
-            "epoch": self.epoch,
-            "seq": self.seq,
-            "attempts": self.attempts,
-            "next_retry_ns": self.next_retry_ns,
-            "first_send_ns": self.first_send_ns,
-        }
+        """JSON-safe form (the fields in order), the inverse of
+        :meth:`from_dict`."""
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "IntentEntry":
@@ -147,11 +139,8 @@ class DecisionState:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form, the inverse of :meth:`from_dict`."""
-        out = {name: getattr(self, name) for name in (
-            "decided_epoch", "command_seq", "decisions_made",
-            "stale_holds", "safe_floors", "fleet_floor_epochs",
-            "retries", "retry_exhausted", "journal_evictions",
-            "gate_offs", "wakes", "acks")}
+        out = {name: value for name, value in self.__dict__.items()
+               if name not in ("groups", "journal")}
         out["groups"] = {name: g.to_dict()
                          for name, g in self.groups.items()}
         out["journal"] = {name: entry.to_dict()
@@ -253,10 +242,10 @@ class ServiceDecisionLoop:
         now = self.clock.now_ns
         fleet_floor = False
         if config.degraded_modes:
+            ttl = config.staleness_ttl_epochs
             over_ttl = sum(
                 1 for g in state.groups.values()
-                if tick.epoch - g.fresh_epoch
-                > config.staleness_ttl_epochs)
+                if staleness(tick.epoch - g.fresh_epoch, ttl) == FLOOR)
             quorum = math.ceil(config.fleet_floor_fraction
                                * len(state.groups))
             fleet_floor = over_ttl >= max(1, quorum)
@@ -277,8 +266,7 @@ class ServiceDecisionLoop:
         config = self.config
         g = self.state.groups[name]
         self.state.decisions_made += 1
-        age = (epoch - g.fresh_epoch if g.fresh_epoch >= 0
-               else epoch + 1)
+        age = epoch - g.fresh_epoch  # never fresh (-1): epoch + 1
         if not config.degraded_modes:
             # Naive mapping: absence is a zero reading (the dropout
             # hazard the chaos DSL documents).
@@ -286,9 +274,10 @@ class ServiceDecisionLoop:
             queue = g.fresh_queue if age == 0 else 0.0
             self._normal_decide(name, g, epoch, now, demand, queue)
             return
-        if fleet_floor or age > config.staleness_ttl_epochs:
+        rung = staleness(age, config.staleness_ttl_epochs, fleet_floor)
+        if rung == FLOOR:
             self._safe_floor(name, g, epoch, now)
-        elif age == 0:
+        elif rung == FRESH:
             self._normal_decide(name, g, epoch, now,
                                 g.fresh_demand, g.fresh_queue)
         else:
@@ -300,14 +289,6 @@ class ServiceDecisionLoop:
     def _shown_rate(self, g: GroupState) -> Optional[float]:
         return None if (g.believed_off or g.gated) else g.believed_rate
 
-    def _target_rate(self, demand: float) -> float:
-        """Smallest ladder rate meeting the utilization target."""
-        config = self.config
-        for rate in config.ladder.rates:
-            if demand <= config.target_utilization * rate:
-                return rate
-        return config.ladder.max_rate
-
     def _normal_decide(self, name: str, g: GroupState, epoch: int,
                        now: float, demand: float,
                        queue: float) -> None:
@@ -315,8 +296,9 @@ class ServiceDecisionLoop:
         if g.gated:
             if (demand > config.idle_eps_gbps
                     or queue > config.wake_queue_fraction):
-                rate = self._target_rate(
-                    max(demand, config.floor_rate_gbps))
+                rate = config.ladder.slowest_covering(
+                    max(demand, config.floor_rate_gbps),
+                    config.target_utilization)
                 self.state.wakes += 1
                 g.gated = False
                 g.idle_epochs = 0
@@ -338,7 +320,8 @@ class ServiceDecisionLoop:
             self._send(name, g, 0.0, epoch, now, GATED_OFF,
                        changed=False)
             return
-        rate = self._target_rate(demand)
+        rate = config.ladder.slowest_covering(
+            demand, config.target_utilization)
         g.last_good_rate = rate
         pending = self.state.journal.get(name)
         if pending is not None and pending.rate_gbps == rate:
@@ -393,10 +376,7 @@ class ServiceDecisionLoop:
                      old_rate=old_rate,
                      new_rate=rate if rate > 0 else None)
         if config.retries:
-            self._journal_put(name, IntentEntry(
-                rate_gbps=rate, epoch=epoch, seq=seq, attempts=1,
-                next_retry_ns=now + config.retry_timeout_ns,
-                first_send_ns=now))
+            self._journal_intent(name, rate, epoch, seq, now)
         else:
             # Optimistic belief: the unprotected controller assumes
             # every command applied (the DecisionLoss hazard).
@@ -405,15 +385,15 @@ class ServiceDecisionLoop:
                 g.believed_rate = rate
         self.transport.send(command)
 
-    def _journal_put(self, name: str, entry: IntentEntry) -> None:
-        journal = self.state.journal
-        if name in journal:
-            del journal[name]
-        elif len(journal) >= self.config.journal_cap:
-            oldest = next(iter(journal))
-            del journal[oldest]
+    def _journal_intent(self, name: str, rate: float, epoch: int,
+                        seq: int, now: float) -> None:
+        """Journal a first send under the ``journal_cap`` bound."""
+        config = self.config
+        if bounded_put(self.state.journal, name, IntentEntry(
+                rate_gbps=rate, epoch=epoch, seq=seq, attempts=1,
+                next_retry_ns=now + config.retry_timeout_ns,
+                first_send_ns=now), config.journal_cap):
             self.state.journal_evictions += 1
-        journal[name] = entry
 
     def on_ack(self, command: RateCommand, changed: bool) -> None:
         """Transport callback: the plant applied ``command``."""
@@ -461,33 +441,27 @@ class ServiceDecisionLoop:
                 seq=seq, group=name, rate_gbps=entry.rate_gbps,
                 epoch=entry.epoch, time_ns=now))
 
-    # -- recovery hooks (supervisor side) ----------------------------------
+    # -- recovery hook (supervisor side) -----------------------------------
 
-    def release_gate(self, name: str) -> None:
-        """Clear gating bookkeeping for ``name`` — the
-        :meth:`repro.core.failsafe.FailsafeGuard` ``release_gate``
-        semantics, exposed for post-restart reconciliation."""
+    def recover_group(self, name: str, now: float) -> None:
+        """Wake a journal-dark group after a restart.
+
+        Clears its gating bookkeeping (the failsafe guard's
+        ``release_gate``), audits ``service_recovered`` for the
+        supervisor and re-issues power-on intent, journaled and
+        retried like any other send, so the wake survives a lossy
+        actuation path too."""
         g = self.state.groups[name]
         g.gated = False
         g.idle_epochs = 0
-
-    def recover_group(self, name: str, now: float) -> None:
-        """Re-issue power-on intent for a journal-dark group.
-
-        Called by the supervisor after a cold restart (it records the
-        ``service_recovered`` decision itself); the send is journaled
-        and retried like any other, so the wake survives a lossy
-        actuation path too."""
-        g = self.state.groups[name]
         rate = max(self.config.floor_rate_gbps, g.last_good_rate)
+        self.log.record(now, "supervisor", name, (), None, rate,
+                        SERVICE_RECOVERED, False)
         self.state.command_seq += 1
         seq = self.state.command_seq
         if self.config.retries:
-            self._journal_put(name, IntentEntry(
-                rate_gbps=rate, epoch=self.state.decided_epoch,
-                seq=seq, attempts=1,
-                next_retry_ns=now + self.config.retry_timeout_ns,
-                first_send_ns=now))
+            self._journal_intent(name, rate, self.state.decided_epoch,
+                                 seq, now)
         self.transport.send(RateCommand(
             seq=seq, group=name, rate_gbps=rate,
             epoch=self.state.decided_epoch, time_ns=now))

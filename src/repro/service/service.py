@@ -34,20 +34,24 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.decisions import SERVICE_SHED, DecisionLog
+from repro.core.safety import PowerJournal
+from repro.obs.decisions import (
+    GATED_OFF,
+    GATED_WAKE,
+    SERVICE_RECOVERED,
+    SERVICE_SAFE_FLOOR,
+    SERVICE_SHED,
+    DecisionLog,
+)
 from repro.obs.metrics import MetricsRegistry, SERVICE_LATENCY_BUCKETS_NS
 from repro.power.link_rates import RateLadder
 from repro.service.checkpoint import MemoryCheckpointStore
 from repro.service.clock import VirtualClock
-from repro.service.controller import (
-    DecisionState,
-    ServiceDecisionLoop,
-    fresh_state,
-)
+from repro.service.controller import DecisionState, ServiceDecisionLoop
 from repro.service.faults import ServiceChaos, SlowConsumer
 from repro.service.plant import FabricPlant
 from repro.service.streams import EpochTick, TelemetryStream
-from repro.service.supervisor import PowerJournal, Supervisor
+from repro.service.supervisor import Supervisor
 from repro.service.transport import ActuationTransport
 from repro.sums import left_sum
 from repro.workloads.service_traces import DiurnalTraceSource
@@ -264,7 +268,11 @@ class ControlPlaneService:
             self.chaos = ServiceChaos(self.clock, scenario=scenario,
                                       slow=slow, decision_log=self.log,
                                       epoch_ns=config.epoch_ns)
-        self.power_journal = PowerJournal()
+        # The supervisor's memory: a gate-off marks a group dark; a wake,
+        # a safe-floor send, a recovery or any changed send marks it lit.
+        self.power_journal = PowerJournal(
+            (GATED_OFF,), (GATED_WAKE, SERVICE_SAFE_FLOOR, SERVICE_RECOVERED),
+            lit_on_change=True, cap=config.journal_cap)
         self.log.taps.append(self.power_journal.observe)
         self.stream = TelemetryStream(
             self.clock,

@@ -13,68 +13,31 @@ supervisor is the independent task that notices and repairs:
 - **cold-restart recovery** — the replacement loop starts from the
   latest checkpoint (or cold, if none).  A checkpoint can predate the
   crash by up to an epoch, so the supervisor reconciles against the
-  :class:`PowerJournal` — a DecisionLog tap that survives loop
-  incarnations and remembers, per group, the last power-affecting
-  decision.  Any group the journal says was gated dark but the
-  restored state doesn't know about (or knows and would leave dark
-  with stale eyes) is released and woken at its last-good rate —
-  the :meth:`repro.core.failsafe.FailsafeGuard.release_gate`
-  semantics applied across a process boundary, audited as
+  power journal — a DecisionLog tap that survives loop incarnations
+  and remembers, per group, the last power-affecting decision.  Any
+  group the journal says was gated dark but the restored state
+  doesn't know about (or knows and would leave dark with stale eyes)
+  is released and woken at its last-good rate — the
+  :meth:`repro.core.failsafe.FailsafeGuard.release_gate` semantics
+  applied across a process boundary, audited as
   ``service_recovered``.
 
-The journal deliberately tracks *sent* intents, not acknowledged
-outcomes: a gate-off that was sent but lost still marks the group
-suspect, and the recovery wake is idempotent on the plant either way.
+The journal is the failsafe guard's (:mod:`repro.core.safety`); the
+service wires it with its own reason sets, capped at ``journal_cap``
+(:class:`repro.service.service.ControlPlaneService`).  It tracks
+*sent* intents, not acknowledged outcomes: a gate-off that was sent
+but lost still marks the group suspect, and the recovery wake is
+idempotent on the plant either way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from repro.obs.decisions import (
-    GATED_OFF,
-    GATED_WAKE,
-    SERVICE_RECOVERED,
-    SERVICE_RESTART,
-    SERVICE_SAFE_FLOOR,
-    DecisionLog,
-)
+from repro.obs.decisions import SERVICE_RESTART, DecisionLog
 from repro.service.clock import VirtualClock
 
 #: Pseudo group stamped on supervisor lifecycle records (the chaos
 #: layer's controller-lifetime idiom).
 SUPERVISOR_GROUP = "__supervisor__"
-
-
-class PowerJournal:
-    """DecisionLog tap remembering each group's last power intent.
-
-    Registered once at service wiring, so it observes every loop
-    incarnation — which is exactly what makes it usable to re-derive
-    gated-group state after the loop's own memory is gone.
-    """
-
-    #: Reasons that mark a group dark / lit when they carry a send.
-    _OFF_REASONS = frozenset({GATED_OFF})
-    _ON_REASONS = frozenset({GATED_WAKE, SERVICE_SAFE_FLOOR,
-                             SERVICE_RECOVERED})
-
-    def __init__(self):
-        #: group -> ("off" | "on", time_ns of the deciding record).
-        self.last_power: Dict[str, Tuple[str, float]] = {}
-
-    def observe(self, reason: str, group: str, time_ns: float,
-                changed: bool) -> None:
-        """The tap callable (append to ``DecisionLog.taps``)."""
-        if reason in self._OFF_REASONS:
-            self.last_power[group] = ("off", time_ns)
-        elif reason in self._ON_REASONS or changed:
-            self.last_power[group] = ("on", time_ns)
-
-    def dark_groups(self):
-        """Groups whose last power intent was a gate-off, sorted."""
-        return sorted(name for name, (state, _)
-                      in self.last_power.items() if state == "off")
 
 
 class Supervisor:
@@ -90,8 +53,7 @@ class Supervisor:
     """
 
     def __init__(self, clock: VirtualClock, service,
-                 decision_log: DecisionLog,
-                 power_journal: PowerJournal):
+                 decision_log: DecisionLog, power_journal):
         self.clock = clock
         self.service = service
         self.log = decision_log
@@ -134,15 +96,6 @@ class Supervisor:
         """Wake every journal-dark group the restored state would
         otherwise leave stranded."""
         for name in self.power_journal.dark_groups():
-            g = loop.state.groups.get(name)
-            if g is None:
-                continue
-            self.recoveries += 1
-            loop.release_gate(name)
-            self.log.record(
-                time_ns=now, controller="supervisor", group=name,
-                channels=(), old_rate=None,
-                new_rate=max(loop.config.floor_rate_gbps,
-                             g.last_good_rate),
-                reason=SERVICE_RECOVERED, changed=False)
-            loop.recover_group(name, now)
+            if name in loop.state.groups:
+                self.recoveries += 1
+                loop.recover_group(name, now)

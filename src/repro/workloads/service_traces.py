@@ -55,8 +55,9 @@ class DiurnalTraceSource:
             raise ValueError(
                 f"epochs_per_day must be >= 2, got {epochs_per_day}")
         self._groups = tuple(groups)
-        #: Group -> fleet index (a repeated name keeps its first).
-        self._index = {name: i for i, name
+        #: Group -> diurnal phase offset, from its fleet index (a
+        #: repeated name keeps its first).
+        self._phase = {name: i / max(1, len(self._groups)) for i, name
                        in reversed(tuple(enumerate(self._groups)))}
         self.epochs_per_day = epochs_per_day
         self.peak_gbps = peak_gbps
@@ -73,12 +74,11 @@ class DiurnalTraceSource:
 
     def demand(self, group: str, epoch: int) -> float:
         """Offered demand (Gb/s) for ``group`` over ``epoch``."""
-        index = self._index.get(group)
-        if index is None:
+        phase = self._phase.get(group)
+        if phase is None:
             raise ValueError(
                 f"unknown trace group {group!r}; the trace has "
                 f"{len(self._groups)} groups")
-        phase = index / max(1, len(self._groups))
         t = epoch / self.epochs_per_day + phase
         swing = 0.5 * (1.0 - math.cos(2.0 * math.pi * t))
         base = max(0.0, (swing - self.floor_cut) / (1.0 - self.floor_cut))

@@ -338,8 +338,8 @@ class TestCrashRecovery:
         _, ctrl, _, guard = make_guarded(log=log)
         self.record(log, GATED_OFF, group="g1", t=50.0)
         self.record(log, CONTROL_FAULT_RESTART, t=80.0)
-        assert guard._journal["g1"] == ("off", 50.0)
-        assert guard._last_restart_ns == 80.0
+        assert guard.power_journal.last_power["g1"] == ("off", 50.0)
+        assert guard.power_journal.last_restart_ns == 80.0
 
     def test_pre_crash_gated_group_is_recovered(self):
         log = DecisionLog()
@@ -415,9 +415,9 @@ class TestJournalBound:
             config=FailsafeConfig(journal_cap=3), log=log)
         for i in range(5):
             self.record(log, f"g{i}", t=float(i))
-        assert len(guard._journal) == 3
-        assert set(guard._journal) == {"g2", "g3", "g4"}
-        assert guard.journal_evictions == 2
+        assert len(guard.power_journal.last_power) == 3
+        assert set(guard.power_journal.last_power) == {"g2", "g3", "g4"}
+        assert guard.power_journal.evictions == 2
 
     def test_reinserting_a_known_group_never_evicts(self):
         log = DecisionLog()
@@ -427,8 +427,9 @@ class TestJournalBound:
         self.record(log, "b", t=2.0)
         for t in (3.0, 4.0, 5.0):
             self.record(log, "a", t=t)
-        assert guard._journal == {"b": ("off", 2.0), "a": ("off", 5.0)}
-        assert guard.journal_evictions == 0
+        assert guard.power_journal.last_power == {"b": ("off", 2.0),
+                                                  "a": ("off", 5.0)}
+        assert guard.power_journal.evictions == 0
 
     def test_update_refreshes_age_order(self):
         log = DecisionLog()
@@ -438,8 +439,8 @@ class TestJournalBound:
         self.record(log, "b", t=2.0)
         self.record(log, "a", t=3.0)  # a is now youngest
         self.record(log, "c", t=4.0)  # evicts b, not a
-        assert set(guard._journal) == {"a", "c"}
-        assert guard.journal_evictions == 1
+        assert set(guard.power_journal.last_power) == {"a", "c"}
+        assert guard.power_journal.evictions == 1
 
     def test_eviction_counter_not_in_digest(self):
         # FailsafeGuard.digest() feeds the frozen chaos golden; the

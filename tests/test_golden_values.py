@@ -2,13 +2,14 @@
 
 ``tests/golden/*.json`` freezes the seed repo's Table 1 part counts,
 Figure 1 scenario watts and Figure 7 run digests, plus the predictive
-and campaign digests.  Each test compares the frozen file within 1e-9
-against the payload recomputed live by the session's one
-``golden-refresh --no-cache`` run (``conftest.golden_refresh``; the
-simulation payloads go through isolated no-cache sweep runners, so a
-stale cache can never mask drift).  Refresh deliberately with
-``python -m repro golden-refresh`` or ``make golden-refresh`` after an
-*intentional* result change.
+and campaign digests.  The session's one ``golden-refresh --no-cache``
+run (``conftest.golden_refresh``) rebuilds them all; the simulation
+payloads go through isolated no-cache sweep runners, so a stale cache
+can never mask drift.  One test requires each rebuilt file to equal
+the frozen one byte for byte; the others compare each payload within
+1e-9, so that a failure names the drifted quantity.  Refresh
+deliberately with ``python -m repro golden-refresh`` or ``make
+golden-refresh`` after an *intentional* result change.
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ class TestGoldenFiles:
             assert (GOLDEN_DIR / f"{name}.json").exists(), (
                 f"missing golden file for {name}; run "
                 "`python -m repro golden-refresh`")
+
+    def test_refresh_rebuilds_every_file_byte_for_byte(self,
+                                                       golden_refresh):
+        # The contract is byte-identical goldens; the per-file tests
+        # below only compare within 1e-9.
+        for name in golden.GOLDEN_BUILDERS:
+            built = (golden_refresh.directory / f"{name}.json").read_bytes()
+            frozen = (GOLDEN_DIR / f"{name}.json").read_bytes()
+            assert built == frozen, (
+                f"{name}.json drifted from tests/golden/; refresh it "
+                "deliberately with `python -m repro golden-refresh`")
 
     def test_table1_part_counts_match(self, golden_refresh):
         frozen = golden.load(GOLDEN_DIR, "table1")

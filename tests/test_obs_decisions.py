@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig, EpochController
-from repro.core.failsafe import FailsafeGuard
+from repro.core.safety import PowerJournal
 from repro.experiments.runner import SimulationSpec, run_simulation
 from repro.faults.control_faults import (
     ControlFaultScenario,
@@ -424,11 +424,11 @@ class TestRunLevelAudit:
             log = DecisionLog(max_records=max_records)
             run_simulation(_control_chaos_spec(),
                            telemetry=Telemetry(decision_log=log))
-            guard, = [tap.__self__ for tap in log.taps
-                      if isinstance(tap.__self__, FailsafeGuard)]
+            journal, = [tap.__self__ for tap in log.taps
+                        if isinstance(tap.__self__, PowerJournal)]
             outcomes.append((log.decisions_recorded, log.reason_counts,
-                             log.transition_counts, guard._journal,
-                             guard._last_restart_ns))
+                             log.transition_counts, journal.last_power,
+                             journal.last_restart_ns))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 50913 and outcomes[0][3]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.policies import (
     AggressivePolicy,
+    DemandLadderPolicy,
     HysteresisPolicy,
     PredictivePolicy,
     ThresholdPolicy,
@@ -127,6 +128,7 @@ class TestPolicyOutputsAlwaysLegal:
         ThresholdPolicy(0.5),
         HysteresisPolicy(0.2, 0.8),
         AggressivePolicy(0.5),
+        DemandLadderPolicy(0.5),
         PredictivePolicy(0.5),
     ])
     def test_decisions_stay_on_ladder(self, policy):

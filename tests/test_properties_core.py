@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import (
     AggressivePolicy,
+    DemandLadderPolicy,
     HysteresisPolicy,
     PredictivePolicy,
     ThresholdPolicy,
@@ -67,6 +68,24 @@ class TestLadderProperties:
         assert ladder.step_up(rate) >= rate
         assert ladder.step_down(rate) <= rate
 
+    @given(rates, st.floats(min_value=0.0, max_value=250.0,
+                            allow_nan=False),
+           st.sampled_from([0.5, 0.6, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_slowest_covering_matches_the_ladder_loop(self, rates, demand,
+                                                      target):
+        # The loop DemandLadderPolicy, PredictivePolicy, the oracle and
+        # the service each used to carry.
+        ladder = RateLadder(rates)
+        expected = ladder.max_rate
+        for rate in ladder.rates:
+            if demand <= target * rate:
+                expected = rate
+                break
+        assert ladder.slowest_covering(demand, target) == expected
+        if target == 1.0:
+            assert ladder.slowest_covering(demand) == expected
+
     @given(rates, st.floats(min_value=0.1, max_value=200.0,
                             allow_nan=False))
     @settings(max_examples=60, deadline=None)
@@ -96,6 +115,7 @@ class TestPolicyProperties:
         ThresholdPolicy(0.25), ThresholdPolicy(0.5), ThresholdPolicy(0.75),
         HysteresisPolicy(0.2, 0.8),
         AggressivePolicy(0.5),
+        DemandLadderPolicy(0.5),
         PredictivePolicy(0.5),
     ])
 

@@ -35,7 +35,6 @@ from repro.service import (
     TelemetryRecord,
     VirtualClock,
 )
-from repro.service.supervisor import PowerJournal
 
 CONFIG = ServiceConfig(groups=2, epochs=16, epochs_per_day=8)
 
@@ -282,14 +281,14 @@ class TestPowerJournal:
         return reason, group, t, changed
 
     def test_gate_off_marks_dark_and_wake_clears(self):
-        journal = PowerJournal()
+        journal = ControlPlaneService(CONFIG).power_journal
         journal.observe(*self.decision(GATED_OFF))
         assert journal.dark_groups() == ["a"]
         journal.observe(*self.decision(GATED_WAKE, t=2.0))
         assert journal.dark_groups() == []
 
     def test_any_changed_send_marks_lit(self):
-        journal = PowerJournal()
+        journal = ControlPlaneService(CONFIG).power_journal
         journal.observe(*self.decision(GATED_OFF))
         journal.observe(*self.decision(BELOW_THRESHOLD, t=2.0,
                                        changed=True))
@@ -332,18 +331,34 @@ class TestSupervisor:
         # the restored state's eyes are stale.
         config = ServiceConfig(groups=4, epochs=30, epochs_per_day=30,
                                seed=2)
+        crash_ns = 16.3 * config.epoch_ns
         scenario = ControlFaultScenario(
             name="crash", crashes=(ControllerCrash(
-                time_ns=16.3 * config.epoch_ns,
-                restart_after_epochs=None),))
+                time_ns=crash_ns, restart_after_epochs=None),))
         log = DecisionLog()
         service = ControlPlaneService(config, scenario=scenario,
                                       decision_log=log)
+        dark_at_restart = []
+
+        def snapshot(reason, group, time_ns, changed):
+            # Registered after the power journal's tap, so the
+            # restart record has reached the journal, no recovery has.
+            if reason == SERVICE_RESTART:
+                dark_at_restart.append(
+                    service.power_journal.dark_groups())
+
+        log.taps.append(snapshot)
         summary = service.run()
         assert summary.restarts == 1
-        if log.reason_counts.get(GATED_OFF, 0):
-            assert summary.recoveries >= 0  # wakes only dark groups
+        gated_before_crash = {d.group for d in log.records
+                              if d.reason == GATED_OFF
+                              and d.time_ns < crash_ns}
+        assert gated_before_crash
+        dark, = dark_at_restart
+        assert dark
+        assert set(dark) <= gated_before_crash
+        recovered = [d.group for d in log.records
+                     if d.reason == SERVICE_RECOVERED]
+        assert sorted(recovered) == dark
+        assert summary.recoveries == len(dark)
         assert summary.partitions == 0
-        if summary.recoveries:
-            assert log.reason_counts[SERVICE_RECOVERED] \
-                == summary.recoveries
