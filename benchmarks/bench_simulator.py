@@ -2,7 +2,8 @@
 
 Not a paper figure — these track the cost of the substrate itself so
 that experiment-level benchmark movements can be attributed correctly:
-a bare event chain on the engine, and one small fabric run.
+a bare event chain on the engine, the same chain with cancellable
+deadlines that are nearly always cancelled, and one small fabric run.
 """
 
 from repro.experiments.runner import SimulationSpec, run_simulation
@@ -35,6 +36,38 @@ def test_engine_event_throughput(benchmark):
     events = benchmark.pedantic(_engine_events, rounds=5, iterations=1,
                                 warmup_rounds=1)
     assert events >= 20_000
+
+
+def _engine_cancel_heavy():
+    """The escape-timer pattern on a bare engine: eight interleaved
+    chains of items, each arming a long deadline when it starts and
+    cancelling it one step later when it moves on, except every tenth
+    item, whose deadline fires.  Returns the simulator after the run."""
+    sim = Simulator()
+    count = 20_000
+
+    def expire():
+        pass
+
+    def advance(remaining, deadline):
+        if remaining % 10:
+            deadline.cancel()
+        if remaining:
+            sim.schedule_at(sim.now + 1.0, advance, remaining - 1,
+                            sim.schedule(1_000.0, expire))
+
+    for _ in range(8):
+        sim.schedule(0.0, advance, count // 8, sim.schedule(1_000.0, expire))
+    sim.run()
+    return sim
+
+
+def test_engine_cancel_heavy_throughput(benchmark):
+    sim = benchmark.pedantic(_engine_cancel_heavy, rounds=5, iterations=1,
+                             warmup_rounds=1)
+    # Per chain: 2,501 steps and the 251 deadlines left armed.
+    assert sim.events_fired == 8 * (2_501 + 251)
+    assert sim.pending_events == 0
 
 
 def test_network_packet_throughput(benchmark):

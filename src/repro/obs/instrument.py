@@ -105,9 +105,10 @@ class FabricProbe:
 
     # -- engine hook -----------------------------------------------------
 
-    def on_event_fired(self, event) -> None:
-        """One engine event executed; see Simulator._fire."""
-        if event.daemon:
+    def on_event_fired(self, entry: tuple) -> None:
+        """One engine event executed: ``entry`` is its ``(time, seq, fn,
+        args, daemon)`` heap entry; see Simulator._fire."""
+        if entry[4]:
             self._events_daemon.inc()
         else:
             self._events_task.inc()

@@ -270,10 +270,15 @@ class ControlPlaneService:
                                       epoch_ns=config.epoch_ns)
         # The supervisor's memory: a gate-off marks a group dark; a wake,
         # a safe-floor send, a recovery or any changed send marks it lit.
-        self.power_journal = PowerJournal(
-            (GATED_OFF,), (GATED_WAKE, SERVICE_SAFE_FLOOR, SERVICE_RECOVERED),
-            lit_on_change=True, cap=config.journal_cap)
-        self.log.taps.append(self.power_journal.observe)
+        # Only the supervisor reads it, so an unsupervised service keeps
+        # none and its records skip the tap.
+        self.power_journal: Optional[PowerJournal] = None
+        if config.supervised:
+            self.power_journal = PowerJournal(
+                (GATED_OFF,),
+                (GATED_WAKE, SERVICE_SAFE_FLOOR, SERVICE_RECOVERED),
+                lit_on_change=True, cap=config.journal_cap)
+            self.log.taps.append(self.power_journal.observe)
         self.stream = TelemetryStream(
             self.clock,
             capacity=config.stream_capacity if config.shedding else None,

@@ -17,9 +17,10 @@ supervisor is the independent task that notices and repairs:
   and remembers, per group, the last power-affecting decision.  Any
   group the journal says was gated dark but the restored state
   doesn't know about (or knows and would leave dark with stale eyes)
-  is released and woken at its last-good rate — the
-  :meth:`repro.core.failsafe.FailsafeGuard.release_gate` semantics
-  applied across a process boundary, audited as
+  is released and woken at its last-good rate — the semantics of
+  :meth:`repro.core.failsafe.FailsafeGuard._release_gate` (which calls
+  the wrapped controller's ``release_gate``) applied across a process
+  boundary, audited as
   ``service_recovered``.
 
 The journal is the failsafe guard's (:mod:`repro.core.safety`); the

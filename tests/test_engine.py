@@ -162,6 +162,17 @@ class TestCancellation:
         assert fired == ["self", "next"]
         assert not box[0].cancelled
 
+    def test_repr_names_the_state(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, list)
+        cancelled = sim.schedule(2.0, list, daemon=True)
+        pending = sim.schedule(9.0, list)
+        cancelled.cancel()
+        sim.run(until_ns=5.0)
+        assert repr(fired) == "Event(t=1.0ns, list, fired)"
+        assert repr(cancelled) == "Event(t=2.0ns, list, daemon cancelled)"
+        assert repr(pending) == "Event(t=9.0ns, list, pending)"
+
 
 class TestPurge:
     """Cancelled entries are dropped from the heap once they outnumber
@@ -202,14 +213,13 @@ class TestPurge:
 
 
 class ReferenceEvent:
-    def __init__(self, scheduler, fn, args, daemon):
-        self.scheduler = scheduler
-        self.fn, self.args, self.daemon = fn, args, daemon
+    def __init__(self, scheduler, seq):
+        self.scheduler, self.seq = scheduler, seq
 
     def cancel(self):
         pending = self.scheduler.pending
         for i, entry in enumerate(pending):
-            if entry[2] is self:
+            if entry[1] == self.seq:
                 del pending[i]
                 return
 
@@ -217,35 +227,35 @@ class ReferenceEvent:
 class ReferenceScheduler:
     """The engine's contract as a sorted list: events fire in (time,
     scheduling order); run() without a horizon stops once only daemons
-    remain; cancelling a fired event does nothing."""
+    remain; cancelling a fired event does nothing; schedule_at returns
+    the event's sequence number and schedule a handle for it."""
 
     def __init__(self):
         self.now = 0.0
         self.events_fired = 0
-        self.pending = []       # sorted [(time, seq, event)]
+        self.pending = []       # sorted [(time, seq, fn, args, daemon)]
         self.seq = 0
 
     @property
     def live_events(self):
-        return sum(1 for _, _, event in self.pending if not event.daemon)
+        return sum(1 for entry in self.pending if not entry[4])
 
     def schedule(self, delay_ns, fn, *args, daemon=False):
-        return self.schedule_at(self.now + delay_ns, fn, *args,
-                                daemon=daemon)
+        return ReferenceEvent(self, self.schedule_at(
+            self.now + delay_ns, fn, *args, daemon=daemon))
 
     def schedule_at(self, time_ns, fn, *args, daemon=False):
         assert time_ns >= self.now
         self.seq += 1
-        event = ReferenceEvent(self, fn, args, daemon)
-        self.pending.append((time_ns, self.seq, event))
+        self.pending.append((time_ns, self.seq, fn, args, daemon))
         self.pending.sort(key=lambda entry: entry[:2])
-        return event
+        return self.seq
 
     def _fire_next(self):
-        time_ns, _, event = self.pending.pop(0)
+        time_ns, _, fn, args, _ = self.pending.pop(0)
         self.now = time_ns
         self.events_fired += 1
-        event.fn(*event.args)
+        fn(*args)
 
     def step(self):
         if not self.pending:
@@ -291,9 +301,12 @@ RUN = st.one_of(st.tuples(st.just("step")),
 
 def play(scheduler, program):
     """Run ``program`` against ``scheduler``; the observations after each
-    step or run call (fired ``(time, tag)`` pairs so far and counters)."""
+    step or run call (fired ``(time, tag)`` pairs so far, counters and
+    the tokens ``schedule_at`` returned).  Cancel actions draw from the
+    handles ``schedule`` returned, fired ones included."""
     fired = []
     handles = []
+    tokens = []
     tags = iter(range(10**9))
 
     def act(action):
@@ -314,12 +327,11 @@ def play(scheduler, program):
             if entry == "schedule":
                 event = scheduler.schedule(delay, callback, tag, children,
                                            daemon=daemon)
-            else:
-                event = scheduler.schedule_at(scheduler.now + delay,
-                                              callback, tag, children,
-                                              daemon=daemon)
-            handles.append(event)
-            return event
+                handles.append(event)
+                return event
+            tokens.append(scheduler.schedule_at(scheduler.now + delay,
+                                                callback, tag, children,
+                                                daemon=daemon))
 
     def callback(tag, children):
         fired.append((scheduler.now, tag))
@@ -339,8 +351,53 @@ def play(scheduler, program):
             act(item)
             continue
         observed.append((list(fired), scheduler.now,
-                         scheduler.events_fired, scheduler.live_events))
+                         scheduler.events_fired, scheduler.live_events,
+                         list(tokens)))
     return observed
+
+
+def _at(entry, delay, *children, daemon=False):
+    return (entry, delay, daemon, list(children))
+
+
+#: Callbacks sharing a timestamp cancel the handles scheduled just
+#: before them (already fired: a no-op) and just after them (pending:
+#: cancelled), themselves, and handles fired at an earlier time or
+#: before a horizon.  Handle indices follow scheduling order among
+#: ``schedule`` calls; ``schedule_at`` tokens interleave the sequence
+#: numbers without taking an index.
+EQUAL_TIME_CANCELS = {
+    "before_and_after": [
+        _at("schedule", 5.0),                                   # h0
+        _at("schedule", 5.0, ("cancel", 0), ("cancel", 2)),     # h1
+        _at("schedule", 5.0),                                   # h2
+        _at("schedule", 5.0),                                   # h3
+        ("run",)],
+    "self_and_tokens_between": [
+        _at("schedule_at", 5.0),
+        _at("schedule", 5.0, ("cancel", 0), ("cancel", 1)),     # h0
+        _at("schedule_at", 5.0),
+        _at("schedule", 5.0, ("cancel", 0), ("cancel", 2)),     # h1
+        _at("schedule_at", 5.0),
+        _at("schedule", 5.0, daemon=True),                      # h2
+        ("run_until", 5.0)],
+    "spawned_at_the_same_time": [
+        _at("schedule", 5.0,
+            _at("schedule", 0.0, ("cancel", 0), ("cancel", 2)),  # h2
+            _at("schedule_at", 0.0),
+            _at("schedule", 0.0)),                              # h3
+        _at("schedule", 5.0, ("cancel", 3)),                    # h1
+        ("step",), ("step",), ("step",), ("run",)],
+    "after_a_horizon": [
+        _at("schedule", 5.0),                                   # h0
+        _at("schedule", 5.0, daemon=True),                      # h1
+        ("run_until", 5.0),
+        _at("schedule", 0.0, ("cancel", 0), ("cancel", 1),
+            ("cancel", 3)),                                     # h2
+        _at("schedule", 0.0),                                   # h3
+        ("cancel", 0), ("cancel", 1),
+        ("run",)],
+}
 
 
 class TestAgainstReference:
@@ -350,6 +407,14 @@ class TestAgainstReference:
     def test_same_firings_as_a_sorted_list(self, program, floor):
         # Drain at the end: run() leaves daemons, a horizon fires them.
         program = program + [("run",), ("run_until", 50.0)]
+        with mock.patch.object(engine, "_PURGE_FLOOR", floor):
+            got = play(Simulator(), program)
+        assert got == play(ReferenceScheduler(), program)
+
+    @pytest.mark.parametrize("name", sorted(EQUAL_TIME_CANCELS))
+    @pytest.mark.parametrize("floor", [0, engine._PURGE_FLOOR])
+    def test_cancels_at_equal_times(self, name, floor):
+        program = EQUAL_TIME_CANCELS[name] + [("run",), ("run_until", 50.0)]
         with mock.patch.object(engine, "_PURGE_FLOOR", floor):
             got = play(Simulator(), program)
         assert got == play(ReferenceScheduler(), program)
@@ -453,6 +518,35 @@ class TestDaemonEvents:
         assert sim.live_events == 0
 
 
+def _small_fabric(escape_timeout_ns, incast=False):
+    """A k=4 n=2 fabric under an epoch controller with 40 messages
+    submitted.  ``incast`` sends them all to host 0 through one-MTU
+    output queues, so packets block."""
+    config = NetworkConfig(seed=3, escape_timeout_ns=escape_timeout_ns)
+    if incast:
+        config = NetworkConfig(seed=3, escape_timeout_ns=escape_timeout_ns,
+                               queue_capacity_bytes=config.mtu_bytes)
+    net = FbflyNetwork(FlattenedButterfly(k=4, n=2), config)
+    EpochController(net, config=ControllerConfig(independent_channels=True))
+    hosts = net.topology.num_hosts
+    for i in range(40):
+        src = i % hosts
+        dst = (0 if src else 1) if incast else (i * 7 + 3) % hosts
+        net.submit(i * 200.0, src, dst, 8192)
+    return net
+
+
+class FiredSeqs:
+    """An engine observer that keeps each fired event's sequence
+    number."""
+
+    def __init__(self):
+        self.seqs = []
+
+    def on_event_fired(self, entry):
+        self.seqs.append(entry[1])
+
+
 class TestEntryPoint:
     """Every event enters through ``Simulator.schedule_at``: the hot
     callers skip ``schedule`` but never the queue's front door, which
@@ -460,30 +554,57 @@ class TestEntryPoint:
 
     def test_every_fabric_event_goes_through_schedule_at(self, monkeypatch):
         original = Simulator.schedule_at
-        scheduled = []
+        tokens = []
 
         def counting(sim, time_ns, fn, *args, daemon=False):
-            event = original(sim, time_ns, fn, *args, daemon=daemon)
-            scheduled.append(event)
-            return event
+            token = original(sim, time_ns, fn, *args, daemon=daemon)
+            tokens.append(token)
+            return token
 
         monkeypatch.setattr(Simulator, "schedule_at", counting)
         # No escape valve, so no event is ever cancelled and every
         # scheduled event either fired or is still queued.
-        net = FbflyNetwork(FlattenedButterfly(k=4, n=2),
-                           NetworkConfig(seed=3, escape_timeout_ns=None))
-        EpochController(net, config=ControllerConfig(
-            independent_channels=True))
-        hosts = net.topology.num_hosts
-        for i in range(40):
-            net.submit(i * 200.0, i % hosts, (i * 7 + 3) % hosts, 8192)
+        net = _small_fabric(escape_timeout_ns=None)
+        fired = FiredSeqs()
+        net.sim.observer = fired
         net.run(until_ns=20_000.0)
 
         assert net.sim.events_fired > 1000
         assert net.sim.pending_events > 0
-        assert not any(event.cancelled for event in scheduled)
-        assert len(scheduled) == (net.sim.events_fired
-                                  + net.sim.pending_events)
+        queued = [entry[1] for entry in net.sim._heap]
+        assert sorted(fired.seqs + queued) == sorted(tokens)
+        assert len(tokens) == (net.sim.events_fired
+                               + net.sim.pending_events)
+
+    def test_only_schedule_builds_event_handles(self, monkeypatch):
+        built = []
+        handed_out = []
+
+        class CountedEvent(engine.Event):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        original = Simulator.schedule
+
+        def counting(sim, *args, **kwargs):
+            event = original(sim, *args, **kwargs)
+            handed_out.append(event)
+            return event
+
+        monkeypatch.setattr(engine, "Event", CountedEvent)
+        monkeypatch.setattr(Simulator, "schedule", counting)
+        # Blocked packets arm escape deadlines, most of them cancelled.
+        net = _small_fabric(escape_timeout_ns=10_000.0, incast=True)
+        net.run(until_ns=20_000.0)
+
+        escapes = [event for event in built
+                   if event._fn.__qualname__ == "Switch._escape"]
+        assert escapes and any(event.cancelled for event in escapes)
+        assert built == handed_out
+        assert net.sim.events_fired > 5 * len(built)
 
     def test_fifo_at_equal_times_across_entry_points_and_drivers(self):
         sim = Simulator()

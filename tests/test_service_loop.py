@@ -294,6 +294,15 @@ class TestPowerJournal:
                                        changed=True))
         assert journal.dark_groups() == []
 
+    def test_unsupervised_service_keeps_no_journal(self):
+        # Only the supervisor reads the journal, so without one no
+        # decision record pays for its tap.
+        log = DecisionLog()
+        service = ControlPlaneService(
+            dataclasses.replace(CONFIG, supervised=False), decision_log=log)
+        assert service.power_journal is None and service.supervisor is None
+        assert log.taps == []
+
 
 class TestSupervisor:
     def test_crashed_loop_is_restarted_and_run_completes(self):
