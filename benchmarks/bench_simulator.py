@@ -3,9 +3,17 @@
 Not a paper figure — these track the cost of the substrate itself so
 that experiment-level benchmark movements can be attributed correctly:
 a bare event chain on the engine, the same chain with cancellable
-deadlines that are nearly always cancelled, and one small fabric run.
+deadlines that are nearly always cancelled, one small fabric run, and
+the cold start every sweep worker, CLI call and benchmark repeat pays
+before its first event.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.experiments.runner import SimulationSpec, run_simulation
 from repro.sim.engine import Simulator
 
@@ -75,3 +83,31 @@ def test_network_packet_throughput(benchmark):
                                  rounds=3, iterations=1, warmup_rounds=1)
     assert summary.messages_delivered > 0
     assert summary.events_fired > 0
+
+
+#: A fresh interpreter's set-up: import the modules the end-to-end
+#: benchmark's workloads import, then build a k=2 n=2 fabric.
+COLD_START = "\n".join([
+    "import repro.experiments.cache",
+    "import repro.experiments.runner",
+    "import repro.faults.control_faults",
+    "import repro.obs.session",
+    "import repro.service.service",
+    "import repro.sim.invariants",
+    "from repro.sim.network import FbflyNetwork, NetworkConfig",
+    "spec = repro.experiments.runner.SimulationSpec(k=2, n=2)",
+    "network = FbflyNetwork(spec.build_topology(), NetworkConfig(seed=1))",
+    "assert network.switches",
+])
+
+
+def _cold_start():
+    """One fresh interpreter through :data:`COLD_START`."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True)
+
+
+def test_cold_start(benchmark):
+    benchmark.pedantic(_cold_start, rounds=5, iterations=1,
+                       warmup_rounds=1)

@@ -31,37 +31,28 @@ Quickstart::
     print(stats.power_fraction(MeasuredChannelPower()))
 """
 
-from repro.topology import FatTree, FlattenedButterfly, FoldedClos
-from repro.power import (
-    CapexModel,
-    ClusterPowerModel,
-    EnergyCostModel,
-    MeasuredChannelPower,
-    IdealChannelPower,
-    DEFAULT_RATE_LADDER,
-)
-from repro.sim import (
-    FatTreeNetwork,
-    FbflyNetwork,
-    LinkFaultInjector,
-    NetworkConfig,
-)
-from repro.core import (
-    EpochController,
-    ControllerConfig,
-    ThresholdPolicy,
-    HysteresisPolicy,
-    AggressivePolicy,
-    PredictivePolicy,
-    DynamicTopologyController,
-    DynamicTopologyConfig,
-    TopologyMode,
-)
-from repro.workloads import (
-    UniformRandomWorkload,
-    search_workload,
-    advert_workload,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".topology.fat_tree": ("FatTree",),
+    ".topology.flattened_butterfly": ("FlattenedButterfly",),
+    ".topology.folded_clos": ("FoldedClos",),
+    ".power.capex": ("CapexModel",),
+    ".power.cluster": ("ClusterPowerModel",),
+    ".power.cost": ("EnergyCostModel",),
+    ".power.channel_models": ("MeasuredChannelPower", "IdealChannelPower"),
+    ".power.link_rates": ("DEFAULT_RATE_LADDER",),
+    ".sim.clos_network": ("FatTreeNetwork",),
+    ".sim.network": ("FbflyNetwork", "NetworkConfig"),
+    ".sim.faults": ("LinkFaultInjector",),
+    ".core.controller": ("EpochController", "ControllerConfig"),
+    ".core.policies": ("ThresholdPolicy", "HysteresisPolicy",
+                       "AggressivePolicy", "PredictivePolicy"),
+    ".core.dynamic_topology": ("DynamicTopologyController",
+                               "DynamicTopologyConfig", "TopologyMode"),
+    ".workloads.uniform": ("UniformRandomWorkload",),
+    ".workloads.synthetic_traces": ("search_workload", "advert_workload"),
+})
 
 __version__ = "1.0.0"
 

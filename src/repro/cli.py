@@ -48,76 +48,89 @@ Perfetto-loadable Chrome trace of a run (``export-trace``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from repro.experiments import (
-    campaign,
-    golden,
-    sweep,
-    asymmetry,
-    dynamic_topology,
-    energy_aware,
-    lane_ladder,
-    mixed_media,
-    oversubscription,
-    figure1,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    policies,
-    predictive,
-    routing_ablation,
-    savings,
-    sensors,
-    service_resilience,
-    table1,
-    table2,
-    topology_comparison,
-)
 from repro.experiments.scale import SCALES, ExperimentScale, current_scale
+
+
+def _deferred(module: str, campaign: Optional[str] = None) -> Callable:
+    """``repro.experiments.<module>.run`` — or campaign ``campaign`` of
+    :mod:`repro.experiments.campaign` — imported on the first call, so
+    the CLI loads only the command it dispatches."""
+    qualified = f"repro.experiments.{module}"
+
+    def run(*args, **kwargs):
+        experiment = importlib.import_module(qualified)
+        target = (experiment.run if campaign is None
+                  else experiment.experiment(campaign))
+        return target(*args, **kwargs)
+
+    run.__module__ = qualified
+    return run
+
 
 #: name -> (description, needs_scale, run callable)
 EXPERIMENTS: Dict[str, tuple] = {
-    "table1": ("FBFLY vs folded-Clos parts and power", False, table1.run),
-    "table2": ("InfiniBand data rates", False, table2.run),
-    "figure1": ("server vs network power scenarios", False, figure1.run),
-    "figure5": ("switch-chip dynamic range", False, figure5.run),
-    "figure6": ("ITRS bandwidth trend", False, figure6.run),
+    "table1": ("FBFLY vs folded-Clos parts and power", False,
+               _deferred("table1")),
+    "table2": ("InfiniBand data rates", False, _deferred("table2")),
+    "figure1": ("server vs network power scenarios", False,
+                _deferred("figure1")),
+    "figure5": ("switch-chip dynamic range", False, _deferred("figure5")),
+    "figure6": ("ITRS bandwidth trend", False, _deferred("figure6")),
     "figure7": ("time per link speed, paired vs independent", True,
-                figure7.run),
-    "figure8": ("network power under rate scaling", True, figure8.run),
+                _deferred("figure7")),
+    "figure8": ("network power under rate scaling", True,
+                _deferred("figure8")),
     "figure9": ("latency sensitivity (target, reactivation)", True,
-                figure9.run),
+                _deferred("figure9")),
     "asymmetry": ("per-direction channel load imbalance", True,
-                  asymmetry.run),
-    "policies": ("Section 5.2 heuristic ablation", True, policies.run),
+                  _deferred("asymmetry")),
+    "policies": ("Section 5.2 heuristic ablation", True,
+                 _deferred("policies")),
     "dynamic-topology": ("Section 5.1 mesh/torus/FBFLY modes", True,
-                         dynamic_topology.run),
+                         _deferred("dynamic_topology")),
     "topology-comparison": ("rate scaling on FBFLY vs fat tree", True,
-                            topology_comparison.run),
+                            _deferred("topology_comparison")),
     "energy-aware": ("energy-aware vs plain adaptive routing", True,
-                     energy_aware.run),
+                     _deferred("energy_aware")),
     "lane-ladder": ("scalar vs lane-aware rate ladders (§5.2)", True,
-                    lane_ladder.run),
+                    _deferred("lane_ladder")),
     "savings": ("simulated savings priced at the 32k-host scale", True,
-                savings.run),
-    "sensors": ("congestion-sensor ablation (§3.2)", True, sensors.run),
+                _deferred("savings")),
+    "sensors": ("congestion-sensor ablation (§3.2)", True,
+                _deferred("sensors")),
     "routing-ablation": ("adaptive vs dimension-order routing under "
-                         "rate scaling", True, routing_ablation.run),
+                         "rate scaling", True,
+                         _deferred("routing_ablation")),
     "mixed-media": ("copper vs optical packaging-aware pricing", True,
-                    mixed_media.run),
+                    _deferred("mixed_media")),
     "oversubscription": ("§2.1.1 concentration sweep: W/host vs "
-                         "saturation", True, oversubscription.run),
+                         "saturation", True,
+                         _deferred("oversubscription")),
     "predictive": ("forecast-driven rate control vs reactive, with "
-                   "oracle/baseline regret", True, predictive.run),
-    **{name: (entry.description, True, campaign.experiment(name))
-       for name, entry in campaign.CAMPAIGNS.items()},
+                   "oracle/baseline regret", True,
+                   _deferred("predictive")),
+    # The campaigns of repro.experiments.campaign.CAMPAIGNS, with their
+    # entries' descriptions (tests/test_campaigns.py keeps them equal).
+    **{name: (description, True, _deferred("campaign", name))
+       for name, description in (
+           ("fault-tolerance", "seeded fault campaign: gated vs pinned "
+                               "spanning-set availability"),
+           ("chaos-campaign", "control-plane chaos sweep: failsafe SLOs "
+                              "vs unprotected degradation"),
+           ("demand-topology", "demand-aware topology control vs static "
+                               "FBFLY/degraded under structured "
+                               "matrices"),
+           ("service-resilience", "live control-plane service: resilient "
+                                  "vs unprotected SLOs under stream "
+                                  "chaos"),
+       )},
 }
 
 
@@ -150,6 +163,8 @@ def sweep_flags() -> argparse.ArgumentParser:
 
 def configure_sweep(args: argparse.Namespace) -> None:
     """Apply the :func:`sweep_flags` to the process-wide runner."""
+    from repro.experiments import sweep
+
     sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
                     cache_dir=args.cache_dir, run_log=args.run_log,
                     retries=args.retries)
@@ -203,14 +218,20 @@ def run_experiment(name: str, scale: ExperimentScale,
     is appended to it (the ``--stats-json`` payload).
     """
     description, needs_scale, run = EXPERIMENTS[name]
+    # Analytic experiments never sweep: unless the counters are asked
+    # for, they leave the sweep harness (and the simulator) unloaded.
+    counted = needs_scale or stats_sink is not None
+    if counted:
+        from repro.experiments import sweep
     started = time.perf_counter()
-    before = sweep.active_runner().stats.snapshot()
+    before = sweep.active_runner().stats.snapshot() if counted else None
     result = run(scale=scale) if needs_scale else run()
-    sweep_delta = sweep.active_runner().stats.delta(before)
+    sweep_delta = (sweep.active_runner().stats.delta(before) if counted
+                   else None)
     text = result.format_table()
     elapsed = time.perf_counter() - started
     header = f"[{name}] {description} ({elapsed:.1f}s)"
-    if sweep_delta.submitted:
+    if sweep_delta is not None and sweep_delta.submitted:
         header += f"\n[sweep: {sweep_delta.format_line()}]"
     if stats_sink is not None:
         stats_sink.append({
@@ -498,6 +519,8 @@ def build_predict_parser() -> argparse.ArgumentParser:
 
 def predict_main(argv) -> int:
     """Entry point for ``python -m repro predict ...``."""
+    from repro.experiments import predictive
+
     args = build_predict_parser().parse_args(argv)
     configure_sweep(args)
     scale = SCALES[args.scale] if args.scale else current_scale()
@@ -520,6 +543,8 @@ def predict_main(argv) -> int:
 
 def build_campaign_parser() -> argparse.ArgumentParser:
     """Construct the parser for the ``campaign`` subcommand."""
+    from repro.experiments import campaign
+
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
         description="Run one seeded SLO campaign: every arm, a per-arm "
@@ -551,6 +576,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
 
 def campaign_main(argv) -> int:
     """Entry point for ``python -m repro campaign ...``."""
+    from repro.experiments import campaign, sweep
+
     args = build_campaign_parser().parse_args(argv)
     configure_sweep(args)
     given = {key: getattr(args, key)
@@ -614,6 +641,7 @@ def serve_main(argv) -> int:
     """Entry point for ``python -m repro serve ...``."""
     import dataclasses as _dc
 
+    from repro.experiments import service_resilience
     from repro.obs.decisions import DecisionLog
     from repro.obs.runrecord import RunRecordWriter
     from repro.service.service import ControlPlaneService
@@ -678,13 +706,6 @@ def main(argv=None) -> int:
     if argv and argv[0] in subcommands:
         return subcommands[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
-    configure_sweep(args)
-
-    if args.experiment == "golden-refresh":
-        target = args.output or golden.default_golden_dir()
-        for path in golden.refresh(target, jobs=sweep.active_runner().jobs):
-            print(f"wrote {path}")
-        return 0
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
@@ -693,15 +714,28 @@ def main(argv=None) -> int:
             print(f"{name:22s} [{kind:8s}] {description}")
         return 0
 
+    if args.experiment == "golden-refresh":
+        from repro.experiments import golden, sweep
+
+        configure_sweep(args)
+        target = args.output or golden.default_golden_dir()
+        for path in golden.refresh(target, jobs=sweep.active_runner().jobs):
+            print(f"wrote {path}")
+        return 0
+
     scale = SCALES[args.scale] if args.scale else current_scale()
     names = (sorted(EXPERIMENTS) if args.experiment == "all"
              else [args.experiment])
     stats_sink: Optional[list] = [] if args.stats_json else None
+    if stats_sink is not None or any(EXPERIMENTS[name][1] for name in names):
+        configure_sweep(args)
     for name in names:
         print(run_experiment(name, scale, args.output,
                              write_json=args.json,
                              stats_sink=stats_sink))
     if args.stats_json is not None:
+        from repro.experiments import sweep
+
         payload = {
             "experiments": stats_sink,
             "total": sweep.active_runner().stats.to_dict(),

@@ -16,47 +16,24 @@
   controller (FBFLY <-> torus <-> mesh by powering links off).
 """
 
-from repro.core.policies import (
-    RatePolicy,
-    ThresholdPolicy,
-    HysteresisPolicy,
-    AggressivePolicy,
-    DemandLadderPolicy,
-    PredictivePolicy,
-)
-from repro.core.registry import (
-    register_control_mode,
-    registered_control_modes,
-    control_mode_registered,
-    build_controller,
-)
-from repro.core.grouping import (
-    ChannelGroup,
-    independent_groups,
-    paired_groups,
-)
-from repro.core.controller import EpochController, ControllerConfig
-from repro.core.lane_controller import (
-    LaneAwareController,
-    LaneControllerConfig,
-)
-from repro.core.sensors import (
-    GroupReading,
-    UtilizationSensor,
-    QueueOccupancySensor,
-    CreditStallSensor,
-    CompositeSensor,
-)
-from repro.core.ideal import (
-    ideal_power_fraction,
-    always_slowest_power_fraction,
-    power_dynamic_range,
-)
-from repro.core.dynamic_topology import (
-    TopologyMode,
-    DynamicTopologyController,
-    DynamicTopologyConfig,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".policies": ("RatePolicy", "ThresholdPolicy", "HysteresisPolicy",
+                  "AggressivePolicy", "DemandLadderPolicy",
+                  "PredictivePolicy"),
+    ".registry": ("register_control_mode", "registered_control_modes",
+                  "control_mode_registered", "build_controller"),
+    ".grouping": ("ChannelGroup", "independent_groups", "paired_groups"),
+    ".controller": ("EpochController", "ControllerConfig"),
+    ".lane_controller": ("LaneAwareController", "LaneControllerConfig"),
+    ".sensors": ("GroupReading", "UtilizationSensor", "QueueOccupancySensor",
+                 "CreditStallSensor", "CompositeSensor"),
+    ".ideal": ("ideal_power_fraction", "always_slowest_power_fraction",
+               "power_dynamic_range"),
+    ".dynamic_topology": ("TopologyMode", "DynamicTopologyController",
+                          "DynamicTopologyConfig"),
+})
 
 __all__ = [
     "RatePolicy",

@@ -68,6 +68,15 @@ class ControllerConfig:
             return self.epoch_ns
         return 10.0 * self.reactivation_ns
 
+    @classmethod
+    def from_spec(cls, spec) -> ControllerConfig:
+        """The timing knobs of a
+        :class:`~repro.experiments.runner.SimulationSpec` (the config
+        every registered control-mode builder hands its controller)."""
+        return cls(epoch_ns=spec.epoch_ns,
+                   reactivation_ns=spec.reactivation_ns,
+                   independent_channels=spec.independent_channels)
+
 
 class EpochController:
     """Samples utilization each epoch and retunes every control group.

@@ -47,6 +47,10 @@ guarding against silent result drift), ``scale`` / ``report`` /
 ``charts`` (sizing and rendering helpers).
 """
 
-from repro.experiments.scale import ExperimentScale, current_scale, SCALES
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".scale": ("ExperimentScale", "current_scale", "SCALES"),
+})
 
 __all__ = ["ExperimentScale", "current_scale", "SCALES"]

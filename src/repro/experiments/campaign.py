@@ -46,7 +46,10 @@ campaigns above keep their arm builders in modules of the same name
 :mod:`~repro.experiments.service_resilience`); only the table below
 names them.  It then runs as ``repro campaign <name>``, lists as a
 ``repro`` experiment and perf scenario, and freezes into
-``tests/golden/<golden>.json``.
+``tests/golden/<golden>.json``.  The name and description are also
+listed in :data:`repro.cli.EXPERIMENTS`, so the CLI can offer the
+campaign without importing this module (``tests/test_campaigns.py``
+checks the two agree).
 """
 
 from __future__ import annotations

@@ -33,11 +33,6 @@ from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import US
-from repro.workloads.synthetic_traces import (
-    advert_workload,
-    bursty_workload,
-    search_workload,
-)
 from repro.workloads.uniform import UniformRandomWorkload
 
 #: Control modes for a run.  ``"predict"`` and ``"oracle"`` are
@@ -122,15 +117,11 @@ class SimulationSpec:
             return UniformRandomWorkload(
                 num_hosts, offered_load=self.uniform_offered_load,
                 line_rate_gbps=line_rate_gbps, seed=self.seed, **extra)
-        if self.workload == "search":
-            return search_workload(num_hosts, seed=self.seed,
-                                   line_rate_gbps=line_rate_gbps)
-        if self.workload == "advert":
-            return advert_workload(num_hosts, seed=self.seed,
-                                   line_rate_gbps=line_rate_gbps)
-        if self.workload == "bursty":
-            return bursty_workload(num_hosts, seed=self.seed,
-                                   line_rate_gbps=line_rate_gbps)
+        if self.workload in ("search", "advert", "bursty"):
+            from repro.workloads import synthetic_traces
+            factory = getattr(synthetic_traces, f"{self.workload}_workload")
+            return factory(num_hosts, seed=self.seed,
+                           line_rate_gbps=line_rate_gbps)
         if self.workload in ("skewed", "shifting", "diurnal"):
             from repro.workloads.matrix import (
                 DiurnalWorkload,
@@ -221,11 +212,7 @@ def _build_epoch_controller(network, spec, decision_log):
     return EpochController(
         network,
         policy=spec.build_policy(),
-        config=ControllerConfig(
-            epoch_ns=spec.epoch_ns,
-            reactivation_ns=spec.reactivation_ns,
-            independent_channels=spec.independent_channels,
-        ),
+        config=ControllerConfig.from_spec(spec),
         decision_log=decision_log,
     )
 

@@ -34,59 +34,39 @@ scenario, mirroring :mod:`repro.predict`.
 
 from __future__ import annotations
 
-from repro.core.controller import ControllerConfig
+from repro._lazy import lazy_exports
 from repro.core.registry import (
     control_mode_registered,
     register_control_mode,
 )
-from repro.core.sensors import UtilizationSensor
-from repro.faults.policy import (
-    FaultAwareEpochController,
-    GatingConfig,
-    SpanningSetGuard,
-)
-from repro.faults.scenario import (
-    FaultScenario,
-    LinkFlap,
-    RandomLinkFaults,
-    SensorFault,
-    SwitchChipFailure,
-    apply_scenario,
-    build_scenario,
-    register_scenario,
-    registered_scenarios,
-    scenario_registered,
-)
-from repro.faults.control_faults import (
-    ControlFaultScenario,
-    ControlPlaneChaos,
-    ControllerCrash,
-    CorruptReading,
-    DecisionDelay,
-    DecisionLoss,
-    StaleTelemetry,
-    TelemetryDropout,
-    build_control_scenario,
-    control_scenario_registered,
-    register_control_scenario,
-    registered_control_scenarios,
-)
-from repro.faults.sensors import FaultySensor
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".policy": ("FaultAwareEpochController", "GatingConfig",
+                "SpanningSetGuard"),
+    ".scenario": ("FaultScenario", "LinkFlap", "RandomLinkFaults",
+                  "SensorFault", "SwitchChipFailure", "apply_scenario",
+                  "build_scenario", "register_scenario",
+                  "registered_scenarios", "scenario_registered"),
+    ".control_faults": ("ControlFaultScenario", "ControlPlaneChaos",
+                        "ControllerCrash", "CorruptReading",
+                        "DecisionDelay", "DecisionLoss", "StaleTelemetry",
+                        "TelemetryDropout", "build_control_scenario",
+                        "control_scenario_registered",
+                        "register_control_scenario",
+                        "registered_control_scenarios"),
+    ".sensors": ("FaultySensor",),
+})
 
 CONTROL_FAULT_GATED = "fault_gated"
 CONTROL_FAULT_PINNED = "fault_pinned"
 
 
-def _controller_config(spec) -> ControllerConfig:
-    return ControllerConfig(
-        epoch_ns=spec.epoch_ns,
-        reactivation_ns=spec.reactivation_ns,
-        independent_channels=spec.independent_channels,
-    )
-
-
 def _build_sensor(network, spec):
     """The honest utilization sensor, corrupted per the scenario."""
+    from repro.core.sensors import UtilizationSensor
+    from repro.faults.scenario import build_scenario
+    from repro.faults.sensors import FaultySensor
+
     base = UtilizationSensor()
     if not spec.faults:
         return base
@@ -99,10 +79,13 @@ def _build_sensor(network, spec):
 
 def _build_gated(network, spec, decision_log):
     """Control-mode builder for ``control="fault_gated"`` specs."""
+    from repro.core.controller import ControllerConfig
+    from repro.faults.policy import FaultAwareEpochController
+
     return FaultAwareEpochController(
         network,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         sensor=_build_sensor(network, spec),
         decision_log=decision_log,
         guard=None,
@@ -112,10 +95,13 @@ def _build_gated(network, spec, decision_log):
 
 def _build_pinned(network, spec, decision_log):
     """Control-mode builder for ``control="fault_pinned"`` specs."""
+    from repro.core.controller import ControllerConfig
+    from repro.faults.policy import FaultAwareEpochController, SpanningSetGuard
+
     return FaultAwareEpochController(
         network,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         sensor=_build_sensor(network, spec),
         decision_log=decision_log,
         guard=SpanningSetGuard(network, mode="ring"),

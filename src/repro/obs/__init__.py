@@ -32,12 +32,15 @@ plus per-layer self time from span tracing (``e2ebench/spans.py``).
 Only the dependency-free core (metrics, decisions) is re-exported
 here; import :mod:`repro.obs.runrecord`, :mod:`repro.obs.session` and
 :mod:`repro.obs.trace_export` directly — they depend on
-:mod:`repro.experiments` and importing them from the package root would
-cycle.
+:mod:`repro.experiments`.
 """
 
-from repro.obs.decisions import Decision, DecisionLog
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".decisions": ("Decision", "DecisionLog"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+})
 
 __all__ = [
     "Counter",

@@ -16,35 +16,23 @@ This package implements every power number the paper uses:
 - :mod:`repro.power.itrs` — the ITRS bandwidth-trend series (Figure 6).
 """
 
-from repro.power.link_rates import (
-    InfiniBandRate,
-    INFINIBAND_RATES,
-    RateLadder,
-    DEFAULT_RATE_LADDER,
-)
-from repro.power.serdes import SerDesPowerModel, SwitchChipPowerModel
-from repro.power.switch_profile import (
-    LinkMedium,
-    SwitchDynamicRangeProfile,
-    INFINIBAND_SWITCH_PROFILE,
-)
-from repro.power.channel_models import (
-    ChannelPowerModel,
-    MeasuredChannelPower,
-    IdealChannelPower,
-    ConstantChannelPower,
-    MediumAwareChannelPower,
-)
-from repro.power.cluster import ClusterPowerModel, ClusterPowerBreakdown
-from repro.power.cost import EnergyCostModel
-from repro.power.capex import CapexModel, DEFAULT_CAPEX_MODEL
-from repro.power.lanes import (
-    LaneConfig,
-    LaneLadder,
-    LaneModePower,
-    ReactivationModel,
-    INFINIBAND_LANE_LADDER,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".link_rates": ("InfiniBandRate", "INFINIBAND_RATES", "RateLadder",
+                    "DEFAULT_RATE_LADDER"),
+    ".serdes": ("SerDesPowerModel", "SwitchChipPowerModel"),
+    ".switch_profile": ("LinkMedium", "SwitchDynamicRangeProfile",
+                        "INFINIBAND_SWITCH_PROFILE"),
+    ".channel_models": ("ChannelPowerModel", "MeasuredChannelPower",
+                        "IdealChannelPower", "ConstantChannelPower",
+                        "MediumAwareChannelPower"),
+    ".cluster": ("ClusterPowerModel", "ClusterPowerBreakdown"),
+    ".cost": ("EnergyCostModel",),
+    ".capex": ("CapexModel", "DEFAULT_CAPEX_MODEL"),
+    ".lanes": ("LaneConfig", "LaneLadder", "LaneModePower",
+               "ReactivationModel", "INFINIBAND_LANE_LADDER"),
+})
 
 __all__ = [
     "InfiniBandRate",

@@ -28,54 +28,40 @@ unregistered control mode).
 
 from __future__ import annotations
 
-from repro.core.controller import ControllerConfig
+from repro._lazy import lazy_exports
 from repro.core.registry import (
     control_mode_registered,
     register_control_mode,
 )
-from repro.predict.controller import PredictiveEpochController
-from repro.predict.forecasters import (
-    FORECASTERS,
-    EwmaForecaster,
-    Forecaster,
-    HoltWintersForecaster,
-    LastValueForecaster,
-    SlidingQuantileForecaster,
-    build_forecaster,
-    register_forecaster,
-)
-from repro.predict.oracle import OracleController, measure_demand
-from repro.predict.regret import (
-    ERROR_BUCKETS_GBPS,
-    ForecastAccountant,
-    ForecastErrorStats,
-    RegretReport,
-    RegretRow,
-    build_report,
-    energy_regret,
-    latency_regret,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": ("PredictiveEpochController",),
+    ".forecasters": ("FORECASTERS", "EwmaForecaster", "Forecaster",
+                     "HoltWintersForecaster", "LastValueForecaster",
+                     "SlidingQuantileForecaster", "build_forecaster",
+                     "register_forecaster"),
+    ".oracle": ("OracleController", "measure_demand"),
+    ".regret": ("ERROR_BUCKETS_GBPS", "ForecastAccountant",
+                "ForecastErrorStats", "RegretReport", "RegretRow",
+                "build_report", "energy_regret", "latency_regret"),
+})
 
 CONTROL_PREDICT = "predict"
 CONTROL_ORACLE = "oracle"
 
 
-def _controller_config(spec) -> ControllerConfig:
-    return ControllerConfig(
-        epoch_ns=spec.epoch_ns,
-        reactivation_ns=spec.reactivation_ns,
-        independent_channels=spec.independent_channels,
-    )
-
-
 def _build_predictive(network, spec, decision_log):
     """Control-mode builder for ``control="predict"`` specs."""
+    from repro.core.controller import ControllerConfig
+    from repro.predict.controller import PredictiveEpochController
+    from repro.predict.forecasters import build_forecaster
+
     return PredictiveEpochController(
         network,
         forecaster=build_forecaster(spec.forecaster or "last_value"),
         headroom=spec.headroom,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         decision_log=decision_log,
     )
 
@@ -86,11 +72,14 @@ def _build_oracle(network, spec, decision_log):
     Runs the measurement pass (a second full-rate simulation of the
     same spec) inline, so an oracle run costs roughly two runs.
     """
+    from repro.core.controller import ControllerConfig
+    from repro.predict.oracle import OracleController, measure_demand
+
     return OracleController(
         network,
         schedule=measure_demand(spec),
         headroom=spec.headroom,
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         decision_log=decision_log,
     )
 

@@ -13,11 +13,15 @@ occupancy) and flow control.
   powered links (mesh/torus dynamic topologies, Section 5.1).
 """
 
-from repro.routing.adaptive import MinimalAdaptiveRouting
-from repro.routing.dimension_order import DimensionOrderRouting
-from repro.routing.restricted import RestrictedAdaptiveRouting
-from repro.routing.fat_tree import FatTreeUpDownRouting
-from repro.routing.energy_aware import EnergyAwareRouting
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".adaptive": ("MinimalAdaptiveRouting",),
+    ".dimension_order": ("DimensionOrderRouting",),
+    ".restricted": ("RestrictedAdaptiveRouting",),
+    ".fat_tree": ("FatTreeUpDownRouting",),
+    ".energy_aware": ("EnergyAwareRouting",),
+})
 
 __all__ = [
     "MinimalAdaptiveRouting",

@@ -24,36 +24,24 @@ Layers (each its own module):
 - :mod:`~repro.service.service` — wiring, lifecycle, summary.
 """
 
-from repro.service.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    FileCheckpointStore,
-    MemoryCheckpointStore,
-    decode_checkpoint,
-    encode_checkpoint,
-)
-from repro.service.clock import VirtualClock
-from repro.service.controller import (
-    DecisionState,
-    GroupState,
-    IntentEntry,
-    ServiceDecisionLoop,
-    fresh_state,
-)
-from repro.service.faults import ServiceChaos, SlowConsumer
-from repro.service.plant import FabricPlant, PlantGroup
-from repro.service.service import (
-    ControlPlaneService,
-    ServiceConfig,
-    ServiceSummary,
-)
-from repro.service.streams import EpochTick, TelemetryRecord, TelemetryStream
-from repro.service.supervisor import Supervisor
-from repro.service.transport import ActuationTransport, RateCommand
-from repro.workloads.service_traces import (
-    DiurnalTraceSource,
-    TraceReplaySource,
-    record_trace,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoint": ("CHECKPOINT_SCHEMA_VERSION", "FileCheckpointStore",
+                    "MemoryCheckpointStore", "decode_checkpoint",
+                    "encode_checkpoint"),
+    ".clock": ("VirtualClock",),
+    ".controller": ("DecisionState", "GroupState", "IntentEntry",
+                    "ServiceDecisionLoop", "fresh_state"),
+    ".faults": ("ServiceChaos", "SlowConsumer"),
+    ".plant": ("FabricPlant", "PlantGroup"),
+    ".service": ("ControlPlaneService", "ServiceConfig", "ServiceSummary"),
+    ".streams": ("EpochTick", "TelemetryRecord", "TelemetryStream"),
+    ".supervisor": ("Supervisor",),
+    ".transport": ("ActuationTransport", "RateCommand"),
+    "repro.workloads.service_traces": ("DiurnalTraceSource",
+                                       "TraceReplaySource", "record_trace"),
+})
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",

@@ -17,20 +17,24 @@ Modules:
 - :mod:`repro.sim.stats` — latency, utilization and power accounting.
 """
 
-from repro.sim.engine import Simulator, Event
-from repro.sim.packet import Message, Packet
-from repro.sim.channel import Channel, ChannelState
-from repro.sim.switch import Switch
-from repro.sim.host import Host
-from repro.sim.fabric import Fabric
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.clos_network import FatTreeNetwork
-from repro.sim.faults import LinkFaultInjector, FaultRecord
-from repro.sim.tracing import PacketTracer, TraceRecord
-from repro.sim.invariants import check_fabric, InvariantReport
-from repro.sim.monitors import PowerMonitor, CongestionMonitor
-from repro.sim.stats import NetworkStats, ChannelStats
-from repro.sim.taps import EpochDemandTap
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Simulator", "Event"),
+    ".packet": ("Message", "Packet"),
+    ".channel": ("Channel", "ChannelState"),
+    ".switch": ("Switch",),
+    ".host": ("Host",),
+    ".fabric": ("Fabric",),
+    ".network": ("FbflyNetwork", "NetworkConfig"),
+    ".clos_network": ("FatTreeNetwork",),
+    ".faults": ("LinkFaultInjector", "FaultRecord"),
+    ".tracing": ("PacketTracer", "TraceRecord"),
+    ".invariants": ("check_fabric", "InvariantReport"),
+    ".monitors": ("PowerMonitor", "CongestionMonitor"),
+    ".stats": ("NetworkStats", "ChannelStats"),
+    ".taps": ("EpochDemandTap",),
+})
 
 __all__ = [
     "Simulator",

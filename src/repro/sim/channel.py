@@ -48,6 +48,14 @@ _ACTIVE = ChannelState.ACTIVE
 _OFF = ChannelState.OFF
 
 
+def _check_reactivation(reactivation_ns: float) -> None:
+    """Reject a stall the engine could not schedule, before a
+    reconfiguration changes any state (written so NaN fails too)."""
+    if not reactivation_ns >= 0:
+        raise ValueError(
+            f"reactivation_ns must be >= 0, got {reactivation_ns}")
+
+
 class Channel:
     """One unidirectional channel of a link.
 
@@ -224,6 +232,7 @@ class Channel:
                 modes with equal aggregate rate can then be priced
                 differently.
         """
+        _check_reactivation(reactivation_ns)
         rate = float(rate_gbps)
         if rate not in self.ladder:
             raise ValueError(f"rate {rate} not on ladder {self.ladder}")
@@ -260,6 +269,7 @@ class Channel:
     def power_on(self, reactivation_ns: float,
                  rate_gbps: Optional[float] = None) -> None:
         """Bring a powered-off channel back up, paying a reactivation."""
+        _check_reactivation(reactivation_ns)
         if self.state is not ChannelState.OFF:
             raise RuntimeError(f"channel {self.name} is not off")
         if rate_gbps is not None:
@@ -275,8 +285,9 @@ class Channel:
         self.stats.reactivations += 1
         self.stats.reactivation_ns_total += reactivation_ns
         self._react_token += 1
-        self.sim.schedule(reactivation_ns, self._on_reactivated,
-                          self._react_token)
+        sim = self.sim
+        sim.schedule_at(sim._now + reactivation_ns, self._on_reactivated,
+                        self._react_token)
 
     # ------------------------------------------------------------------
     # Credit flow (called by the downstream node)
@@ -369,8 +380,9 @@ class Channel:
             self._try_send()
             return
         self.state = ChannelState.REACTIVATING
-        self.sim.schedule(reactivation_ns, self._on_reactivated,
-                          self._react_token)
+        sim = self.sim
+        sim.schedule_at(sim._now + reactivation_ns, self._on_reactivated,
+                        self._react_token)
 
     def _on_reactivated(self, token: int) -> None:
         if token != self._react_token:

@@ -27,17 +27,17 @@ control mode, mirroring :mod:`repro.predict` and :mod:`repro.faults`.
 
 from __future__ import annotations
 
-from repro.core.controller import ControllerConfig
+from repro._lazy import lazy_exports
 from repro.core.registry import (
     control_mode_registered,
     register_control_mode,
 )
-from repro.topo.controller import (
-    DemandAwareTopologyController,
-    TopologyControlConfig,
-)
-from repro.topo.demand import DemandMatrixEstimator
-from repro.topology.mesh_torus import LinkClass
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": ("DemandAwareTopologyController",
+                    "TopologyControlConfig"),
+    ".demand": ("DemandMatrixEstimator",),
+})
 
 CONTROL_DEMAND_TOPO = "demand_topo"
 CONTROL_DEGRADED_TOPO = "degraded_topo"
@@ -45,14 +45,6 @@ CONTROL_DEGRADED_TOPO = "degraded_topo"
 #: Every control mode this package registers — the runner (routing
 #: and partition-detection wiring) and CLI both key off this tuple.
 TOPO_CONTROL_MODES = (CONTROL_DEMAND_TOPO, CONTROL_DEGRADED_TOPO)
-
-
-def _controller_config(spec) -> ControllerConfig:
-    return ControllerConfig(
-        epoch_ns=spec.epoch_ns,
-        reactivation_ns=spec.reactivation_ns,
-        independent_channels=spec.independent_channels,
-    )
 
 
 def _build_demand_topo(network, spec, decision_log):
@@ -63,10 +55,16 @@ def _build_demand_topo(network, spec, decision_log):
     forecaster here, so ``--control demand_topo --forecaster ewma``
     runs topology decisions on forecast demand.
     """
+    from repro.core.controller import ControllerConfig
+    from repro.topo.controller import (
+        DemandAwareTopologyController,
+        TopologyControlConfig,
+    )
+
     return DemandAwareTopologyController(
         network,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         decision_log=decision_log,
         topo=TopologyControlConfig(forecaster=spec.forecaster),
         name=CONTROL_DEMAND_TOPO,
@@ -82,10 +80,17 @@ def _build_degraded_topo(network, spec, decision_log):
     power decisions are made.  The guard still recovers pinned links
     if faults later make a dark link the last spanning candidate.
     """
+    from repro.core.controller import ControllerConfig
+    from repro.topo.controller import (
+        DemandAwareTopologyController,
+        TopologyControlConfig,
+    )
+    from repro.topology.mesh_torus import LinkClass
+
     return DemandAwareTopologyController(
         network,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.from_spec(spec),
         decision_log=decision_log,
         topo=TopologyControlConfig(
             start_dark=(LinkClass.EXPRESS.value,),

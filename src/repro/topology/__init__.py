@@ -8,17 +8,17 @@ both that analytic parts model (:mod:`repro.topology.parts`) and the full
 connectivity graphs the simulator instantiates.
 """
 
-from repro.topology.parts import PartCount
-from repro.topology.base import Coordinate, SwitchLink, Topology
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.topology.folded_clos import FoldedClos
-from repro.topology.fat_tree import FatTree
-from repro.topology.mesh_torus import (
-    LinkClass,
-    classify_links,
-    mesh_link_set,
-    torus_link_set,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".parts": ("PartCount",),
+    ".base": ("Coordinate", "SwitchLink", "Topology"),
+    ".flattened_butterfly": ("FlattenedButterfly",),
+    ".folded_clos": ("FoldedClos",),
+    ".fat_tree": ("FatTree",),
+    ".mesh_torus": ("LinkClass", "classify_links", "mesh_link_set",
+                    "torus_link_set"),
+})
 
 __all__ = [
     "PartCount",

@@ -18,46 +18,26 @@ placement-randomization transforms; :mod:`repro.workloads.burstiness`
 quantifies the properties the generators are calibrated against.
 """
 
-from repro.workloads.base import TraceEvent, Workload, merge_event_streams
-from repro.workloads.uniform import UniformRandomWorkload
-from repro.workloads.synthetic_traces import (
-    BurstyTraceWorkload,
-    TraceProfile,
-    SEARCH_PROFILE,
-    ADVERT_PROFILE,
-    BURSTY_PROFILE,
-    search_workload,
-    advert_workload,
-    bursty_workload,
-)
-from repro.workloads.trace import (
-    save_trace,
-    load_trace,
-    ReplayWorkload,
-    randomize_placement,
-    scale_time,
-)
-from repro.workloads.burstiness import (
-    utilization_series,
-    burstiness_profile,
-    coefficient_of_variation,
-    host_asymmetry,
-    mean_asymmetry_ratio,
-)
-from repro.workloads.patterns import (
-    PermutationWorkload,
-    HotspotWorkload,
-    bit_complement,
-    transpose,
-    tornado,
-)
-from repro.workloads.mixed import MixedWorkload
+from repro._lazy import lazy_exports
 
-from repro.workloads.service_traces import (
-    DiurnalTraceSource,
-    TraceReplaySource,
-    record_trace,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("TraceEvent", "Workload", "merge_event_streams"),
+    ".uniform": ("UniformRandomWorkload",),
+    ".synthetic_traces": ("BurstyTraceWorkload", "TraceProfile",
+                          "SEARCH_PROFILE", "ADVERT_PROFILE", "BURSTY_PROFILE",
+                          "search_workload", "advert_workload",
+                          "bursty_workload"),
+    ".trace": ("save_trace", "load_trace", "ReplayWorkload",
+               "randomize_placement", "scale_time"),
+    ".burstiness": ("utilization_series", "burstiness_profile",
+                    "coefficient_of_variation", "host_asymmetry",
+                    "mean_asymmetry_ratio"),
+    ".patterns": ("PermutationWorkload", "HotspotWorkload", "bit_complement",
+                  "transpose", "tornado"),
+    ".mixed": ("MixedWorkload",),
+    ".service_traces": ("DiurnalTraceSource", "TraceReplaySource",
+                        "record_trace"),
+})
 
 __all__ = [
     "TraceEvent",

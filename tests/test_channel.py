@@ -257,6 +257,72 @@ class TestRateChanges:
         assert channel.stats.reactivation_ns_total == pytest.approx(200.0)
 
 
+
+def reconfiguration_state(channel):
+    """Everything a rejected reconfiguration must leave untouched."""
+    return (channel.rate_gbps, channel.state, channel._pending_rate,
+            channel._pending_mode, channel._pending_reactivation_ns,
+            channel._react_token, channel.stats.reactivations,
+            channel.stats.reactivation_ns_total, channel.sim.pending_events)
+
+
+BAD_REACTIVATIONS = [-1.0, float("nan")]
+
+
+class TestReactivationValidation:
+    """A negative or NaN stall fails at the call, before any state
+    changes — not later, inside the engine or a completion callback."""
+
+    @pytest.mark.parametrize("reactivation_ns", BAD_REACTIVATIONS)
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_set_rate_rejects(self, reactivation_ns, busy):
+        sim = Simulator()
+        channel, sink = make_channel(sim)
+        if busy:
+            channel.enqueue(packet(1000))   # serializing until t=200
+            sim.run(until_ns=50.0)
+        before = reconfiguration_state(channel)
+        with pytest.raises(ValueError, match="reactivation_ns"):
+            channel.set_rate(20.0, reactivation_ns=reactivation_ns)
+        assert reconfiguration_state(channel) == before
+        sim.run()
+        assert channel.rate_gbps == 40.0
+        assert channel.state is ChannelState.ACTIVE
+        assert len(sink.received) == (1 if busy else 0)
+
+    @pytest.mark.parametrize("reactivation_ns", BAD_REACTIVATIONS)
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_power_on_rejects(self, reactivation_ns, busy):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        if busy:
+            channel.enqueue(packet(1000))
+            sim.run(until_ns=50.0)
+        else:
+            channel.power_off()
+        before = reconfiguration_state(channel)
+        with pytest.raises(ValueError, match="reactivation_ns"):
+            channel.power_on(reactivation_ns=reactivation_ns,
+                             rate_gbps=20.0)
+        assert reconfiguration_state(channel) == before
+
+    @pytest.mark.parametrize("reconfigure", ["set_rate", "power_on"])
+    def test_stall_lands_at_now_plus_reactivation(self, reconfigure):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        sim.run(until_ns=30.0)
+        if reconfigure == "set_rate":
+            channel.set_rate(20.0, reactivation_ns=250.0)
+        else:
+            channel.power_off()
+            channel.power_on(reactivation_ns=250.0, rate_gbps=20.0)
+        assert channel.state is ChannelState.REACTIVATING
+        sim.run(until_ns=279.0)
+        assert channel.state is ChannelState.REACTIVATING
+        sim.run(until_ns=280.0)
+        assert channel.state is ChannelState.ACTIVE
+
+
 class TestTimeAtRate:
     def test_time_split_across_rates(self):
         sim = Simulator()

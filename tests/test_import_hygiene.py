@@ -1,11 +1,14 @@
-"""Import discipline: a simulation never loads numpy or asyncio.
+"""Import discipline: a run loads only the modules it uses.
 
 Every sweep worker, CLI call and benchmark repeat is a fresh
 interpreter, so each pays for whatever its imports pull in before the
 first event.  numpy (about 14 MB) belongs only to the functions that
 build arrays, and asyncio (about 8 MB with the ``ssl`` it loads) only
-to a constructed service.  Each case runs in a fresh interpreter,
-because this test process has long since imported both.
+to a constructed service.  A package loads nothing until one of its
+names is used, a control-mode registry imports its implementation on
+the first build, and the CLI imports only the command it runs.  Each
+case runs in a fresh interpreter, because this test process has long
+since imported everything.
 """
 
 from __future__ import annotations
@@ -34,8 +37,33 @@ ENTRY_MODULES = (
 #: Modules a simulation must not load.
 HEAVY = ("numpy", "asyncio")
 
-REPORT = ("import json, sys; print(json.dumps("
-          "{name: name in sys.modules for name in %r}))" % (HEAVY,))
+#: Every package whose ``__init__`` exports names lazily.
+PACKAGES = (
+    "repro", "repro.sim", "repro.core", "repro.power", "repro.topology",
+    "repro.workloads", "repro.service", "repro.obs", "repro.routing",
+    "repro.experiments", "repro.faults", "repro.predict", "repro.topo",
+)
+
+#: Modules an epoch-control fabric run does not use, so must not load.
+UNUSED_BY_EPOCH_RUN = (
+    "repro.predict",
+    "repro.topo",
+    "repro.faults.policy",
+    "repro.faults.scenario",
+    "repro.power.cluster",
+    "repro.topology.folded_clos",
+    "repro.sim.clos_network",
+    "repro.workloads.synthetic_traces",
+)
+
+
+def report(names) -> str:
+    """Code printing, as the last line, which of ``names`` are loaded."""
+    return ("import json, sys; print(json.dumps("
+            "{name: name in sys.modules for name in %r}))" % (tuple(names),))
+
+
+REPORT = report(HEAVY)
 
 
 def run_fresh(code: str, importtime: bool = False):
@@ -141,3 +169,159 @@ class TestLoadedWhenUsed:
         ])
         loaded, _ = run_fresh(code)
         assert loaded["numpy"]
+
+
+def loaded_repro_modules() -> str:
+    """Code printing, as the last line, every loaded ``repro`` module."""
+    return ("import json, sys; print(json.dumps(sorted("
+            "name for name in sys.modules if name.startswith('repro'))))")
+
+
+class TestLazyPackages:
+    def test_import_repro_loads_only_the_export_helper(self):
+        loaded, _ = run_fresh("import repro\n" + loaded_repro_modules())
+        assert loaded == ["repro", "repro._lazy"]
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        code = "\n".join([
+            "import importlib, json",
+            "problems = []",
+            f"for package in {PACKAGES!r}:",
+            "    module = importlib.import_module(package)",
+            "    listed = dir(module)",
+            "    for name in module.__all__:",
+            "        if name not in listed:",
+            "            problems.append(f'{package}.{name} not in dir()')",
+            "        try:",
+            "            getattr(module, name)",
+            "        except Exception as exc:",
+            "            problems.append(f'{package}.{name}: {exc!r}')",
+            "print(json.dumps(problems))",
+        ])
+        problems, _ = run_fresh(code)
+        assert problems == []
+
+    def test_star_imports(self):
+        code = "\n".join([
+            "from repro import *",
+            "from repro.sim import *",
+            "import json, repro, repro.sim",
+            "names = {**globals()}",
+            "print(json.dumps([name for name in repro.__all__ "
+            "+ repro.sim.__all__ if names.get(name) is None]))",
+        ])
+        missing, _ = run_fresh(code)
+        assert missing == []
+
+    def test_names_and_subpackages_resolve_on_attribute_access(self):
+        code = "\n".join([
+            "import json, repro",
+            "from repro.sim.channel import Channel",
+            "from repro.sim.network import FbflyNetwork",
+            "print(json.dumps([repro.sim.Channel is Channel,",
+            "                  repro.FbflyNetwork is FbflyNetwork,",
+            "                  'FbflyNetwork' in vars(repro)]))",
+        ])
+        checks, _ = run_fresh(code)
+        assert checks == [True, True, True]
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        code = "\n".join([
+            "import json, repro, repro.sim",
+            "messages = []",
+            "for package, name in ((repro, 'no_such_name'),",
+            "                      (repro.sim, 'NoSuchClass'),",
+            "                      (repro, '__no_such_dunder__')):",
+            "    try:",
+            "        getattr(package, name)",
+            "    except AttributeError as exc:",
+            "        messages.append(str(exc))",
+            "print(json.dumps(messages))",
+        ])
+        messages, _ = run_fresh(code)
+        assert messages == [
+            "module 'repro' has no attribute 'no_such_name'",
+            "module 'repro.sim' has no attribute 'NoSuchClass'",
+            "module 'repro' has no attribute '__no_such_dunder__'",
+        ]
+
+    def test_epoch_run_loads_no_unused_subsystem(self):
+        code = "\n".join(
+            [f"import {name}" for name in ENTRY_MODULES] + [
+                "from repro.experiments.runner import SimulationSpec, "
+                "run_simulation",
+                "summary = run_simulation(SimulationSpec(",
+                "    k=2, n=2, workload='uniform', control='epoch',",
+                "    duration_ns=20_000.0))",
+                "assert summary.events_fired > 0",
+                report(UNUSED_BY_EPOCH_RUN),
+            ])
+        loaded, importtime = run_fresh(code, importtime=True)
+        culprits = {name: import_chain(importtime, name)
+                    for name in UNUSED_BY_EPOCH_RUN if loaded[name]}
+        assert not culprits, "\n".join(
+            f"{name} was loaded by:\n" + "\n".join(chain)
+            for name, chain in culprits.items())
+
+
+class TestRegistriesBuildOnFirstUse:
+    def test_registration_imports_no_controller(self):
+        code = "\n".join([
+            "import repro.faults, repro.predict, repro.topo",
+            "from repro.core.registry import control_mode_registered",
+            "assert all(control_mode_registered(mode) for mode in (",
+            "    'fault_gated', 'fault_pinned', 'predict', 'oracle',",
+            "    'demand_topo', 'degraded_topo'))",
+            report(["repro.faults.policy", "repro.faults.scenario",
+                    "repro.faults.sensors", "repro.predict.controller",
+                    "repro.predict.forecasters", "repro.topo.controller"]),
+        ])
+        loaded, _ = run_fresh(code)
+        assert not any(loaded.values()), loaded
+
+    def test_controllers_build_from_a_fresh_interpreter(self):
+        code = "\n".join([
+            "import json",
+            "from repro.experiments.runner import SimulationSpec, "
+            "run_simulation",
+            "names = {}",
+            "for control in ('fault_gated', 'predict', 'demand_topo'):",
+            "    summary = run_simulation(SimulationSpec(",
+            "        k=2, n=2, workload='uniform', control=control,",
+            "        duration_ns=20_000.0))",
+            "    names[control] = sorted(summary.decision_counts)",
+            "print(json.dumps(names))",
+        ])
+        reasons, _ = run_fresh(code)
+        assert sorted(reasons) == ["demand_topo", "fault_gated", "predict"]
+        assert all(reasons.values()), reasons
+
+
+class TestCliImportsTheChosenCommand:
+    def test_parser_loads_no_simulator_and_no_experiment(self):
+        code = "\n".join([
+            "from repro.cli import build_parser",
+            "build_parser()",
+            loaded_repro_modules(),
+        ])
+        loaded, _ = run_fresh(code)
+        assert [name for name in loaded
+                if name.startswith("repro.sim")
+                or (name.startswith("repro.experiments.")
+                    and name != "repro.experiments.scale")] == []
+
+    def test_analytic_command_loads_only_its_experiment(self):
+        code = "\n".join([
+            "import contextlib, io",
+            "from repro.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert main(['table1']) == 0",
+            loaded_repro_modules(),
+        ])
+        loaded, _ = run_fresh(code)
+        experiments = [name for name in loaded
+                       if name.startswith("repro.experiments.")]
+        assert experiments == ["repro.experiments.report",
+                               "repro.experiments.scale",
+                               "repro.experiments.table1"]
+        assert not any(name.startswith("repro.sim") for name in loaded)
