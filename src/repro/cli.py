@@ -134,12 +134,27 @@ EXPERIMENTS: Dict[str, tuple] = {
 }
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def sweep_flags() -> argparse.ArgumentParser:
     """The sweep-harness flags shared by main, ``predict`` and
     ``campaign`` (an argparse parent parser)."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_int_at_least(1), default=None, metavar="N",
         help="sweep worker processes (default: $REPRO_JOBS or cpu count)")
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -154,7 +169,7 @@ def sweep_flags() -> argparse.ArgumentParser:
              "resolved spec (cache hits marked cached:true) or service "
              "arm; inspect with 'python -m repro obs summarize PATH'")
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_int_at_least(0), default=None, metavar="N",
         help="in-process retry budget per failed sweep spec, with "
              "seeded exponential backoff (default: $REPRO_RETRIES "
              "or 1)")

@@ -148,10 +148,6 @@ class DynamicTopologyController:
         """Every switch-to-switch unidirectional channel."""
         return list(self._channel_class)
 
-    def powered_channel_count(self) -> int:
-        """Inter-switch channels currently powered on."""
-        return sum(1 for ch in self._channel_class if not ch.is_off)
-
     def stop(self) -> None:
         """Cease making decisions; links keep their current state."""
         self._stopped = True

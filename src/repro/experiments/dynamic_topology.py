@@ -70,10 +70,6 @@ class DynamicTopologyPoint:
     #: used to be invisible to the decision audit entirely.
     decision_counts: Dict[str, int] = None
 
-    def dominant_mode(self) -> TopologyMode:
-        """The mode this run spent the most time in."""
-        return max(self.mode_time_fractions, key=self.mode_time_fractions.get)
-
 
 @dataclass
 class DynamicTopologyResult:

@@ -14,11 +14,12 @@ determinism of ``run_simulation`` is a hard requirement — enforced by
 
 Experiments call the module-level :func:`sweep` / :func:`run_cached`,
 which route through a process-wide default runner.  The CLI's
-``--jobs/--no-cache/--cache-dir/--retries`` flags call
+``--jobs/--no-cache/--cache-dir/--run-log/--retries`` flags call
 :func:`configure`; the ``REPRO_JOBS``, ``REPRO_CACHE``,
-``REPRO_CACHE_DIR`` and ``REPRO_RETRIES`` environment variables set
-the defaults everywhere else (benchmarks included), and
-:func:`using_runner` scopes an explicit runner for tests.
+``REPRO_CACHE_DIR``, ``REPRO_RUN_LOG`` and ``REPRO_RETRIES``
+environment variables fill in whatever a caller leaves unset, there and
+everywhere else (benchmarks included), and :func:`using_runner` scopes
+an explicit runner for tests.
 
 Per-sweep accounting follows the :mod:`repro.sim.stats` idiom: plain
 counters on a :class:`SweepStats` object (runs executed vs. memo/cache
@@ -172,11 +173,6 @@ class SweepStats:
         self.events_fired += events
         if seconds > self.run_seconds_max:
             self.run_seconds_max = seconds
-
-    @property
-    def hits(self) -> int:
-        """Total lookups satisfied without simulating."""
-        return self.memo_hits + self.cache_hits
 
     @property
     def mean_run_seconds(self) -> float:
@@ -618,29 +614,31 @@ def _env_default_retries() -> Optional[int]:
 
 def default_runner() -> SweepRunner:
     """The lazily-created process-wide runner (env-configured)."""
-    global _default_runner
     if _default_runner is None:
-        _default_runner = SweepRunner(
-            jobs=_env_default_jobs(),
-            use_cache=_env_default_use_cache(),
-            run_log=_env_default_run_log(),
-            retries=_env_default_retries(),
-        )
+        configure()
     return _default_runner
 
 
-def configure(jobs: Optional[int] = None, use_cache: bool = True,
+def configure(jobs: Optional[int] = None, use_cache: Optional[bool] = None,
               cache_dir: Optional[Path] = None,
               memo_size: int = DEFAULT_MEMO_SIZE,
               run_log: Optional[Path] = None,
               retries: Optional[int] = None) -> SweepRunner:
-    """Replace the default runner (the CLI flag hook); returns it."""
+    """Replace the default runner (the CLI flag hook); returns it.
+
+    Each argument left ``None`` falls back to its environment variable
+    (``REPRO_JOBS``, ``REPRO_CACHE``, ``REPRO_RUN_LOG``,
+    ``REPRO_RETRIES``; the cache directory to ``REPRO_CACHE_DIR``), so
+    this is the one place the environment configures the runner.
+    """
     global _default_runner
-    if retries is None:
-        retries = _env_default_retries()
-    _default_runner = SweepRunner(jobs=jobs, use_cache=use_cache,
-                                  cache_dir=cache_dir, memo_size=memo_size,
-                                  run_log=run_log, retries=retries)
+    _default_runner = SweepRunner(
+        jobs=_env_default_jobs() if jobs is None else jobs,
+        use_cache=(_env_default_use_cache() if use_cache is None
+                   else use_cache),
+        cache_dir=cache_dir, memo_size=memo_size,
+        run_log=_env_default_run_log() if run_log is None else run_log,
+        retries=_env_default_retries() if retries is None else retries)
     return _default_runner
 
 

@@ -46,12 +46,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".scenario": ("FaultScenario", "LinkFlap", "RandomLinkFaults",
                   "SensorFault", "SwitchChipFailure", "apply_scenario",
                   "build_scenario", "register_scenario",
-                  "registered_scenarios", "scenario_registered"),
+                  "registered_scenarios"),
     ".control_faults": ("ControlFaultScenario", "ControlPlaneChaos",
                         "ControllerCrash", "CorruptReading",
                         "DecisionDelay", "DecisionLoss", "StaleTelemetry",
                         "TelemetryDropout", "build_control_scenario",
-                        "control_scenario_registered",
                         "register_control_scenario",
                         "registered_control_scenarios"),
     ".sensors": ("FaultySensor",),
@@ -126,7 +125,6 @@ __all__ = [
     "build_scenario",
     "register_scenario",
     "registered_scenarios",
-    "scenario_registered",
     "FaultySensor",
     "FaultAwareEpochController",
     "GatingConfig",
@@ -140,7 +138,6 @@ __all__ = [
     "StaleTelemetry",
     "TelemetryDropout",
     "build_control_scenario",
-    "control_scenario_registered",
     "register_control_scenario",
     "registered_control_scenarios",
 ]

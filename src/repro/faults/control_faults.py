@@ -630,11 +630,6 @@ def register_control_scenario(name: str, builder: Callable) -> None:
     _CONTROL_SCENARIOS[name] = builder
 
 
-def control_scenario_registered(name: str) -> bool:
-    """Whether a control-fault scenario name is registered."""
-    return name in _CONTROL_SCENARIOS
-
-
 def registered_control_scenarios() -> List[str]:
     """All registered control-fault scenario names, sorted."""
     return sorted(_CONTROL_SCENARIOS)

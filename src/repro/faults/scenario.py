@@ -199,11 +199,6 @@ def register_scenario(name: str, builder: Callable) -> None:
     _SCENARIOS[name] = builder
 
 
-def scenario_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered scenario."""
-    return name in _SCENARIOS
-
-
 def registered_scenarios() -> List[str]:
     """Sorted names of all registered scenarios."""
     return sorted(_SCENARIOS)

@@ -9,8 +9,8 @@ other subsystem reports through:
   of counters, gauges and fixed-bucket histograms, plus a text dump.
 - :mod:`repro.obs.instrument` — a
   :class:`~repro.obs.instrument.FabricProbe` wiring the registry into
-  the engine, channels, switches and hosts through the same
-  near-zero-cost ``is None``-check hooks the packet tracer uses.
+  the engine, channels, switches and hosts through the fabric's
+  ``probe`` slot: one near-zero-cost ``is None`` check per hook site.
 - :mod:`repro.obs.decisions` — a
   :class:`~repro.obs.decisions.DecisionLog` auditing every epoch
   controller decision (sensor reading, old -> new rate, reason) into a

@@ -6,8 +6,8 @@ control group, the controller reports what it saw (the sensor reading),
 what it did (old rate -> new rate) and *why* (a reason code), into a
 :class:`DecisionLog`:
 
-- a **bounded ring buffer** of full :class:`Decision` records (the
-  ``PacketTracer`` idiom: attachable, bounded, queryable),
+- a **bounded ring buffer** of full :class:`Decision` records
+  (attachable, bounded, queryable),
 - an optional **JSONL spill** writing every record to disk as it is
   made — full fidelity even when the ring has wrapped,
 - always-on **aggregate counters**: decisions by reason and rate
@@ -465,10 +465,6 @@ class DecisionLog:
     def transitions(self) -> List[Decision]:
         """Retained records that initiated a reconfiguration."""
         return [d for d in self.records if d.changed]
-
-    def of_group(self, group: str) -> List[Decision]:
-        """Retained records of one control group, in time order."""
-        return [d for d in self.records if d.group == group]
 
     def transition_counts_list(self) -> List[List[object]]:
         """Transition counts as sorted ``[old, new, count]`` rows.

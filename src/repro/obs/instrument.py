@@ -1,13 +1,14 @@
 """Near-zero-cost fabric instrumentation.
 
 A :class:`FabricProbe` wires a :class:`~repro.obs.metrics.MetricsRegistry`
-into the simulation's hot paths using the same idiom as the packet
-tracer: every hook site holds a ``probe`` reference that defaults to
-``None``, so an uninstrumented run pays one ``is None`` check per hook
-and nothing else.  Attach with::
+into the simulation's hot paths through the ``probe`` slot, the one way
+observation enters the fabric (besides the engine's ``observer``): every
+hook site holds a ``probe`` reference that defaults to ``None``, so an
+uninstrumented run pays one ``is None`` check per hook and nothing
+else.  Attach with::
 
     registry = MetricsRegistry()
-    network.attach_metrics(registry)      # builds and wires a probe
+    FabricProbe(registry).attach(network)
     network.run(until_ns=...)
     print(registry.format_text())
 

@@ -219,30 +219,6 @@ class MetricsRegistry:
         """Whether an instrument called ``name`` exists."""
         return name in self._instruments
 
-    def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Every instrument as a JSON-safe ``{name: {...}}`` snapshot."""
-        out: Dict[str, Dict[str, object]] = {}
-        for name in self.names():
-            instrument = self._instruments[name]
-            if isinstance(instrument, Counter):
-                out[name] = {"kind": "counter", "value": instrument.value}
-            elif isinstance(instrument, Gauge):
-                out[name] = {"kind": "gauge", "value": instrument.value}
-            else:
-                hist: Histogram = instrument  # type: ignore[assignment]
-                out[name] = {
-                    "kind": "histogram",
-                    "count": hist.count,
-                    "sum": hist.total,
-                    "min": None if hist.count == 0 else hist.minimum,
-                    "max": None if hist.count == 0 else hist.maximum,
-                    "buckets": [[bound if math.isfinite(bound) else "+Inf",
-                                 cumulative]
-                                for bound, cumulative
-                                in hist.cumulative_counts()],
-                }
-        return out
-
     def format_text(self) -> str:
         """Deterministic Prometheus-flavoured text dump of every metric."""
         lines: List[str] = []

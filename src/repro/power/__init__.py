@@ -25,8 +25,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".switch_profile": ("LinkMedium", "SwitchDynamicRangeProfile",
                         "INFINIBAND_SWITCH_PROFILE"),
     ".channel_models": ("ChannelPowerModel", "MeasuredChannelPower",
-                        "IdealChannelPower", "ConstantChannelPower",
-                        "MediumAwareChannelPower"),
+                        "IdealChannelPower", "MediumAwareChannelPower"),
     ".cluster": ("ClusterPowerModel", "ClusterPowerBreakdown"),
     ".cost": ("EnergyCostModel",),
     ".capex": ("CapexModel", "DEFAULT_CAPEX_MODEL"),
@@ -47,7 +46,6 @@ __all__ = [
     "ChannelPowerModel",
     "MeasuredChannelPower",
     "IdealChannelPower",
-    "ConstantChannelPower",
     "MediumAwareChannelPower",
     "ClusterPowerModel",
     "ClusterPowerBreakdown",

@@ -77,17 +77,6 @@ class IdealChannelPower:
 
 
 @dataclass(frozen=True)
-class ConstantChannelPower:
-    """An always-on channel with no dynamic range (the baseline network)."""
-
-    level: float = 1.0
-
-    def power(self, rate_gbps: float) -> float:
-        """Normalized channel power at the configured rate; 1.0 = max."""
-        return self.level
-
-
-@dataclass(frozen=True)
 class MediumAwareChannelPower:
     """Channel power that honours each channel's physical medium.
 

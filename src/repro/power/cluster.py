@@ -118,18 +118,6 @@ class ClusterPowerModel:
             },
         }
 
-    def network_fraction(self, topology: Topology, utilization: float = 1.0,
-                         proportional_servers: bool = False,
-                         proportional_network: bool = False) -> float:
-        """Network share of total cluster power under a scenario."""
-        network = self.network_power(topology).total_watts
-        if proportional_network:
-            network *= utilization
-        servers = self.server_power(
-            topology.num_hosts, utilization,
-            energy_proportional=proportional_servers)
-        return network / (network + servers)
-
 
 def _check_utilization(utilization: float) -> None:
     if not 0.0 <= utilization <= 1.0:

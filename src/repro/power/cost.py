@@ -53,7 +53,3 @@ class EnergyCostModel:
     def lifetime_savings(self, baseline_watts: float, improved_watts: float) -> float:
         """Dollar savings of ``improved_watts`` relative to ``baseline_watts``."""
         return self.lifetime_cost(baseline_watts) - self.lifetime_cost(improved_watts)
-
-
-#: The exact cost assumptions used in the paper.
-PAPER_COST_MODEL = EnergyCostModel()

@@ -82,11 +82,6 @@ class LaneLadder:
         return self._configs
 
     @property
-    def min_config(self) -> LaneConfig:
-        """Slowest operating point on the ladder."""
-        return self._configs[0]
-
-    @property
     def max_config(self) -> LaneConfig:
         """Fastest operating point on the ladder."""
         return self._configs[-1]

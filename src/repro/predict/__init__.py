@@ -38,8 +38,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".controller": ("PredictiveEpochController",),
     ".forecasters": ("FORECASTERS", "EwmaForecaster", "Forecaster",
                      "HoltWintersForecaster", "LastValueForecaster",
-                     "SlidingQuantileForecaster", "build_forecaster",
-                     "register_forecaster"),
+                     "SlidingQuantileForecaster", "build_forecaster"),
     ".oracle": ("OracleController", "measure_demand"),
     ".regret": ("ERROR_BUCKETS_GBPS", "ForecastAccountant",
                 "ForecastErrorStats", "RegretReport", "RegretRow",
@@ -99,7 +98,6 @@ __all__ = [
     "SlidingQuantileForecaster",
     "FORECASTERS",
     "build_forecaster",
-    "register_forecaster",
     "PredictiveEpochController",
     "OracleController",
     "measure_demand",

@@ -206,13 +206,3 @@ def build_forecaster(name: str) -> Forecaster:
             f"unknown forecaster {name!r}; known forecasters: "
             f"{', '.join(sorted(FORECASTERS))}") from None
     return factory()
-
-
-def register_forecaster(name: str, factory: Callable[[], Forecaster],
-                        replace: bool = False) -> None:
-    """Add a forecaster factory to the registry (extension hook)."""
-    if not name:
-        raise ValueError("forecaster name must be non-empty")
-    if name in FORECASTERS and not replace:
-        raise ValueError(f"forecaster {name!r} is already registered")
-    FORECASTERS[name] = factory

@@ -18,8 +18,8 @@ measures how far any controller sits from those two floors:
 inside the predictive controller as the run progresses;
 :func:`build_report` combines finished
 :class:`~repro.experiments.runner.SimulationSummary` objects into a
-:class:`RegretReport`, which renders as a table and publishes gauges
-into a :class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`RegretReport`, whose rows the predictive experiment renders
+as a table.
 """
 
 from __future__ import annotations
@@ -202,46 +202,6 @@ class RegretReport:
     """Every controller's regret against one oracle and one baseline."""
 
     rows: List[RegretRow]
-    oracle_label: str = "oracle"
-    baseline_label: str = "baseline"
-
-    def publish(self, registry, prefix: str = "predict") -> None:
-        """Expose the report as gauges in a metrics registry.
-
-        Gauge names follow the registry's flat naming idiom:
-        ``<prefix>_<label>_energy_regret_measured`` etc., so a scrape
-        of the registry carries the whole frontier.
-        """
-        for row in self.rows:
-            base = f"{prefix}_{row.label}"
-            registry.gauge(
-                f"{base}_energy_regret_measured",
-                "power fraction above the oracle (measured channels)",
-            ).set(row.energy["measured"])
-            registry.gauge(
-                f"{base}_energy_regret_ideal",
-                "power fraction above the oracle (ideal channels)",
-            ).set(row.energy["ideal"])
-            registry.gauge(
-                f"{base}_latency_regret_mean_ns",
-                "mean message latency above the full-rate baseline",
-            ).set(row.latency["mean_ns"])
-            registry.gauge(
-                f"{base}_latency_regret_p99_ns",
-                "p99 message latency above the full-rate baseline",
-            ).set(row.latency["p99_ns"])
-            forecast = row.forecast
-            if forecast:
-                fleet = forecast.get("errors", {}).get("fleet", {})
-                registry.gauge(
-                    f"{base}_forecast_mae_gbps",
-                    "fleet mean absolute forecast error",
-                ).set(fleet.get("mae_gbps", 0.0))
-                registry.gauge(
-                    f"{base}_forecast_under_epochs",
-                    "group-epochs whose demand exceeded the "
-                    "forecast+headroom provision",
-                ).set(fleet.get("under_count", 0))
 
 
 def build_report(controllers: Dict[str, Any], oracle_summary,

@@ -39,8 +39,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".streams": ("EpochTick", "TelemetryRecord", "TelemetryStream"),
     ".supervisor": ("Supervisor",),
     ".transport": ("ActuationTransport", "RateCommand"),
-    "repro.workloads.service_traces": ("DiurnalTraceSource",
-                                       "TraceReplaySource", "record_trace"),
+    "repro.workloads.service_traces": ("DiurnalTraceSource",),
 })
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "Supervisor",
     "TelemetryRecord",
     "TelemetryStream",
-    "TraceReplaySource",
     "VirtualClock",
     "fresh_state",
-    "record_trace",
 ]

@@ -29,7 +29,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".network": ("FbflyNetwork", "NetworkConfig"),
     ".clos_network": ("FatTreeNetwork",),
     ".faults": ("LinkFaultInjector", "FaultRecord"),
-    ".tracing": ("PacketTracer", "TraceRecord"),
     ".invariants": ("check_fabric", "InvariantReport"),
     ".monitors": ("PowerMonitor", "CongestionMonitor"),
     ".stats": ("NetworkStats", "ChannelStats"),
@@ -51,8 +50,6 @@ __all__ = [
     "FatTreeNetwork",
     "LinkFaultInjector",
     "FaultRecord",
-    "PacketTracer",
-    "TraceRecord",
     "check_fabric",
     "InvariantReport",
     "PowerMonitor",

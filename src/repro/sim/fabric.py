@@ -62,9 +62,6 @@ class Fabric:
         self._switch_channels: Dict[Tuple[int, int], Channel] = {}
         self.host_up: List[Channel] = []
         self.host_down: List[Channel] = []
-        #: Optional :class:`~repro.sim.tracing.PacketTracer`; hooks in
-        #: hosts and switches record through it when set.
-        self.tracer = None
         #: Optional :class:`~repro.obs.instrument.FabricProbe`; hooks in
         #: switches and hosts record through it when set.
         self.probe = None
@@ -75,24 +72,6 @@ class Fabric:
         #: fail-fast behaviour.
         self.drop_handler = None
         self._build_channels()
-
-    def attach_tracer(self, tracer) -> None:
-        """Record per-packet path observations through ``tracer``."""
-        self.tracer = tracer
-
-    def attach_metrics(self, registry) -> "object":
-        """Instrument this fabric's hot paths into ``registry``.
-
-        Builds a :class:`~repro.obs.instrument.FabricProbe` over the
-        given :class:`~repro.obs.metrics.MetricsRegistry`, wires it into
-        the engine, every channel, the switches and the hosts, and
-        returns it.  End-of-run gauges are stamped by :meth:`run`.
-        """
-        from repro.obs.instrument import FabricProbe
-
-        probe = FabricProbe(registry)
-        probe.attach(self)
-        return probe
 
     # ------------------------------------------------------------------
     # Construction

@@ -154,19 +154,6 @@ class LinkFaultInjector:
             self.network.sim.schedule_at(repair_time, self._repair, a, b)
         return record
 
-    def fail_switch(self, time_ns: float, switch_id: int,
-                    repair_after_ns: Optional[float] = None
-                    ) -> List[FaultRecord]:
-        """Fail a whole switch chip: every incident inter-switch link.
-
-        Returns one :class:`FaultRecord` per incident link, all sharing
-        the fault (and optional repair) time.
-        """
-        peers = sorted(self.network.switches[switch_id].switch_out)
-        return [self.fail_link(time_ns, switch_id, peer,
-                               repair_after_ns=repair_after_ns)
-                for peer in peers]
-
     # ------------------------------------------------------------------
 
     def _fail(self, a: int, b: int, record: FaultRecord) -> None:

@@ -66,7 +66,6 @@ class Host:
 
     def _push(self) -> None:
         pending = self._pending
-        tracer = self.network.tracer
         uplink = self.uplink
         now = self.sim._now
         while pending:
@@ -80,9 +79,6 @@ class Host:
             pending.popleft()
             packet.inject_time = now
             self.bytes_sent += packet.size_bytes
-            if tracer is not None:
-                from repro.sim.tracing import INJECTION
-                tracer.record(now, INJECTION, self.id, packet)
             uplink.enqueue(packet)
 
     @property
@@ -111,10 +107,6 @@ class Host:
         channel.release_credits(packet.size_bytes)
         packet.deliver_time = self.sim.now
         self.bytes_received += packet.size_bytes
-        tracer = self.network.tracer
-        if tracer is not None:
-            from repro.sim.tracing import DELIVERY
-            tracer.record(self.sim.now, DELIVERY, self.id, packet)
         stats = self.network.stats
         stats.record_packet_delivery(packet.latency_ns, packet.size_bytes)
         probe = self.network.probe

@@ -86,11 +86,6 @@ class PowerMonitor:
         self.network.sim.schedule(self.period_ns, self._sample, daemon=True)
 
     @property
-    def times_ns(self) -> List[float]:
-        """Sample timestamps, in ns."""
-        return [t for t, _ in self.samples]
-
-    @property
     def power_fractions(self) -> List[float]:
         """Sampled normalized power values."""
         return [p for _, p in self.samples]
@@ -99,11 +94,6 @@ class PowerMonitor:
         """Highest sampled power fraction (0.0 with no samples)."""
         _require_observed(self)
         return max(self.power_fractions, default=0.0)
-
-    def trough(self) -> float:
-        """Lowest sampled power fraction (0.0 with no samples)."""
-        _require_observed(self)
-        return min(self.power_fractions, default=0.0)
 
 
 class CongestionMonitor:
@@ -128,8 +118,3 @@ class CongestionMonitor:
         """Largest sampled total queue occupancy."""
         _require_observed(self)
         return max((q for _, q, _ in self.samples), default=0)
-
-    def peak_blocked_packets(self) -> int:
-        """Largest sampled blocked-packet count."""
-        _require_observed(self)
-        return max((b for _, _, b in self.samples), default=0)

@@ -75,10 +75,6 @@ class ChannelStats:
         self.account_rate_change(now, self._current_rate)
         self._finalized_at = now
 
-    def total_time_ns(self) -> float:
-        """Total accounted time across all rates."""
-        return left_sum(self.time_at_rate.values())
-
     def energy(self, model: ChannelPowerModel, off_power: float = 0.0) -> float:
         """Normalized-power x time integral (units: ns at normalized W).
 
@@ -275,10 +271,3 @@ class NetworkStats:
         if grand_total == 0.0:
             return {}
         return {rate: t / grand_total for rate, t in totals.items()}
-
-    def channel_utilizations(
-        self, channels: Optional[Sequence[ChannelStats]] = None
-    ) -> List[float]:
-        """Busy fraction of each channel over the run."""
-        chans = self.channels if channels is None else list(channels)
-        return [c.busy_ns / self.duration_ns for c in chans]

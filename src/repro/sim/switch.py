@@ -113,10 +113,6 @@ class Switch:
     def receive(self, packet: Packet, channel: Channel) -> None:
         """A packet fully arrived over ``channel``; see Node."""
         packet.hops += 1
-        tracer = self.network.tracer
-        if tracer is not None:
-            from repro.sim.tracing import SWITCH_ARRIVAL
-            tracer.record(self.sim.now, SWITCH_ARRIVAL, self.id, packet)
         sim = self.sim
         # The sum Simulator.schedule computes, minus its call frame.
         sim.schedule_at(sim._now + self.router_latency_ns, self._route,

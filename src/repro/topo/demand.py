@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.sums import left_sum
 
 GroupPair = Tuple[int, int]
 
@@ -145,18 +144,6 @@ class DemandMatrixEstimator:
         """The raw (unsmoothed) flows of the latest epoch — the
         conservation plane the property tests audit."""
         return dict(self._last_observed)
-
-    def row_sum(self, src: int) -> float:
-        """Raw outgoing demand of one group over the latest epoch."""
-        self._check_pair((src, src))
-        return left_sum(gbps for (s, _), gbps in self._last_observed.items()
-                   if s == src)
-
-    def col_sum(self, dst: int) -> float:
-        """Raw incoming demand of one group over the latest epoch."""
-        self._check_pair((dst, dst))
-        return left_sum(gbps for (_, d), gbps in self._last_observed.items()
-                   if d == dst)
 
     def matrix(self) -> List[List[float]]:
         """The smoothed matrix as dense rows (deterministic order)."""

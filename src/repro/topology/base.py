@@ -76,12 +76,3 @@ class Topology(abc.ABC):
         non-oversubscribed network this is ``num_hosts * rate / 2``
         (the paper's 32k-host, 40 Gb/s builds both report 655 Tb/s).
         """
-
-    def power_per_bisection_gbps(
-        self, total_watts: float, link_rate_gbps: float
-    ) -> float:
-        """Watts per Gb/s of bisection bandwidth (Table 1's last row)."""
-        bisection = self.bisection_bandwidth_gbps(link_rate_gbps)
-        if bisection <= 0:
-            raise ValueError("bisection bandwidth must be positive")
-        return total_watts / bisection

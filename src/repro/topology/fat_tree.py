@@ -168,10 +168,6 @@ class FatTree:
         return range(edge * self.hosts_per_edge,
                      (edge + 1) * self.hosts_per_edge)
 
-    def pod_of_host(self, host: int) -> int:
-        """Pod containing a host."""
-        return self.pod_of(self.host_switch(host))
-
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------

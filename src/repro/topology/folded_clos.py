@@ -70,11 +70,6 @@ class FoldedClos(Topology):
         return self._n
 
     @property
-    def chassis(self) -> ClosChassis:
-        """The multi-chip chassis model used for stages 2 and 3."""
-        return self._chassis
-
-    @property
     def stage3_chassis(self) -> int:
         """Top-stage chassis: ``ceil(N / 324)``."""
         return math.ceil(self._n / self._chassis.external_ports)

@@ -46,10 +46,3 @@ class PartCount:
     def total_links(self) -> int:
         """All cabled links, electrical plus optical."""
         return self.electrical_links + self.optical_links
-
-    @property
-    def electrical_fraction(self) -> float:
-        """Fraction of links that are inexpensive electrical cables."""
-        if self.total_links == 0:
-            return 0.0
-        return self.electrical_links / self.total_links

@@ -27,11 +27,6 @@ def gbps_to_bytes_per_ns(gbps: float) -> float:
     return gbps / BITS_PER_BYTE
 
 
-def bytes_per_ns_to_gbps(bytes_per_ns: float) -> float:
-    """Convert bytes per nanosecond back to Gb/s."""
-    return bytes_per_ns * BITS_PER_BYTE
-
-
 def serialization_ns(size_bytes: float, rate_gbps: float) -> float:
     """Time to serialize ``size_bytes`` onto a channel running at ``rate_gbps``."""
     if rate_gbps <= 0:

@@ -32,11 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".burstiness": ("utilization_series", "burstiness_profile",
                     "coefficient_of_variation", "host_asymmetry",
                     "mean_asymmetry_ratio"),
-    ".patterns": ("PermutationWorkload", "HotspotWorkload", "bit_complement",
-                  "transpose", "tornado"),
-    ".mixed": ("MixedWorkload",),
-    ".service_traces": ("DiurnalTraceSource", "TraceReplaySource",
-                        "record_trace"),
+    ".service_traces": ("DiurnalTraceSource",),
 })
 
 __all__ = [
@@ -62,13 +58,5 @@ __all__ = [
     "coefficient_of_variation",
     "host_asymmetry",
     "mean_asymmetry_ratio",
-    "PermutationWorkload",
-    "HotspotWorkload",
-    "bit_complement",
-    "transpose",
-    "tornado",
-    "MixedWorkload",
     "DiurnalTraceSource",
-    "TraceReplaySource",
-    "record_trace",
 ]

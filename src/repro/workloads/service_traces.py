@@ -1,32 +1,26 @@
 """Demand traces for the live control-plane service.
 
 The service's load generator replays a *demand trace*: per control
-group, per epoch, the offered demand in Gb/s.  Two sources:
-
-- :class:`DiurnalTraceSource` — a synthetic multi-hour diurnal
-  profile: a raised-cosine day/night swing per group (phase-staggered
-  so the fleet's valleys don't align), a floor cut that takes each
-  group's demand to a true zero for part of the day (so power gating
-  genuinely engages), seeded multiplicative jitter, and occasional
-  demand bursts.  All randomness is stateless string-seeded hashing
-  (one ``random.Random(f"svctrace:{seed}:{group}:{epoch}")`` stream
-  per group-epoch, via :func:`repro.keyed.keyed_stream`), so any
-  epoch's demand can be computed independently — which is what lets a
-  service restored from a checkpoint regenerate the tail of the trace
-  without replaying the head, and keeps the trace independent of
-  ``PYTHONHASHSEED``.
-- :class:`TraceReplaySource` — explicit per-group demand arrays
-  (recorded production traces, or a materialized diurnal source via
-  :func:`record_trace` for byte-exact replay in tests).
-
-Both expose the same two-method surface (``groups``,
-``demand(group, epoch)``), which is all the generator needs.
+group, per epoch, the offered demand in Gb/s.
+:class:`DiurnalTraceSource` is a synthetic multi-hour diurnal profile:
+a raised-cosine day/night swing per group (phase-staggered so the
+fleet's valleys don't align), a floor cut that takes each group's
+demand to a true zero for part of the day (so power gating genuinely
+engages), seeded multiplicative jitter, and occasional demand bursts.
+All randomness is stateless string-seeded hashing (one
+``random.Random(f"svctrace:{seed}:{group}:{epoch}")`` stream per
+group-epoch, via :func:`repro.keyed.keyed_stream`), so any epoch's
+demand can be computed independently — which is what lets a service
+restored from a checkpoint regenerate the tail of the trace without
+replaying the head, and keeps the trace independent of
+``PYTHONHASHSEED``.  Its two-method surface (``groups``,
+``demand(group, epoch)``) is all the generator needs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.keyed import keyed_stream
 
@@ -91,39 +85,3 @@ class DiurnalTraceSource:
             demand *= self.burst_multiplier
         return demand
 
-
-class TraceReplaySource:
-    """Replay explicit per-group demand arrays.
-
-    Args:
-        traces: ``group -> [demand per epoch]``; epochs beyond the
-            array replay it cyclically (diurnal traces are periodic).
-    """
-
-    def __init__(self, traces: Dict[str, Sequence[float]]):
-        if not traces:
-            raise ValueError("trace replay needs at least one group")
-        lengths = {len(v) for v in traces.values()}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ValueError(
-                "all group traces must share one nonzero length, got "
-                f"lengths {sorted(lengths)}")
-        self._traces = {name: list(values)
-                        for name, values in traces.items()}
-        self._length = lengths.pop()
-
-    @property
-    def groups(self) -> Tuple[str, ...]:
-        """Group names in trace order."""
-        return tuple(self._traces)
-
-    def demand(self, group: str, epoch: int) -> float:
-        """Offered demand (Gb/s) for ``group`` over ``epoch``."""
-        return self._traces[group][epoch % self._length]
-
-
-def record_trace(source, epochs: int) -> Dict[str, List[float]]:
-    """Materialize ``epochs`` of a demand source into replayable arrays."""
-    return {group: [source.demand(group, epoch)
-                    for epoch in range(epochs)]
-            for group in source.groups}

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.power.channel_models import (
-    ConstantChannelPower,
-    IdealChannelPower,
-    MeasuredChannelPower,
-)
+from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
 from repro.power.link_rates import DEFAULT_RATE_LADDER
 from repro.power.switch_profile import LinkMedium
 
@@ -51,13 +47,3 @@ class TestIdealChannelPower:
         ideal, measured = IdealChannelPower(), MeasuredChannelPower()
         for rate in DEFAULT_RATE_LADDER.rates[:-1]:
             assert ideal.power(rate) < measured.power(rate)
-
-
-class TestConstantChannelPower:
-    def test_always_on_baseline(self):
-        model = ConstantChannelPower()
-        for rate in DEFAULT_RATE_LADDER:
-            assert model.power(rate) == 1.0
-
-    def test_custom_level(self):
-        assert ConstantChannelPower(level=0.5).power(2.5) == 0.5

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
+from repro.cli import (
+    EXPERIMENTS,
+    build_parser,
+    configure_sweep,
+    main,
+    run_experiment,
+    sweep_flags,
+)
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.scale import SCALES
 
@@ -50,6 +57,39 @@ class TestParser:
     def test_golden_refresh_is_a_choice(self):
         args = build_parser().parse_args(["golden-refresh"])
         assert args.experiment == "golden-refresh"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--jobs", "many"), ("--retries", "-3")])
+    def test_bad_sweep_counts_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["figure7", flag, value])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err
+
+
+class TestSweepEnvironment:
+    """Flags left unset fall back to the ``REPRO_*`` variables."""
+
+    def test_jobs_from_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        configure_sweep(sweep_flags().parse_args([]))
+        assert sweep_mod.default_runner().jobs == 3
+
+    def test_run_log_from_environment(self, monkeypatch, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("REPRO_RUN_LOG", str(log))
+        configure_sweep(sweep_flags().parse_args([]))
+        assert sweep_mod.default_runner().run_log == log
+
+    def test_flags_override_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.setenv("REPRO_RUN_LOG", str(tmp_path / "env.jsonl"))
+        configure_sweep(sweep_flags().parse_args(
+            ["--jobs", "1", "--run-log", str(tmp_path / "flag.jsonl")]))
+        runner = sweep_mod.default_runner()
+        assert runner.jobs == 1
+        assert runner.run_log == tmp_path / "flag.jsonl"
 
 
 class TestExecution:

@@ -49,21 +49,27 @@ class TestTable1Power:
             pytest.approx(clos.part_counts().switch_chips, rel=0.01)
 
 
+def network_share(model, clos, scenario):
+    watts = model.figure1_scenarios(clos)[scenario]
+    return watts["network_watts"] / (watts["network_watts"]
+                                     + watts["server_watts"])
+
+
 class TestFigure1:
     def test_network_share_at_full_utilization(self, model, clos):
         # "the network consumes only 12% of overall power at full
         # utilization".
-        share = model.network_fraction(clos, 1.0)
+        share = network_share(model, clos, "full_utilization")
         assert share == pytest.approx(0.12, abs=0.01)
 
     def test_network_share_with_proportional_servers_at_15pct(self, model, clos):
         # "the network will then consume nearly 50% of overall power".
-        share = model.network_fraction(clos, 0.15, proportional_servers=True)
+        share = network_share(model, clos, "proportional_servers_15pct")
         assert 0.45 <= share <= 0.52
 
     def test_proportional_network_restores_balance(self, model, clos):
-        share = model.network_fraction(
-            clos, 0.15, proportional_servers=True, proportional_network=True)
+        share = network_share(model, clos,
+                              "proportional_servers_and_network_15pct")
         assert share == pytest.approx(0.12, abs=0.01)
 
     def test_scenarios_savings_975kw(self, model, clos):

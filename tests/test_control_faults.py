@@ -36,7 +36,6 @@ from repro.faults.control_faults import (
     TelemetryDropout,
     TelemetryFeed,
     build_control_scenario,
-    control_scenario_registered,
     register_control_scenario,
     registered_control_scenarios,
 )
@@ -83,7 +82,7 @@ class TestDSLValidation:
         for expected in ("ctl_dropout", "ctl_stale", "ctl_corrupt",
                          "ctl_lossy", "ctl_crash", "ctl_chaos_low",
                          "ctl_chaos_mid", "ctl_chaos_high"):
-            assert control_scenario_registered(expected)
+            assert expected in names
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

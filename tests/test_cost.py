@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.power.cost import EnergyCostModel, PAPER_COST_MODEL
+from repro.power.cost import EnergyCostModel
+
+#: The paper's cost assumptions are the model's defaults.
+PAPER_COST_MODEL = EnergyCostModel()
 
 
 class TestPaperNumbers:

@@ -8,6 +8,8 @@ contract (drops accounted, partitions detected, strict mode raising).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.controller import ControllerConfig
@@ -28,7 +30,6 @@ from repro.faults.scenario import (
     build_scenario,
     register_scenario,
     registered_scenarios,
-    scenario_registered,
 )
 from repro.faults.sensors import FaultySensor
 from repro.obs.decisions import DecisionLog, FAULT_REASONS
@@ -41,6 +42,13 @@ from repro.sim.invariants import (
 )
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
+
+
+def fail_chip(net, injector, time_ns, switch, down_ns=None):
+    """Fail every link of one switch chip the way a scenario does."""
+    scenario = FaultScenario(
+        "chip", chip_failures=(SwitchChipFailure(time_ns, switch, down_ns),))
+    apply_scenario(scenario, net, injector, until_ns=math.inf)
 
 
 def make_network(k=4, n=2, seed=13):
@@ -107,10 +115,8 @@ class TestScenarioDsl:
 
     def test_registry_round_trip(self):
         name = "test-campaign-registry"
-        if not scenario_registered(name):
-            register_scenario(
-                name, lambda spec: FaultScenario(name=name,
-                                                 seed=spec.fault_seed))
+        register_scenario(
+            name, lambda spec: FaultScenario(name=name, seed=spec.fault_seed))
         assert name in registered_scenarios()
 
         class _Spec:
@@ -129,9 +135,10 @@ class TestScenarioDsl:
             build_scenario("no-such-scenario", _Spec())
 
     def test_builtin_scenarios_are_registered(self):
+        registered = registered_scenarios()
         for name in ("mtbf", "mtbf_clean", "flap", "chipkill",
                      "stuck_sensor", "noisy_sensor"):
-            assert scenario_registered(name)
+            assert name in registered
 
     def test_apply_scenario_schedules_onto_injector(self):
         net = make_network()
@@ -315,7 +322,7 @@ class TestGracefulDegradation:
     def test_unroutable_traffic_is_dropped_not_crashed(self):
         net = make_network()
         injector = LinkFaultInjector(net)
-        injector.fail_switch(1_000.0, 3)
+        fail_chip(net, injector, 1_000.0, 3)
         # Hosts 12..15 sit on switch 3 (c=k=4): unreachable after the
         # chip failure.
         for i in range(5):
@@ -329,7 +336,7 @@ class TestGracefulDegradation:
     def test_partition_recorded_once_per_signature(self):
         net = make_network()
         injector = LinkFaultInjector(net)
-        injector.fail_switch(1_000.0, 3)
+        fail_chip(net, injector, 1_000.0, 3)
         for i in range(8):
             net.submit(2_000.0 + i * 500.0, src=0, dst=13,
                        size_bytes=4096)
@@ -342,7 +349,7 @@ class TestGracefulDegradation:
     def test_strict_mode_raises_structured_partition(self):
         net = make_network()
         injector = LinkFaultInjector(net, strict=True)
-        injector.fail_switch(1_000.0, 3)
+        fail_chip(net, injector, 1_000.0, 3)
         net.submit(2_000.0, src=0, dst=13, size_bytes=4096)
         with pytest.raises(PartitionDetected) as exc_info:
             net.run(until_ns=50_000.0)
@@ -367,7 +374,7 @@ class TestGracefulDegradation:
     def test_reachability_helpers_see_usable_graph_only(self):
         net = make_network()
         injector = LinkFaultInjector(net)
-        injector.fail_switch(1_000.0, 3)
+        fail_chip(net, injector, 1_000.0, 3)
         net.run(until_ns=2_000.0)
         reach = reachable_switches(net, 0)
         assert 3 not in reach

@@ -1,13 +1,27 @@
 """Fault-injection edge cases: timing races and repair interactions."""
 
+import math
+
 import pytest
 
 from repro.core.controller import ControllerConfig, EpochController
+from repro.faults.scenario import (
+    FaultScenario,
+    SwitchChipFailure,
+    apply_scenario,
+)
 from repro.routing.restricted import RestrictedAdaptiveRouting
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import MS, US
+
+
+def fail_chip(net, injector, time_ns, switch, down_ns=None):
+    """Fail every link of one switch chip the way a scenario does."""
+    scenario = FaultScenario(
+        "chip", chip_failures=(SwitchChipFailure(time_ns, switch, down_ns),))
+    apply_scenario(scenario, net, injector, until_ns=math.inf)
 
 
 def make_network(seed=71):
@@ -110,7 +124,7 @@ class TestSimultaneousChipAndLinkFaults:
         # healthy-but-degraded remainder {0, 1, 3} as partitioned.
         net = make_network()
         injector = LinkFaultInjector(net)
-        injector.fail_switch(10_000.0, 2)
+        fail_chip(net, injector, 10_000.0, 2)
         injector.fail_link(10_000.0, 0, 1)       # same timestamp
         victim = hosts_on_switch(net, 2)[0]
         src = hosts_on_switch(net, 1)[0]
@@ -136,8 +150,8 @@ class TestSimultaneousChipAndLinkFaults:
         # instead of circling the healthy remainder.
         net = make_network()
         injector = LinkFaultInjector(net)
-        injector.fail_switch(10_000.0, 3, repair_after_ns=50_000.0)
-        injector.fail_switch(150_000.0, 0)
+        fail_chip(net, injector, 10_000.0, 3, down_ns=50_000.0)
+        fail_chip(net, injector, 150_000.0, 0)
         victim3 = hosts_on_switch(net, 3)[0]
         victim0 = hosts_on_switch(net, 0)[0]
         src = hosts_on_switch(net, 1)[0]

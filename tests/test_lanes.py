@@ -40,7 +40,7 @@ class TestInfiniBandLadder:
         assert len(INFINIBAND_LANE_LADDER) == 6
 
     def test_extremes(self):
-        assert INFINIBAND_LANE_LADDER.min_config == LaneConfig(2.5, 1)
+        assert INFINIBAND_LANE_LADDER.configs[0] == LaneConfig(2.5, 1)
         assert INFINIBAND_LANE_LADDER.max_config == LaneConfig(10.0, 4)
 
     def test_scalar_rates_match_evaluation_ladder(self):
@@ -65,8 +65,8 @@ class TestBandwidthSteps:
 
     def test_clamped_at_extremes(self):
         ladder = INFINIBAND_LANE_LADDER
-        assert ladder.step_down_bandwidth(ladder.min_config) == \
-            ladder.min_config
+        slowest = ladder.configs[0]
+        assert ladder.step_down_bandwidth(slowest) == slowest
         assert ladder.step_up_bandwidth(ladder.max_config) == \
             ladder.max_config
 

@@ -137,7 +137,6 @@ class TestDecisionLog:
         log.record(**_decision(1, reason=BELOW_THRESHOLD, old=20.0,
                              new=10.0, changed=True))
         assert [d.group for d in log.transitions()] == ["g1"]
-        assert [d.group for d in log.of_group("g0")] == ["g0"]
 
     def test_spill_writes_jsonl(self, tmp_path):
         path = tmp_path / "decisions.jsonl"

@@ -104,18 +104,6 @@ class TestMetricsRegistry:
         assert "z" in r and "missing" not in r
         assert r.get("missing") is None
 
-    def test_as_dict_is_json_safe(self):
-        import json
-        r = MetricsRegistry()
-        r.counter("c").inc(3)
-        r.gauge("g").set(1.5)
-        r.histogram("h", buckets=(10.0,)).observe(7.0)
-        snapshot = json.loads(json.dumps(r.as_dict()))
-        assert snapshot["c"] == {"kind": "counter", "value": 3}
-        assert snapshot["g"] == {"kind": "gauge", "value": 1.5}
-        assert snapshot["h"]["count"] == 1
-        assert snapshot["h"]["buckets"] == [[10.0, 1], ["+Inf", 1]]
-
     def test_format_text_renders_all_kinds(self):
         r = MetricsRegistry()
         r.counter("c", "help line").inc()
@@ -134,21 +122,22 @@ class TestFabricProbe:
     def test_attach_wires_every_hook_site(self):
         net = make_network()
         registry = MetricsRegistry()
-        probe = net.attach_metrics(registry)
+        probe = FabricProbe(registry)
+        probe.attach(net)
         assert net.probe is probe
         assert net.sim.observer is probe
         assert all(ch.probe is probe for ch in net.all_channels())
 
     def test_double_attach_rejected(self):
         net = make_network()
-        net.attach_metrics(MetricsRegistry())
+        FabricProbe(MetricsRegistry()).attach(net)
         with pytest.raises(RuntimeError):
-            net.attach_metrics(MetricsRegistry())
+            FabricProbe(MetricsRegistry()).attach(net)
 
     def test_counters_match_network_stats(self):
         net = make_network()
         registry = MetricsRegistry()
-        net.attach_metrics(registry)
+        FabricProbe(registry).attach(net)
         for src in range(4):
             net.submit(0.0, src, 7 - src if src != 7 - src else 0, 20_000)
         net.run(until_ns=0.5 * MS)
@@ -173,7 +162,7 @@ class TestFabricProbe:
 
         net = make_network()
         registry = MetricsRegistry()
-        net.attach_metrics(registry)
+        FabricProbe(registry).attach(net)
         controller = EpochController(net, config=ControllerConfig())
         net.run(until_ns=0.3 * MS)   # idle network detunes
 
@@ -188,7 +177,7 @@ class TestFabricProbe:
     def test_finalize_stamps_time_at_rate_gauges(self):
         net = make_network()
         registry = MetricsRegistry()
-        net.attach_metrics(registry)
+        FabricProbe(registry).attach(net)
         net.run(until_ns=50_000.0)
         fractions = net.stats.time_at_rate_fractions()
         for rate, fraction in fractions.items():

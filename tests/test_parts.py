@@ -10,12 +10,10 @@ class TestPartCount:
         parts = PartCount(switch_chips=10, switch_chips_powered=8,
                           electrical_links=100, optical_links=50)
         assert parts.total_links == 150
-        assert parts.electrical_fraction == pytest.approx(100 / 150)
 
     def test_no_links(self):
         parts = PartCount(1, 1, 0, 0)
         assert parts.total_links == 0
-        assert parts.electrical_fraction == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from repro.predict.forecasters import (
     LastValueForecaster,
     SlidingQuantileForecaster,
     build_forecaster,
-    register_forecaster,
 )
 
 #: Demand values a link could plausibly report (Gb/s), zero included.
@@ -182,18 +181,3 @@ class TestRegistry:
     def test_build_unknown_name_raises_with_choices(self):
         with pytest.raises(ValueError, match="unknown forecaster"):
             build_forecaster("crystal_ball")
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_forecaster("ewma", EwmaForecaster)
-
-    def test_registration_round_trip(self):
-        name = "test_only_constant"
-        try:
-            register_forecaster(name, LastValueForecaster)
-            assert isinstance(build_forecaster(name), LastValueForecaster)
-            # replace=True overwrites without complaint.
-            register_forecaster(name, EwmaForecaster, replace=True)
-            assert isinstance(build_forecaster(name), EwmaForecaster)
-        finally:
-            FORECASTERS.pop(name, None)

@@ -5,15 +5,11 @@ from __future__ import annotations
 import json
 import math
 
-import pytest
-
 from repro.experiments.predictive import PredictiveResult, run as run_predictive
-from repro.obs.metrics import MetricsRegistry
 from repro.predict.regret import (
     ERROR_BUCKETS_GBPS,
     ForecastAccountant,
     ForecastErrorStats,
-    build_report,
     energy_regret,
     latency_regret,
 )
@@ -91,25 +87,6 @@ class TestRegret:
         latency = latency_regret(controller, baseline)
         assert latency["mean_ns"] == 400.0
         assert latency["p99_ns"] == 1000.0
-
-    def test_report_publishes_gauges(self):
-        oracle = _Summary(0.40, 0.10, 0.0, 0.0)
-        baseline = _Summary(1.0, 1.0, 1000.0, 5000.0)
-        controller = _Summary(
-            0.46, 0.13, 1400.0, 6000.0,
-            predict={"errors": {"fleet": {"mae_gbps": 0.5,
-                                          "under_count": 3}}})
-        report = build_report({"ewma": controller}, oracle, baseline)
-        registry = MetricsRegistry()
-        report.publish(registry)
-        assert registry.get(
-            "predict_ewma_energy_regret_measured").value == (
-                pytest.approx(0.06))
-        assert registry.get(
-            "predict_ewma_latency_regret_mean_ns").value == 400.0
-        assert registry.get("predict_ewma_forecast_mae_gbps").value == 0.5
-        assert registry.get(
-            "predict_ewma_forecast_under_epochs").value == 3
 
 
 class TestPredictiveExperiment:

@@ -72,10 +72,9 @@ class TestSummary:
         first = service.metrics.format_text()
         service.summarize()
         assert service.metrics.format_text() == first
-        counters = service.metrics.as_dict()
-        assert counters["service_retries_total"]["value"] == \
-            summary.retries
-        assert counters["service_restarts_total"]["value"] == 1
+        metrics = service.metrics
+        assert metrics.get("service_retries_total").value == summary.retries
+        assert metrics.get("service_restarts_total").value == 1
 
 
 class TestArmMatrix:

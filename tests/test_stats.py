@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.power.channel_models import (
-    ConstantChannelPower,
-    IdealChannelPower,
-    MeasuredChannelPower,
-)
+from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
 from repro.sim.stats import ChannelStats, NetworkStats, _RunningStats
 
 
 def make_channel_stats(name="ch", rate=40.0, start=0.0):
     return ChannelStats(name=name, initial_rate=rate, start_time=start)
+
+
+class _AlwaysOn:
+    """A channel with no dynamic range: full power at every rate."""
+
+    def power(self, rate_gbps):
+        return 1.0
 
 
 class TestChannelStats:
@@ -44,7 +47,7 @@ class TestChannelStats:
     def test_energy_under_constant_model(self):
         stats = make_channel_stats()
         stats.finalize(1000.0)
-        assert stats.energy(ConstantChannelPower()) == pytest.approx(1000.0)
+        assert stats.energy(_AlwaysOn()) == pytest.approx(1000.0)
 
     def test_energy_under_ideal_model(self):
         stats = make_channel_stats(rate=2.5)
