@@ -2,8 +2,6 @@
 
 from conftest import run_experiment
 
-from repro.power.channel_models import IdealChannelPower
-
 
 def test_energy_aware_routing(benchmark, scale):
     result = run_experiment(benchmark, "energy-aware", scale)
@@ -12,6 +10,5 @@ def test_energy_aware_routing(benchmark, scale):
     aware = result.runs["energy-aware"]
     plain = result.runs["adaptive"]
     # Consolidation must not cost power or lose traffic.
-    assert aware.power_fraction(IdealChannelPower()) <= \
-        1.1 * plain.power_fraction(IdealChannelPower())
-    assert aware.delivered_fraction() > 0.95 * plain.delivered_fraction()
+    assert aware.ideal_power_fraction <= 1.1 * plain.ideal_power_fraction
+    assert aware.delivered_fraction > 0.95 * plain.delivered_fraction

@@ -19,5 +19,5 @@ def test_lane_ladder(benchmark, scale):
     # ...with a large cut in total reconfiguration stall.
     assert lane.stall_ns_total < 0.7 * scalar.stall_ns_total
     # And no loss of traffic.
-    assert lane.stats.delivered_fraction() > \
-        0.95 * scalar.stats.delivered_fraction()
+    assert lane.summary.delivered_fraction > \
+        0.95 * scalar.summary.delivered_fraction

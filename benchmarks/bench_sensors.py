@@ -6,8 +6,6 @@ estimator — richer sensors must not beat it by a meaningful margin.
 
 from conftest import run_experiment
 
-from repro.power.channel_models import IdealChannelPower
-
 
 def test_sensor_ablation(benchmark, scale):
     result = run_experiment(benchmark, "sensors", scale)
@@ -16,9 +14,8 @@ def test_sensor_ablation(benchmark, scale):
     utilization = result.runs["utilization"]
     for run in result.runs.values():
         # No sensor saves meaningfully more power than plain utilization.
-        assert run.stats.power_fraction(IdealChannelPower()) > \
-            0.8 * utilization.stats.power_fraction(IdealChannelPower())
+        assert run.ideal_power_fraction > \
+            0.8 * utilization.ideal_power_fraction
     # And utilization keeps throughput at least on par with the best.
-    best_delivery = max(r.stats.delivered_fraction()
-                        for r in result.runs.values())
-    assert utilization.stats.delivered_fraction() > 0.95 * best_delivery
+    best_delivery = max(r.delivered_fraction for r in result.runs.values())
+    assert utilization.delivered_fraction > 0.95 * best_delivery

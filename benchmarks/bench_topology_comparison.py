@@ -7,21 +7,19 @@ throughput relative to its own baseline.
 
 from conftest import run_experiment
 
-from repro.power.channel_models import IdealChannelPower
-
 
 def test_topology_comparison(benchmark, scale):
     result = run_experiment(benchmark, "topology-comparison", scale)
     print("\n" + result.format_table())
 
     for run in result.fabrics.values():
-        assert run.controlled.power_fraction(IdealChannelPower()) < 0.4
-        assert run.controlled.delivered_fraction() > \
-            0.9 * run.baseline.delivered_fraction()
+        assert run.controlled.ideal_power_fraction < 0.4
+        assert run.controlled.delivered_fraction > \
+            0.9 * run.baseline.delivered_fraction
 
     fbfly = result.fabrics["fbfly"]
     fat_tree = result.fabrics["fat-tree"]
     # Both fabrics should land in the same savings class.
-    ratio = (fbfly.controlled.power_fraction(IdealChannelPower())
-             / fat_tree.controlled.power_fraction(IdealChannelPower()))
+    ratio = (fbfly.controlled.ideal_power_fraction
+             / fat_tree.controlled.ideal_power_fraction)
     assert 0.3 < ratio < 3.0

@@ -83,13 +83,9 @@ def main() -> None:
     for time_ns, mode in controller.mode_history:
         print(f"  t={time_ns / 1000:8.0f} us  ->  {mode.name}")
 
-    fractions = {mode: 0.0 for mode in TopologyMode}
-    history = controller.mode_history + [(DURATION_NS, controller.mode)]
-    for (t0, mode), (t1, _) in zip(history, history[1:]):
-        fractions[mode] += (t1 - t0) / DURATION_NS
     print("\nTime in each mode:")
-    for mode, frac in fractions.items():
-        print(f"  {mode.name:6s} {frac:6.1%}")
+    for name, frac in controller.mode_time_fractions(DURATION_NS).items():
+        print(f"  {name:6s} {frac:6.1%}")
 
     inter_switch = [ch.stats for ch in network.inter_switch_channels]
     power = stats.power_fraction(IdealChannelPower(),

@@ -143,10 +143,13 @@ class DynamicTopologyController:
 
     # ------------------------------------------------------------------
 
-    @property
-    def inter_switch_channels(self) -> List[Channel]:
-        """Every switch-to-switch unidirectional channel."""
-        return list(self._channel_class)
+    def mode_time_fractions(self, end_ns: float) -> Dict[str, float]:
+        """Share of ``[0, end_ns]`` spent in each mode, by mode name."""
+        fractions = {mode: 0.0 for mode in TopologyMode}
+        history = self.mode_history + [(end_ns, self.mode)]
+        for (t0, mode), (t1, _) in zip(history, history[1:]):
+            fractions[mode] += (t1 - t0) / end_ns if end_ns > 0 else 0.0
+        return {mode.name: frac for mode, frac in fractions.items()}
 
     def stop(self) -> None:
         """Cease making decisions; links keep their current state."""

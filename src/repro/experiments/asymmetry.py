@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments.report import format_table, pct
+from repro.experiments.runner import CONTROL_NONE, SimulationSpec
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.synthetic_traces import advert_workload, search_workload
+from repro.experiments.sweep import sweep
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,24 +62,13 @@ def run(scale: Optional[ExperimentScale] = None,
     import numpy as np
 
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    network = FbflyNetwork(topology, NetworkConfig(seed=seed))
-    builders = {"search": search_workload, "advert": advert_workload}
-    wl = builders[workload](topology.num_hosts, seed=seed)
-    network.attach_workload(wl.events(scale.duration_ns))
-    stats = network.run(until_ns=scale.duration_ns)
-
-    duration = stats.duration_ns
-    ratios = []
-    hot, cold = [], []
-    for fwd, rev in network.link_pairs():
-        u_fwd = fwd.stats.busy_ns / duration
-        u_rev = rev.stats.busy_ns / duration
-        lo, hi = sorted((u_fwd, u_rev))
-        hot.append(hi)
-        cold.append(lo)
-        if lo > 0:
-            ratios.append(hi / lo)
+    spec = SimulationSpec(k=scale.k, n=scale.n, workload=workload,
+                          duration_ns=scale.duration_ns, seed=seed,
+                          control=CONTROL_NONE, measures=("link_pairs",))
+    pairs = sweep([spec])[spec].measures["link_pairs"]
+    cold = [lo for lo, _ in pairs]
+    hot = [hi for _, hi in pairs]
+    ratios = [hi / lo for lo, hi in pairs if lo > 0]
     ratios_arr = np.array(ratios)
     return AsymmetryResult(
         workload=workload,

@@ -76,6 +76,10 @@ _ELIDED_SPEC_DEFAULTS = {
     "fault_seed": 0,
     "control_faults": None,
     "failsafe": False,
+    "routing": None,
+    "sensor": None,
+    "fabric": "fbfly",
+    "measures": None,
 }
 
 
@@ -90,11 +94,16 @@ def spec_to_dict(spec: SimulationSpec) -> Dict[str, Any]:
     for name, default in _ELIDED_SPEC_DEFAULTS.items():
         if name in data and data[name] == default:
             del data[name]
+    if "measures" in data:
+        data["measures"] = list(data["measures"])
     return data
 
 
 def spec_from_dict(data: Dict[str, Any]) -> SimulationSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output."""
+    """Rebuild a spec from :func:`spec_to_dict` output (``measures``
+    back to a tuple: the spec must stay hashable)."""
+    if data.get("measures") is not None:
+        data = {**data, "measures": tuple(data["measures"])}
     return SimulationSpec(**data)
 
 
@@ -183,6 +192,8 @@ def summary_to_dict(summary: SimulationSummary) -> Dict[str, Any]:
         out["control_plane"] = summary.control_plane
     if summary.topo is not None:
         out["topo"] = summary.topo
+    if summary.measures is not None:
+        out["measures"] = summary.measures
     return out
 
 

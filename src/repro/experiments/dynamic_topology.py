@@ -24,51 +24,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.dynamic_topology import (
-    DynamicTopologyConfig,
-    DynamicTopologyController,
-    TopologyMode,
-)
+from repro.core.dynamic_topology import TopologyMode
 from repro.experiments.report import format_table, pct, us
-from repro.obs.decisions import DecisionLog
+from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import IdealChannelPower
-from repro.power.switch_profile import INFINIBAND_SWITCH_PROFILE
-from repro.routing.restricted import RestrictedAdaptiveRouting
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.uniform import UniformRandomWorkload
+from repro.experiments.sweep import sweep
 
 OFFERED_LOADS = (0.05, 0.15, 0.30)
-
-#: Normalized power of a powered-off link on today's chips (Figure 5's
-#: static floor) — the paper's reason powering off saves little today.
-STATIC_FLOOR = INFINIBAND_SWITCH_PROFILE.static_floor
-
-
-def pinned_config(mode: TopologyMode) -> DynamicTopologyConfig:
-    """A controller config that never leaves ``mode``."""
-    return DynamicTopologyConfig(
-        upgrade_threshold=1.0, downgrade_threshold=0.0,
-        congestion_bytes=float("inf"), start_mode=mode)
 
 
 @dataclass
 class DynamicTopologyPoint:
-    """One (mode policy, offered load) sample."""
+    """One (mode policy, offered load) run."""
 
     label: str
-    offered_load: float
-    mode_time_fractions: Dict[TopologyMode, float]
-    power_true_off: float          # ideal channels, off links cost 0
-    power_static_floor: float      # off links still burn the idle floor
-    mean_message_latency_ns: float
-    delivered_fraction: float
-    escapes: int
-    #: Audit-log reason counts for the run's mode transitions
-    #: (``topology_off`` / ``topology_on``) — the degrade decisions
-    #: used to be invisible to the decision audit entirely.
-    decision_counts: Dict[str, int] = None
+    summary: SimulationSummary
+
+    @property
+    def offered_load(self) -> float:
+        """The uniform workload's offered load."""
+        return self.summary.spec.uniform_offered_load
+
+    @property
+    def mode_time_fractions(self) -> Dict[TopologyMode, float]:
+        """Share of the run spent in each topology mode."""
+        return {TopologyMode[name]: frac for name, frac in
+                self.summary.measures["topology_modes"]["mode_time"].items()}
+
+    @property
+    def power_true_off(self) -> float:
+        """Inter-switch power, ideal channels, off links cost 0."""
+        return self.summary.measures["topology_modes"]["power_true_off"]
+
+    @property
+    def delivered_fraction(self) -> float:
+        """Delivered share of the offered messages."""
+        return self.summary.delivered_fraction
 
 
 @dataclass
@@ -93,8 +84,9 @@ class DynamicTopologyResult:
                 f"{p.offered_load:.0%}",
                 modes,
                 pct(p.power_true_off),
-                pct(p.power_static_floor),
-                us(p.mean_message_latency_ns),
+                pct(p.summary.measures["topology_modes"]
+                    ["power_static_floor"]),
+                us(p.summary.mean_message_latency_ns),
                 pct(p.delivered_fraction),
             ])
         return rows
@@ -116,71 +108,25 @@ class DynamicTopologyResult:
         return f"{static}\n\n{dynamic}"
 
 
-def _mode_fractions(controller: DynamicTopologyController,
-                    end_ns: float) -> Dict[TopologyMode, float]:
-    fractions = {mode: 0.0 for mode in TopologyMode}
-    history = controller.mode_history + [(end_ns, controller.mode)]
-    for (t0, mode), (t1, _) in zip(history, history[1:]):
-        fractions[mode] += (t1 - t0) / end_ns if end_ns > 0 else 0.0
-    return fractions
-
-
-def _run_point(label: str, scale: ExperimentScale, offered_load: float,
-               config: DynamicTopologyConfig,
-               seed: int = 1) -> DynamicTopologyPoint:
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    # Degraded (ring) modes can deadlock without extra virtual channels
-    # (the paper's torus footnote); a hot escape valve stands in for the
-    # escape VC a real router would dedicate.
-    network = FbflyNetwork(
-        topology, NetworkConfig(seed=seed, escape_timeout_ns=50_000.0),
-        routing_factory=RestrictedAdaptiveRouting)
-    decision_log = DecisionLog(max_records=0)
-    controller = DynamicTopologyController(network, config,
-                                           decision_log=decision_log)
-    workload = UniformRandomWorkload(
-        topology.num_hosts, offered_load=offered_load, seed=seed,
-        line_rate_gbps=network.config.ladder.max_rate)
-    duration = scale.duration_ns
-    network.attach_workload(workload.events(duration))
-    stats = network.run(until_ns=duration)
-
-    inter_switch = [ch.stats for ch in network.inter_switch_channels]
-    ideal = IdealChannelPower()
-    return DynamicTopologyPoint(
-        label=label,
-        offered_load=offered_load,
-        mode_time_fractions=_mode_fractions(controller, stats.duration_ns),
-        power_true_off=stats.power_fraction(
-            ideal, channels=inter_switch, off_power=0.0),
-        power_static_floor=stats.power_fraction(
-            ideal, channels=inter_switch, off_power=STATIC_FLOOR),
-        mean_message_latency_ns=stats.mean_message_latency_ns(),
-        delivered_fraction=stats.delivered_fraction(),
-        escapes=stats.escapes,
-        decision_counts=dict(decision_log.reason_counts),
-    )
-
-
 def run(scale: Optional[ExperimentScale] = None,
         offered_loads: Sequence[float] = OFFERED_LOADS,
         seed: int = 1) -> DynamicTopologyResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    static_points = []
-    for mode in TopologyMode:
-        for load in offered_loads:
-            static_points.append(_run_point(
-                f"static-{mode.name.lower()}", scale, load,
-                pinned_config(mode), seed=seed))
-    dynamic_points = [
-        _run_point("dynamic", scale, load,
-                   DynamicTopologyConfig(start_mode=TopologyMode.MESH),
-                   seed=seed)
-        for load in offered_loads
-    ]
+    labels = {f"topology_{mode.name.lower()}": f"static-{mode.name.lower()}"
+              for mode in TopologyMode}
+    labels["dynamic_topology"] = "dynamic"
+    specs = [(label, SimulationSpec(
+        k=scale.k, n=scale.n, workload="uniform",
+        uniform_offered_load=load, duration_ns=scale.duration_ns,
+        seed=seed, control=control, measures=("topology_modes",)))
+        for control, label in labels.items() for load in offered_loads]
+    results = sweep(spec for _, spec in specs)
+    points = [DynamicTopologyPoint(label, results[spec])
+              for label, spec in specs]
     return DynamicTopologyResult(
-        static_points=static_points, dynamic_points=dynamic_points)
+        static_points=[p for p in points if p.label != "dynamic"],
+        dynamic_points=[p for p in points if p.label == "dynamic"])
 
 
 def main() -> None:

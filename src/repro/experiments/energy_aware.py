@@ -9,40 +9,34 @@ reports power, latency and time-at-slowest-rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.controller import ControllerConfig, EpochController
 from repro.experiments.report import format_table, pct, us
+from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
-from repro.routing.energy_aware import EnergyAwareRouting
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.sweep import sweep
 
 
 @dataclass
 class EnergyAwareResult:
-    runs: Dict[str, NetworkStats]
+    runs: Dict[str, SimulationSummary]
 
     def slowest_time(self, name: str) -> float:
         """Fraction of channel-time at the slowest rate."""
-        fractions = self.runs[name].time_at_rate_fractions()
-        return fractions.get(2.5, 0.0)
+        return self.runs[name].time_at_rate.get(2.5, 0.0)
 
     def rows(self) -> List[List[object]]:
         """The result's data rows, matching ``format_table``'s columns."""
         rows = []
-        for name, stats in self.runs.items():
+        for name, summary in self.runs.items():
             rows.append([
                 name,
-                pct(stats.power_fraction(MeasuredChannelPower())),
-                pct(stats.power_fraction(IdealChannelPower())),
+                pct(summary.measured_power_fraction),
+                pct(summary.ideal_power_fraction),
                 pct(self.slowest_time(name)),
-                us(stats.mean_message_latency_ns()),
-                pct(stats.delivered_fraction()),
+                us(summary.mean_message_latency_ns),
+                pct(summary.delivered_fraction),
             ])
         return rows
 
@@ -61,17 +55,14 @@ def run(scale: Optional[ExperimentScale] = None,
         seed: int = 1) -> EnergyAwareResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    runs: Dict[str, NetworkStats] = {}
-    for name, factory in (("adaptive", None),
-                          ("energy-aware", EnergyAwareRouting)):
-        network = FbflyNetwork(topology, NetworkConfig(seed=seed),
-                               routing_factory=factory)
-        EpochController(network, config=ControllerConfig(
-            independent_channels=True))
-        workload = search_workload(topology.num_hosts, seed=seed)
-        network.attach_workload(workload.events(0.7 * scale.duration_ns))
-        runs[name] = network.run(until_ns=scale.duration_ns)
+    adaptive = SimulationSpec(k=scale.k, n=scale.n, workload="search",
+                              duration_ns=scale.duration_ns, seed=seed,
+                              independent_channels=True,
+                              inject_fraction=0.7)
+    specs = {"adaptive": adaptive,
+             "energy-aware": replace(adaptive, routing="energy_aware")}
+    results = sweep(specs.values())
+    runs = {name: results[spec] for name, spec in specs.items()}
     return EnergyAwareResult(runs=runs)
 
 

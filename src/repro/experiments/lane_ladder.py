@@ -10,31 +10,25 @@ the total time links spent stalled in reactivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.controller import ControllerConfig, EpochController
-from repro.core.lane_controller import (
-    LaneAwareController,
-    LaneControllerConfig,
-)
 from repro.experiments.report import format_table, pct, us
+from repro.experiments.runner import (
+    CONTROL_EPOCH,
+    CONTROL_NONE,
+    SimulationSpec,
+    SimulationSummary,
+)
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import MeasuredChannelPower
-from repro.power.lanes import LaneModePower, ReactivationModel
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.units import US
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.sweep import sweep
 
 
 @dataclass
 class LaneLadderRun:
     name: str
-    stats: NetworkStats
+    summary: SimulationSummary
     power_fraction: float
-    reconfigurations: int
     stall_ns_total: float
 
 
@@ -47,15 +41,15 @@ class LaneLadderResult:
         """The result's data rows, matching ``format_table``'s columns."""
         rows = []
         for run in self.runs.values():
-            added = (run.stats.mean_message_latency_ns()
+            added = (run.summary.mean_message_latency_ns
                      - self.baseline_latency_ns)
             rows.append([
                 run.name,
                 pct(run.power_fraction),
                 us(added),
-                run.reconfigurations,
+                run.summary.reconfigurations,
                 us(run.stall_ns_total),
-                pct(run.stats.delivered_fraction()),
+                pct(run.summary.delivered_fraction),
             ])
         return rows
 
@@ -74,51 +68,27 @@ def run(scale: Optional[ExperimentScale] = None,
         seed: int = 1) -> LaneLadderResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    duration = scale.duration_ns
-    runs: Dict[str, LaneLadderRun] = {}
-
-    def simulate(label: str, attach):
-        network = FbflyNetwork(topology, NetworkConfig(seed=seed))
-        controller = attach(network)
-        workload = search_workload(topology.num_hosts, seed=seed)
-        network.attach_workload(workload.events(duration))
-        stats = network.run(until_ns=duration)
-        return network, controller, stats
-
-    # Full-rate baseline for the latency reference.
-    _, _, baseline = simulate("baseline", lambda net: None)
-
-    # Scalar ladder, one conservative reactivation (the paper's setup).
-    _, scalar_ctrl, scalar_stats = simulate(
-        "scalar", lambda net: EpochController(net, config=ControllerConfig(
-            independent_channels=True)))
-    runs["scalar 1us"] = LaneLadderRun(
-        name="scalar 1us",
-        stats=scalar_stats,
-        power_fraction=scalar_stats.power_fraction(MeasuredChannelPower()),
-        reconfigurations=scalar_ctrl.reconfigurations,
-        stall_ns_total=scalar_ctrl.reconfigurations * 1.0 * US,
-    )
-
-    # Lane-aware ladder with asymmetric transition costs.
-    _, lane_ctrl, lane_stats = simulate(
-        "lane-aware",
-        lambda net: LaneAwareController(net, LaneControllerConfig(
-            epoch_ns=10.0 * US,
-            reactivation=ReactivationModel(),
-            independent_channels=True)))
-    runs["lane-aware"] = LaneLadderRun(
-        name="lane-aware",
-        stats=lane_stats,
-        power_fraction=lane_stats.power_fraction(LaneModePower()),
-        reconfigurations=lane_ctrl.reconfigurations,
-        stall_ns_total=lane_ctrl.reconfiguration_stall_ns,
-    )
-
+    baseline = SimulationSpec(k=scale.k, n=scale.n, workload="search",
+                              duration_ns=scale.duration_ns, seed=seed,
+                              control=CONTROL_NONE)
+    scalar = replace(baseline, control=CONTROL_EPOCH, independent_channels=True)
+    lane = replace(scalar, control="lane_aware", measures=("lane",))
+    # The full-rate baseline is the latency reference.
+    results = sweep([baseline, scalar, lane])
+    scalar_run, lane_run = results[scalar], results[lane]
     return LaneLadderResult(
-        runs=runs,
-        baseline_latency_ns=baseline.mean_message_latency_ns(),
+        runs={
+            "scalar 1us": LaneLadderRun(
+                name="scalar 1us", summary=scalar_run,
+                power_fraction=scalar_run.measured_power_fraction,
+                stall_ns_total=(scalar_run.reconfigurations
+                                * scalar.reactivation_ns)),
+            "lane-aware": LaneLadderRun(
+                name="lane-aware", summary=lane_run,
+                power_fraction=lane_run.measures["lane"]["power_fraction"],
+                stall_ns_total=lane_run.measures["lane"]["stall_ns"]),
+        },
+        baseline_latency_ns=results[baseline].mean_message_latency_ns,
     )
 
 

@@ -16,21 +16,17 @@ conservative assumption leaves on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
-from repro.core.controller import ControllerConfig, EpochController
 from repro.experiments.report import format_table, pct
-from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import (
-    MeasuredChannelPower,
-    MediumAwareChannelPower,
+from repro.experiments.runner import (
+    CONTROL_EPOCH,
+    CONTROL_NONE,
+    SimulationSpec,
 )
-from repro.power.switch_profile import LinkMedium
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.scale import ExperimentScale, current_scale
+from repro.experiments.sweep import sweep
 
 
 @dataclass
@@ -75,46 +71,22 @@ def run(scale: Optional[ExperimentScale] = None,
         seed: int = 1) -> MixedMediaResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    duration = scale.duration_ns
-    optical_model = MeasuredChannelPower()
-    media_model = MediumAwareChannelPower()
-
-    def simulate(controlled: bool) -> NetworkStats:
-        network = FbflyNetwork(topology, NetworkConfig(seed=seed))
-        if controlled:
-            EpochController(network, config=ControllerConfig(
-                independent_channels=True))
-        workload = search_workload(topology.num_hosts, seed=seed)
-        network.attach_workload(workload.events(duration))
-        stats = network.run(until_ns=duration)
-        copper = sum(
-            1 for ch in network.all_channels()
-            if ch.stats.medium is LinkMedium.COPPER)
-        return stats, copper / len(network.all_channels())
-
-    rows = []
-    copper_fraction = 0.0
-    for controlled, label in ((False, "baseline (all 40 Gb/s)"),
-                              (True, "rate-scaled (independent)")):
-        stats, copper_fraction = simulate(controlled)
-        rows.append(MixedMediaRow(
-            label=label,
-            all_optical=_all_optical_fraction(stats, optical_model),
-            packaging_aware=stats.power_fraction(media_model),
-        ))
-    return MixedMediaResult(rows_list=rows,
-                            copper_channel_fraction=copper_fraction)
-
-
-def _all_optical_fraction(stats: NetworkStats, model) -> float:
-    """Power fraction ignoring medium tags (the paper's assumption)."""
-    total = 0.0
-    for ch in stats.channels:
-        for rate, t in ch.time_at_rate.items():
-            if rate is not None:
-                total += t * model.power(rate)
-    return total / (len(stats.channels) * stats.duration_ns)
+    baseline = SimulationSpec(k=scale.k, n=scale.n, workload="search",
+                              duration_ns=scale.duration_ns, seed=seed,
+                              control=CONTROL_NONE, measures=("media",))
+    specs = {"baseline (all 40 Gb/s)": baseline,
+             "rate-scaled (independent)": replace(
+                 baseline, control=CONTROL_EPOCH,
+                 independent_channels=True)}
+    results = sweep(specs.values())
+    runs = {label: results[spec] for label, spec in specs.items()}
+    return MixedMediaResult(
+        rows_list=[MixedMediaRow(
+            label=label, all_optical=run.measured_power_fraction,
+            packaging_aware=run.measures["media"]["packaging_aware"])
+            for label, run in runs.items()],
+        copper_channel_fraction=runs[
+            "rate-scaled (independent)"].measures["media"]["copper_fraction"])
 
 
 def main() -> None:

@@ -23,49 +23,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.controller import ControllerConfig, EpochController
 from repro.experiments.report import format_table, pct, us
+from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import MeasuredChannelPower
-from repro.routing.dimension_order import DimensionOrderRouting
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.units import US
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.sweep import sweep
 
 REACTIVATIONS_NS = (1_000.0, 10_000.0)
 
-
-@dataclass
-class RoutingPoint:
-    routing: str
-    reactivation_ns: float
-    stats: NetworkStats
+#: Table label -> ``SimulationSpec.routing``.
+ROUTINGS = {"adaptive": None, "dimension-order": "dimension_order"}
 
 
 @dataclass
 class RoutingAblationResult:
-    points: Dict[Tuple[str, float], RoutingPoint]
+    points: Dict[Tuple[str, float], SimulationSummary]
     reactivations_ns: Tuple[float, ...]
 
     def delivered(self, routing: str, reactivation_ns: float) -> float:
         """Delivered fraction for a (routing, reactivation) cell."""
-        return self.points[(routing, reactivation_ns)]\
-            .stats.delivered_fraction()
+        return self.points[(routing, reactivation_ns)].delivered_fraction
 
     def rows(self) -> List[List[object]]:
         """The result's data rows, matching ``format_table``'s columns."""
         rows = []
-        for (routing, react), point in self.points.items():
-            stats = point.stats
+        for (routing, react), summary in self.points.items():
             rows.append([
                 routing,
                 us(react, 0),
-                pct(stats.power_fraction(MeasuredChannelPower())),
-                pct(stats.delivered_fraction()),
-                us(stats.mean_message_latency_ns()),
-                us(stats.message_latency_percentile_ns(99.0)),
+                pct(summary.measured_power_fraction),
+                pct(summary.delivered_fraction),
+                us(summary.mean_message_latency_ns),
+                us(summary.p99_message_latency_ns),
             ])
         return rows
 
@@ -85,22 +73,17 @@ def run(scale: Optional[ExperimentScale] = None, seed: int = 1,
         ) -> RoutingAblationResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    duration = scale.duration_ns
-    points: Dict[Tuple[str, float], RoutingPoint] = {}
-    for routing_name, factory in (("adaptive", None),
-                                  ("dimension-order",
-                                   DimensionOrderRouting)):
-        for react in reactivations_ns:
-            network = FbflyNetwork(topology, NetworkConfig(seed=seed),
-                                   routing_factory=factory)
-            EpochController(network, config=ControllerConfig(
-                independent_channels=True, reactivation_ns=react))
-            workload = search_workload(topology.num_hosts, seed=seed)
-            network.attach_workload(workload.events(0.7 * duration))
-            stats = network.run(until_ns=duration)
-            points[(routing_name, react)] = RoutingPoint(
-                routing=routing_name, reactivation_ns=react, stats=stats)
+    specs = {
+        (label, react): SimulationSpec(
+            k=scale.k, n=scale.n, workload="search",
+            duration_ns=scale.duration_ns, seed=seed,
+            reactivation_ns=react, independent_channels=True,
+            inject_fraction=0.7, routing=routing)
+        for label, routing in ROUTINGS.items()
+        for react in reactivations_ns
+    }
+    results = sweep(specs.values())
+    points = {cell: results[spec] for cell, spec in specs.items()}
     return RoutingAblationResult(points=points,
                                  reactivations_ns=tuple(reactivations_ns))
 

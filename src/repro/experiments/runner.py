@@ -1,21 +1,23 @@
-"""Shared simulation runner for the figure experiments.
+"""Shared simulation runner for every simulated experiment.
 
-Figures 7-9 are all built from the same kind of run: a workload over an
-FBFLY, optionally under an epoch controller, summarized into power and
-latency numbers.  :func:`cached_run` memoizes runs by spec so that, e.g.,
-the baseline run of a workload is shared by every figure needing it in
-one process.
+Every simulated result is built from the same kind of run: a workload
+over a fabric (an FBFLY, or a fat tree), optionally under a registered
+control mode, summarized into power and latency numbers plus any named
+post-run readings the spec asks for (:data:`MEASURES`).
+:func:`cached_run` memoizes runs by spec so that, e.g., the baseline run
+of a workload is shared by every figure needing it in one process.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import ControllerConfig, EpochController
 from repro.core.registry import (
+    DYNAMIC_TOPOLOGY_MODES,
     build_controller,
     control_mode_registered,
     register_control_mode,
@@ -28,6 +30,12 @@ from repro.core.policies import (
     PredictivePolicy,
     RatePolicy,
     ThresholdPolicy,
+)
+from repro.core.sensors import (
+    CompositeSensor,
+    CreditStallSensor,
+    QueueOccupancySensor,
+    UtilizationSensor,
 )
 from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
 from repro.sim.network import FbflyNetwork, NetworkConfig
@@ -49,6 +57,24 @@ CONTROL_ORACLE = "oracle"          # clairvoyant two-pass power floor
 #: Named here as plain strings so the runner can wire dark-link
 #: routing and partition detection for them without paying the import.
 TOPO_CONTROL_MODES = ("demand_topo", "degraded_topo")
+
+#: Escape-valve deadline for the Section 5.1 modes: degraded (ring)
+#: topologies can deadlock without extra virtual channels (the paper's
+#: torus footnote), so a hot valve stands in for the escape VC a real
+#: router would dedicate.
+_RING_ESCAPE_TIMEOUT_NS = 50_000.0
+
+#: ``SimulationSpec.routing`` values (``None`` keeps the derived one).
+ROUTINGS = ("dimension_order", "energy_aware")
+
+#: ``SimulationSpec.sensor`` values -> demand-sensor factory (``None``
+#: is the controller's default, raw utilization).
+SENSORS = {
+    "queue_occupancy": QueueOccupancySensor,
+    "credit_stall": CreditStallSensor,
+    "composite": lambda: CompositeSensor([UtilizationSensor(),
+                                          QueueOccupancySensor()]),
+}
 
 _POLICIES = {
     "threshold": ThresholdPolicy,
@@ -104,9 +130,25 @@ class SimulationSpec:
     #: Attach the :class:`~repro.core.failsafe.FailsafeGuard` around
     #: the controller.  Elided from cache encodings at False.
     failsafe: bool = False
+    #: Routing function (a :data:`ROUTINGS` name).  ``None`` keeps the
+    #: derived choice: minimal adaptive routing, or restricted adaptive
+    #: routing for fault, chaos and topology-control runs.  Elided at
+    #: ``None``, as are the three fields below at their defaults.
+    routing: Optional[str] = None
+    #: Demand sensor of the epoch controller (a :data:`SENSORS` name).
+    sensor: Optional[str] = None
+    #: ``"fbfly"``, or ``"fat_tree"``: a three-level fat tree of radix
+    #: ``k`` (``n`` must be 3).
+    fabric: str = "fbfly"
+    #: Sorted names of post-run readings of the live network (see
+    #: :data:`MEASURES`) for ``SimulationSummary.measures``.
+    measures: Optional[Tuple[str, ...]] = None
 
-    def build_topology(self) -> FlattenedButterfly:
-        """Construct the FBFLY this spec describes."""
+    def build_topology(self):
+        """Construct the fabric topology this spec describes."""
+        if self.fabric == "fat_tree":
+            from repro.topology.fat_tree import FatTree
+            return FatTree(self.k)
         return FlattenedButterfly(k=self.k, n=self.n, c=self.concentration)
 
     def build_workload(self, num_hosts: int, line_rate_gbps: float):
@@ -199,6 +241,10 @@ class SimulationSummary:
     #: topo_summary`) — ``None`` for every run whose controller has no
     #: topology axis, and elided from cache encodings.
     topo: Optional[Dict] = None
+    #: The readings named by ``spec.measures`` (name -> JSON-safe
+    #: value) — ``None`` when the spec names none, and then elided
+    #: from cache encodings.
+    measures: Optional[Dict] = None
 
     def digest(self) -> Dict:
         """The deterministic content
@@ -213,11 +259,151 @@ def _build_epoch_controller(network, spec, decision_log):
         network,
         policy=spec.build_policy(),
         config=ControllerConfig.from_spec(spec),
+        sensor=None if spec.sensor is None else SENSORS[spec.sensor](),
         decision_log=decision_log,
     )
 
 
 register_control_mode(CONTROL_EPOCH, _build_epoch_controller)
+
+
+def _link_pairs(network, stats, controller) -> List[List[float]]:
+    """``[cold, hot]`` utilization of the two directions of each link."""
+    return [sorted((fwd.stats.busy_ns / stats.duration_ns,
+                    rev.stats.busy_ns / stats.duration_ns))
+            for fwd, rev in network.link_pairs()]
+
+
+def _media(network, stats, controller) -> Dict[str, float]:
+    """Power priced packaging-aware (each channel on its medium's curve,
+    copper below optical), and the copper share of channels.  The
+    all-optical pricing is the summary's ``measured_power_fraction``."""
+    from repro.power.channel_models import MediumAwareChannelPower
+    from repro.power.switch_profile import LinkMedium
+    channels = network.all_channels()
+    copper = sum(1 for ch in channels
+                 if ch.stats.medium is LinkMedium.COPPER)
+    return {
+        "packaging_aware": stats.power_fraction(MediumAwareChannelPower()),
+        "copper_fraction": copper / len(channels),
+    }
+
+
+def _lane(network, stats, controller) -> Dict[str, float]:
+    """Power priced per (lanes, rate) operating point, and the total
+    reactivation stall the lane-aware controller paid."""
+    from repro.power.lanes import LaneModePower
+    return {"power_fraction": stats.power_fraction(LaneModePower()),
+            "stall_ns": controller.reconfiguration_stall_ns}
+
+
+def _topology_modes(network, stats, controller) -> Dict[str, object]:
+    """Time in each topology mode, and inter-switch power (the set the
+    controller can disable) with off links costing nothing or today's
+    static floor."""
+    from repro.power.switch_profile import INFINIBAND_SWITCH_PROFILE
+    inter_switch = [ch.stats for ch in network.inter_switch_channels]
+    ideal = IdealChannelPower()
+    return {
+        "mode_time": controller.mode_time_fractions(stats.duration_ns),
+        "power_true_off": stats.power_fraction(
+            ideal, channels=inter_switch, off_power=0.0),
+        "power_static_floor": stats.power_fraction(
+            ideal, channels=inter_switch,
+            off_power=INFINIBAND_SWITCH_PROFILE.static_floor),
+    }
+
+
+#: ``SimulationSpec.measures`` names -> ``(network, stats, controller)
+#: -> JSON-safe value``, computed in the worker after the run.
+MEASURES = {"link_pairs": _link_pairs, "media": _media, "lane": _lane,
+            "topology_modes": _topology_modes}
+
+#: Measures that read one controller kind, with the modes building it.
+_MEASURE_MODES = {"lane": ("lane_aware",),
+                  "topology_modes": DYNAMIC_TOPOLOGY_MODES}
+
+
+def _restricted_routing(spec: SimulationSpec) -> bool:
+    """Whether the run must route around dark links.
+
+    Fault runs do, and so does control-plane chaos (a naive controller
+    gates "idle"-looking groups off).  Topology control darkens links
+    by design, so it does even on a healthy fabric.
+    """
+    return (spec.faults is not None or spec.control_faults is not None
+            or spec.control in TOPO_CONTROL_MODES
+            or spec.control in DYNAMIC_TOPOLOGY_MODES)
+
+
+def _check_spec(spec: SimulationSpec) -> None:
+    """Reject a spec whose routing, sensor, fabric or measures its
+    control mode cannot honour, so two specs never name the same run.
+
+    Raises:
+        ValueError: naming the offending field.
+    """
+    restricted = _restricted_routing(spec)
+    if spec.routing is not None:
+        if spec.routing not in ROUTINGS:
+            raise ValueError(f"unknown routing {spec.routing!r}")
+        if restricted:
+            raise ValueError(
+                f"routing={spec.routing!r} cannot replace the restricted "
+                f"routing that control={spec.control!r} (or a fault "
+                f"scenario) needs")
+    if spec.sensor is not None:
+        if spec.sensor not in SENSORS:
+            raise ValueError(f"unknown sensor {spec.sensor!r}")
+        if spec.control != CONTROL_EPOCH:
+            raise ValueError(f"sensor={spec.sensor!r} needs control="
+                             f"{CONTROL_EPOCH!r}, not {spec.control!r}")
+    if spec.fabric not in ("fbfly", "fat_tree"):
+        raise ValueError(f"unknown fabric {spec.fabric!r}")
+    if spec.fabric == "fat_tree" and (
+            spec.n != 3 or spec.concentration is not None
+            or spec.routing is not None or restricted):
+        raise ValueError(
+            "fabric='fat_tree' needs n=3, no concentration, the default "
+            "routing and a healthy fabric under a rate-control mode")
+    if spec.measures is not None and (
+            not spec.measures
+            or list(spec.measures) != sorted(set(spec.measures))):
+        raise ValueError(f"measures must be a sorted, non-empty tuple of "
+                         f"distinct names, not {spec.measures!r}")
+    for name in spec.measures or ():
+        if name not in MEASURES:
+            raise ValueError(f"unknown measure {name!r}")
+        if spec.control not in _MEASURE_MODES.get(name, (spec.control,)):
+            raise ValueError(f"measure {name!r} needs control in "
+                             f"{_MEASURE_MODES[name]}, not {spec.control!r}")
+
+
+def build_network(spec: SimulationSpec):
+    """The fabric a (checked) spec describes, wired but not yet run."""
+    topology = spec.build_topology()
+    net_config = NetworkConfig(seed=spec.seed)
+    if spec.control == CONTROL_ALWAYS_SLOWEST:
+        net_config = replace(net_config,
+                             initial_rate_gbps=net_config.ladder.min_rate)
+    if spec.control in DYNAMIC_TOPOLOGY_MODES:
+        net_config = replace(net_config,
+                             escape_timeout_ns=_RING_ESCAPE_TIMEOUT_NS)
+    if spec.fabric == "fat_tree":
+        from repro.sim.clos_network import FatTreeNetwork
+        return FatTreeNetwork(topology, net_config)
+    routing_factory = None
+    if _restricted_routing(spec):
+        from repro.routing.restricted import RestrictedAdaptiveRouting
+        routing_factory = RestrictedAdaptiveRouting
+    elif spec.routing == "dimension_order":
+        from repro.routing.dimension_order import DimensionOrderRouting
+        routing_factory = DimensionOrderRouting
+    elif spec.routing == "energy_aware":
+        from repro.routing.energy_aware import EnergyAwareRouting
+        routing_factory = EnergyAwareRouting
+    return FbflyNetwork(topology, net_config,
+                        routing_factory=routing_factory)
 
 
 def run_simulation(spec: SimulationSpec,
@@ -238,24 +424,8 @@ def run_simulation(spec: SimulationSpec,
     transition counts sum exactly to ``reconfigurations``).
     """
     started = time.perf_counter()
-    topology = spec.build_topology()
-    net_config = NetworkConfig(seed=spec.seed)
-    if spec.control == CONTROL_ALWAYS_SLOWEST:
-        net_config = NetworkConfig(
-            seed=spec.seed, initial_rate_gbps=net_config.ladder.min_rate)
-    routing_factory = None
-    if (spec.faults is not None or spec.control_faults is not None
-            or spec.control in TOPO_CONTROL_MODES):
-        # Fault runs must route around dark links; plain minimal
-        # adaptive routing cannot.  Control-plane chaos can dark links
-        # too (a naive controller gates "idle"-looking groups off), so
-        # it gets the same treatment — and the same partition
-        # detection below.  Topology control darkens links by design,
-        # so it needs both even on a healthy fabric.
-        from repro.routing.restricted import RestrictedAdaptiveRouting
-        routing_factory = RestrictedAdaptiveRouting
-    network = FbflyNetwork(topology, net_config,
-                           routing_factory=routing_factory)
+    _check_spec(spec)
+    network = build_network(spec)
 
     decision_log = (telemetry.decision_log if telemetry is not None
                     else DecisionLog(max_records=0))
@@ -320,7 +490,7 @@ def run_simulation(spec: SimulationSpec,
         telemetry.attach(network)
 
     workload = spec.build_workload(
-        topology.num_hosts, net_config.ladder.max_rate)
+        network.topology.num_hosts, network.config.ladder.max_rate)
     network.attach_workload(
         workload.events(spec.inject_fraction * spec.duration_ns))
     stats = network.run(until_ns=spec.duration_ns)
@@ -350,7 +520,7 @@ def run_simulation(spec: SimulationSpec,
         delivered_fraction=stats.delivered_fraction(),
         messages_delivered=stats.messages_delivered,
         escapes=stats.escapes,
-        reconfigurations=((controller.reconfigurations if controller else 0)
+        reconfigurations=(getattr(controller, "reconfigurations", 0)
                           + (guard.reconfigurations if guard else 0)),
         time_at_rate=stats.time_at_rate_fractions(),
         events_fired=network.sim.events_fired,
@@ -364,6 +534,9 @@ def run_simulation(spec: SimulationSpec,
         control_plane=control_plane_info,
         topo=(controller.topo_summary()
               if hasattr(controller, "topo_summary") else None),
+        measures=(None if spec.measures is None else
+                  {name: MEASURES[name](network, stats, controller)
+                   for name in spec.measures}),
     )
 
 
@@ -393,4 +566,6 @@ def baseline_spec(spec: SimulationSpec) -> SimulationSpec:
         concentration=spec.concentration,
         message_bytes=spec.message_bytes,
         inject_fraction=spec.inject_fraction,
+        routing=spec.routing,
+        fabric=spec.fabric,
     )

@@ -10,61 +10,46 @@ latency and reconfiguration churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.controller import ControllerConfig, EpochController
-from repro.core.sensors import (
-    CompositeSensor,
-    CreditStallSensor,
-    QueueOccupancySensor,
-    UtilizationSensor,
-)
 from repro.experiments.report import format_table, pct, us
+from repro.experiments.runner import (
+    SimulationSpec,
+    SimulationSummary,
+    baseline_spec,
+)
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.sweep import sweep
 
-
-def default_sensors() -> Dict[str, object]:
-    """The sensor set the ablation compares."""
-    return {
-        "utilization": UtilizationSensor(),
-        "queue-occupancy": QueueOccupancySensor(),
-        "credit-stall": CreditStallSensor(),
-        "composite": CompositeSensor(
-            [UtilizationSensor(), QueueOccupancySensor()]),
-    }
-
-
-@dataclass
-class SensorRun:
-    name: str
-    stats: NetworkStats
-    reconfigurations: int
+#: Table label -> ``SimulationSpec.sensor`` (the composite sensor takes
+#: the larger of utilization and queue occupancy).
+SENSORS = {
+    "utilization": None,
+    "queue-occupancy": "queue_occupancy",
+    "credit-stall": "credit_stall",
+    "composite": "composite",
+}
 
 
 @dataclass
 class SensorsResult:
-    baseline: NetworkStats
-    runs: Dict[str, SensorRun]
+    baseline: SimulationSummary
+    runs: Dict[str, SimulationSummary]
 
     def rows(self) -> List[List[object]]:
         """The result's data rows, matching ``format_table``'s columns."""
         rows = []
-        for run in self.runs.values():
-            added = (run.stats.mean_message_latency_ns()
-                     - self.baseline.mean_message_latency_ns())
+        for name, run in self.runs.items():
+            added = (run.mean_message_latency_ns
+                     - self.baseline.mean_message_latency_ns)
             rows.append([
-                run.name,
-                pct(run.stats.power_fraction(MeasuredChannelPower())),
-                pct(run.stats.power_fraction(IdealChannelPower())),
+                name,
+                pct(run.measured_power_fraction),
+                pct(run.ideal_power_fraction),
                 us(added),
                 run.reconfigurations,
-                pct(run.stats.delivered_fraction()),
+                pct(run.delivered_fraction),
             ])
         return rows
 
@@ -83,29 +68,15 @@ def run(scale: Optional[ExperimentScale] = None,
         seed: int = 1) -> SensorsResult:
     """Run the experiment and return its result object."""
     scale = scale or current_scale()
-    topology = FlattenedButterfly(k=scale.k, n=scale.n)
-    duration = scale.duration_ns
-
-    def simulate(sensor=None, controlled=True):
-        network = FbflyNetwork(topology, NetworkConfig(seed=seed))
-        controller = None
-        if controlled:
-            controller = EpochController(
-                network,
-                config=ControllerConfig(independent_channels=True),
-                sensor=sensor)
-        workload = search_workload(topology.num_hosts, seed=seed)
-        network.attach_workload(workload.events(duration))
-        stats = network.run(until_ns=duration)
-        return stats, controller
-
-    baseline, _ = simulate(controlled=False)
-    runs: Dict[str, SensorRun] = {}
-    for name, sensor in default_sensors().items():
-        stats, controller = simulate(sensor=sensor)
-        runs[name] = SensorRun(name=name, stats=stats,
-                               reconfigurations=controller.reconfigurations)
-    return SensorsResult(baseline=baseline, runs=runs)
+    base = SimulationSpec(k=scale.k, n=scale.n, workload="search",
+                          duration_ns=scale.duration_ns, seed=seed,
+                          independent_channels=True)
+    specs = {name: replace(base, sensor=sensor)
+             for name, sensor in SENSORS.items()}
+    results = sweep([baseline_spec(base), *specs.values()])
+    return SensorsResult(
+        baseline=results[baseline_spec(base)],
+        runs={name: results[spec] for name, spec in specs.items()})
 
 
 def main() -> None:

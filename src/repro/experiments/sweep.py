@@ -43,7 +43,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -180,69 +180,31 @@ class SweepStats:
         return self.run_seconds_total / self.executed if self.executed else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """The counters as a JSON-safe dict (``--stats-json`` payload)."""
-        return {
-            "submitted": self.submitted,
-            "unique": self.unique,
-            "memo_hits": self.memo_hits,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "retried": self.retried,
-            "failed": self.failed,
-            "interrupted": self.interrupted,
-            "wall_seconds": self.wall_seconds,
-            "run_seconds_total": self.run_seconds_total,
-            "run_seconds_max": self.run_seconds_max,
-            "mean_run_seconds": self.mean_run_seconds,
-            "events_fired": self.events_fired,
-        }
+        """The counters as a JSON-safe dict (``--stats-json`` payload),
+        with ``mean_run_seconds`` just before ``events_fired``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        events = out.pop("events_fired")
+        return {**out, "mean_run_seconds": self.mean_run_seconds,
+                "events_fired": events}
 
     def merge(self, other: "SweepStats") -> None:
-        """Fold another stats object's counters into this one."""
-        self.submitted += other.submitted
-        self.unique += other.unique
-        self.memo_hits += other.memo_hits
-        self.cache_hits += other.cache_hits
-        self.executed += other.executed
-        self.retried += other.retried
-        self.failed += other.failed
-        self.interrupted += other.interrupted
-        self.wall_seconds += other.wall_seconds
-        self.run_seconds_total += other.run_seconds_total
-        self.events_fired += other.events_fired
-        if other.run_seconds_max > self.run_seconds_max:
-            self.run_seconds_max = other.run_seconds_max
+        """Fold another stats object's counters into this one (the
+        slowest run is the max of both, every other counter adds)."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(mine, theirs)
+                    if f.name == "run_seconds_max" else mine + theirs)
 
     def delta(self, baseline: "SweepStats") -> "SweepStats":
-        """Counters accumulated since a ``baseline`` snapshot."""
-        return SweepStats(
-            submitted=self.submitted - baseline.submitted,
-            unique=self.unique - baseline.unique,
-            memo_hits=self.memo_hits - baseline.memo_hits,
-            cache_hits=self.cache_hits - baseline.cache_hits,
-            executed=self.executed - baseline.executed,
-            retried=self.retried - baseline.retried,
-            failed=self.failed - baseline.failed,
-            interrupted=self.interrupted - baseline.interrupted,
-            wall_seconds=self.wall_seconds - baseline.wall_seconds,
-            run_seconds_total=(self.run_seconds_total
-                               - baseline.run_seconds_total),
-            run_seconds_max=self.run_seconds_max,
-            events_fired=self.events_fired - baseline.events_fired,
-        )
+        """Counters accumulated since a ``baseline`` snapshot (the
+        slowest run is kept as it is: a max does not subtract)."""
+        return replace(self, **{
+            f.name: getattr(self, f.name) - getattr(baseline, f.name)
+            for f in fields(self) if f.name != "run_seconds_max"})
 
     def snapshot(self) -> "SweepStats":
         """A copy of the current counters (for later :meth:`delta`)."""
-        return SweepStats(
-            submitted=self.submitted, unique=self.unique,
-            memo_hits=self.memo_hits, cache_hits=self.cache_hits,
-            executed=self.executed, retried=self.retried,
-            failed=self.failed, interrupted=self.interrupted,
-            wall_seconds=self.wall_seconds,
-            run_seconds_total=self.run_seconds_total,
-            run_seconds_max=self.run_seconds_max,
-            events_fired=self.events_fired,
-        )
+        return replace(self)
 
     def format_line(self) -> str:
         """One printable line: executed vs hits, wall clock, latency."""

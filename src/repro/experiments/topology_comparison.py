@@ -17,19 +17,17 @@ delivered fractions compare capacity rather than cutoff artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.controller import ControllerConfig, EpochController
 from repro.experiments.report import format_table, pct, us
+from repro.experiments.runner import (
+    SimulationSpec,
+    SimulationSummary,
+    baseline_spec,
+)
 from repro.experiments.scale import ExperimentScale, current_scale
-from repro.power.channel_models import IdealChannelPower, MeasuredChannelPower
-from repro.sim.clos_network import FatTreeNetwork
-from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.sim.stats import NetworkStats
-from repro.topology.fat_tree import FatTree
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.synthetic_traces import search_workload
+from repro.experiments.sweep import sweep
 
 #: Fraction of the horizon during which the workload injects.
 _INJECT_FRACTION = 0.7
@@ -37,19 +35,19 @@ _INJECT_FRACTION = 0.7
 
 @dataclass
 class FabricRun:
-    """Baseline + controlled stats for one fabric."""
+    """Baseline + controlled summaries for one fabric."""
 
     name: str
     num_hosts: int
     num_switches: int
-    baseline: NetworkStats
-    controlled: NetworkStats
+    baseline: SimulationSummary
+    controlled: SimulationSummary
 
     @property
     def added_latency_ns(self) -> float:
         """Controlled-minus-baseline mean latency, ns."""
-        return (self.controlled.mean_message_latency_ns()
-                - self.baseline.mean_message_latency_ns())
+        return (self.controlled.mean_message_latency_ns
+                - self.baseline.mean_message_latency_ns)
 
 
 @dataclass
@@ -63,10 +61,10 @@ class TopologyComparisonResult:
             rows.append([
                 run.name,
                 f"{run.num_hosts} hosts / {run.num_switches} sw",
-                pct(run.controlled.power_fraction(MeasuredChannelPower())),
-                pct(run.controlled.power_fraction(IdealChannelPower())),
+                pct(run.controlled.measured_power_fraction),
+                pct(run.controlled.ideal_power_fraction),
                 us(run.added_latency_ns),
-                pct(run.controlled.delivered_fraction()),
+                pct(run.controlled.delivered_fraction),
             ])
         return rows
 
@@ -81,43 +79,35 @@ class TopologyComparisonResult:
         )
 
 
-def _build_fabrics(scale: ExperimentScale, seed: int):
-    """Size-matched fabrics: the FBFLY of the scale, and the largest fat
-    tree with no more hosts."""
-    fbfly_topo = FlattenedButterfly(k=scale.k, n=scale.n)
-    radix = 4
-    while (radix + 2) ** 3 // 4 <= fbfly_topo.num_hosts:
-        radix += 2
-    return {
-        "fbfly": lambda: FbflyNetwork(fbfly_topo, NetworkConfig(seed=seed)),
-        "fat-tree": lambda: FatTreeNetwork(
-            FatTree(radix), NetworkConfig(seed=seed)),
-    }
-
-
 def run(scale: Optional[ExperimentScale] = None,
         seed: int = 1) -> TopologyComparisonResult:
-    """Run the experiment and return its result object."""
+    """Run the experiment and return its result object.
+
+    The fat tree is the largest one with no more hosts than the scale's
+    FBFLY.
+    """
     scale = scale or current_scale()
+    fbfly = SimulationSpec(k=scale.k, n=scale.n, workload="search",
+                           duration_ns=scale.duration_ns, seed=seed,
+                           independent_channels=True,
+                           inject_fraction=_INJECT_FRACTION)
+    radix = 4
+    while (radix + 2) ** 3 // 4 <= scale.num_hosts:
+        radix += 2
+    controlled = {"fbfly": fbfly,
+                  "fat-tree": replace(fbfly, k=radix, n=3,
+                                      fabric="fat_tree")}
+    results = sweep(spec for pair in controlled.values()
+                    for spec in (baseline_spec(pair), pair))
     fabrics: Dict[str, FabricRun] = {}
-    for name, build in _build_fabrics(scale, seed).items():
-        runs = {}
-        for controlled in (False, True):
-            network = build()
-            if controlled:
-                EpochController(network, config=ControllerConfig(
-                    independent_channels=True))
-            workload = search_workload(network.topology.num_hosts,
-                                       seed=seed)
-            network.attach_workload(
-                workload.events(_INJECT_FRACTION * scale.duration_ns))
-            runs[controlled] = network.run(until_ns=scale.duration_ns)
+    for name, spec in controlled.items():
+        topology = spec.build_topology()
         fabrics[name] = FabricRun(
             name=name,
-            num_hosts=network.topology.num_hosts,
-            num_switches=network.topology.num_switches,
-            baseline=runs[False],
-            controlled=runs[True],
+            num_hosts=topology.num_hosts,
+            num_switches=topology.num_switches,
+            baseline=results[baseline_spec(spec)],
+            controlled=results[spec],
         )
     return TopologyComparisonResult(fabrics=fabrics)
 

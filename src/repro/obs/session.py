@@ -1,7 +1,7 @@
 """One-stop telemetry bundle for an in-process simulation run.
 
 :class:`Telemetry` groups the observation instruments — metrics
-registry + probe, decision log, optional power/congestion monitors —
+registry + probe, decision log, optional power monitor —
 so :func:`repro.experiments.runner.run_simulation` can attach all of
 them with one call::
 
@@ -14,7 +14,7 @@ them with one call::
 
 Attaching telemetry never perturbs the simulation.  Probes are fully
 passive (no events, no RNG), so a probe-only bundle yields a summary
-bit-identical to an unobserved run; the optional monitors sample
+bit-identical to an unobserved run; the optional power monitor samples
 through daemon events, whose firing shows up in the engine's event
 counter but changes no simulated outcome
 (``tests/test_obs_overhead.py``).
@@ -40,35 +40,27 @@ class Telemetry:
             :class:`~repro.sim.monitors.PowerMonitor` on this period.
         power_model: Channel power model for the power monitor
             (default: the measured Figure 5 curve).
-        congestion_period_ns: When set, attach a
-            :class:`~repro.sim.monitors.CongestionMonitor`.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  decision_log: Optional[DecisionLog] = None,
                  power_period_ns: Optional[float] = None,
-                 power_model=None,
-                 congestion_period_ns: Optional[float] = None):
+                 power_model=None):
         self.registry = registry
         self.decision_log = (decision_log if decision_log is not None
                              else DecisionLog(max_records=None))
         self.power_period_ns = power_period_ns
         self.power_model = power_model
-        self.congestion_period_ns = congestion_period_ns
         self.probe: Optional[FabricProbe] = None
         self.power_monitor = None
-        self.congestion_monitor = None
         self.network = None
 
     @classmethod
-    def full(cls, power_period_ns: float = 10_000.0,
-             congestion_period_ns: Optional[float] = None
-             ) -> "Telemetry":
+    def full(cls, power_period_ns: float = 10_000.0) -> "Telemetry":
         """A bundle with every instrument enabled."""
         return cls(registry=MetricsRegistry(),
                    decision_log=DecisionLog(max_records=None),
-                   power_period_ns=power_period_ns,
-                   congestion_period_ns=congestion_period_ns)
+                   power_period_ns=power_period_ns)
 
     def attach(self, network) -> None:
         """Wire every configured instrument into ``network``.
@@ -88,7 +80,3 @@ class Telemetry:
                      else MeasuredChannelPower())
             self.power_monitor = PowerMonitor(
                 network, model=model, period_ns=self.power_period_ns)
-        if self.congestion_period_ns is not None:
-            from repro.sim.monitors import CongestionMonitor
-            self.congestion_monitor = CongestionMonitor(
-                network, period_ns=self.congestion_period_ns)

@@ -47,6 +47,11 @@ class LaneConfig:
         """Aggregate data rate in Gb/s (lanes x per-lane rate)."""
         return self.lanes * self.gbps_per_lane
 
+    def __float__(self) -> float:
+        """The aggregate rate, so scalar-rate power models and the
+        time-at-rate histogram price and bin an operating point by it."""
+        return self.gbps
+
     def __str__(self) -> str:
         return f"{self.lanes}x{self.gbps_per_lane:g}G"
 

@@ -31,6 +31,7 @@ rather than assume.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.controller import ControllerConfig, EpochController
@@ -41,7 +42,6 @@ from repro.core.grouping import (
 )
 from repro.core.sensors import GroupReading
 from repro.obs.decisions import DecisionLog, classify_reason
-from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.sim.taps import EpochDemandTap
 
 
@@ -62,17 +62,18 @@ def measure_demand(spec) -> Dict[str, List[float]]:
         ``group name -> [demand Gb/s per epoch]``, grouped the same
         way (paired or independent) the spec's controller would be.
     """
-    topology = spec.build_topology()
-    net_config = NetworkConfig(seed=spec.seed)
-    network = FbflyNetwork(topology, net_config)
+    from repro.experiments.runner import CONTROL_NONE, build_network
+    # The spec's own fabric and routing, healthy and uncontrolled.
+    network = build_network(replace(spec, control=CONTROL_NONE,
+                                    faults=None, control_faults=None))
     groups = (independent_groups(network) if spec.independent_channels
               else paired_groups(network))
     epoch_ns = ControllerConfig(
         epoch_ns=spec.epoch_ns,
         reactivation_ns=spec.reactivation_ns).effective_epoch_ns
     tap = EpochDemandTap(network, groups, epoch_ns)
-    workload = spec.build_workload(topology.num_hosts,
-                                   net_config.ladder.max_rate)
+    workload = spec.build_workload(network.topology.num_hosts,
+                                   network.config.ladder.max_rate)
     network.attach_workload(
         workload.events(spec.inject_fraction * spec.duration_ns))
     network.run(until_ns=spec.duration_ns)

@@ -30,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".clos_network": ("FatTreeNetwork",),
     ".faults": ("LinkFaultInjector", "FaultRecord"),
     ".invariants": ("check_fabric", "InvariantReport"),
-    ".monitors": ("PowerMonitor", "CongestionMonitor"),
+    ".monitors": ("PowerMonitor",),
     ".stats": ("NetworkStats", "ChannelStats"),
     ".taps": ("EpochDemandTap",),
 })
@@ -53,7 +53,6 @@ __all__ = [
     "check_fabric",
     "InvariantReport",
     "PowerMonitor",
-    "CongestionMonitor",
     "NetworkStats",
     "ChannelStats",
     "EpochDemandTap",

@@ -1,15 +1,12 @@
-"""Time-series monitors: power and congestion sampled over a run.
+"""Time-series monitor: network power sampled over a run.
 
 The paper reports end-of-run aggregates; understanding *why* a run
-behaved as it did usually needs the trajectory.  These monitors sample
-the live fabric on a fixed period (as daemon events, so they never keep
-a drained simulation alive) and retain compact series:
+behaved as it did usually needs the trajectory.  :class:`PowerMonitor`
+samples instantaneous network power under a channel power model,
+relative to the full-rate baseline, on a fixed period (as daemon
+events, so it never keeps a drained simulation alive).
 
-- :class:`PowerMonitor` — instantaneous network power under a channel
-  power model, relative to the full-rate baseline.
-- :class:`CongestionMonitor` — total queued bytes and blocked packets.
-
-Monitors only see networks that actually execute.  A sweep result
+A monitor only sees a network that actually executes.  A sweep result
 served from the persistent run cache never simulates, so a monitor
 attached to such a fabric would silently hold zero samples; querying
 one now raises a clear error instead (see :func:`_require_observed`).
@@ -95,26 +92,3 @@ class PowerMonitor:
         _require_observed(self)
         return max(self.power_fractions, default=0.0)
 
-
-class CongestionMonitor:
-    """Samples total output-queue occupancy and blocked packets."""
-
-    def __init__(self, network: "Fabric", period_ns: float = 10_000.0):
-        if period_ns <= 0:
-            raise ValueError(f"period must be positive, got {period_ns}")
-        self.network = network
-        self.period_ns = period_ns
-        #: (time, queued bytes, blocked packets) samples.
-        self.samples: List[Tuple[float, int, int]] = []
-        network.sim.schedule(period_ns, self._sample, daemon=True)
-
-    def _sample(self) -> None:
-        queued = sum(ch.queue_bytes for ch in self.network.all_channels())
-        blocked = sum(sw.blocked_packets for sw in self.network.switches)
-        self.samples.append((self.network.sim.now, queued, blocked))
-        self.network.sim.schedule(self.period_ns, self._sample, daemon=True)
-
-    def peak_queued_bytes(self) -> int:
-        """Largest sampled total queue occupancy."""
-        _require_observed(self)
-        return max((q for _, q, _ in self.samples), default=0)

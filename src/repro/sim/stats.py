@@ -260,12 +260,15 @@ class NetworkStats:
         self, channels: Optional[Sequence[ChannelStats]] = None
     ) -> Dict[Optional[float], float]:
         """Aggregate fraction of channel-time per configured rate
-        (Figure 7).  Keys are rates in Gb/s; ``None`` is powered-off."""
+        (Figure 7).  Keys are rates in Gb/s (a lane operating point
+        counts at its aggregate rate); ``None`` is powered-off."""
         chans = self.channels if channels is None else list(channels)
         totals: Dict[Optional[float], float] = {}
         grand_total = 0.0
         for ch in chans:
             for rate, t in ch.time_at_rate.items():
+                if rate is not None:
+                    rate = float(rate)
                 totals[rate] = totals.get(rate, 0.0) + t
                 grand_total += t
         if grand_total == 0.0:

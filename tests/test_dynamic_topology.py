@@ -1,5 +1,7 @@
 """The Section 5.1 dynamic-topology controller."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dynamic_topology import (
@@ -186,17 +188,21 @@ class TestDecisionAudit:
         assert not log.records
 
     def test_experiment_points_carry_decision_counts(self):
-        from repro.experiments.dynamic_topology import _run_point
+        from repro.experiments.runner import SimulationSpec, run_simulation
         from repro.experiments.scale import SCALES
 
+        small = SCALES["small"]
+        spec = SimulationSpec(k=small.k, n=small.n, workload="uniform",
+                              uniform_offered_load=0.05,
+                              duration_ns=small.duration_ns,
+                              control="topology_mesh")
         # A pinned config applies its mode at construction — it never
         # *transitions*, so the audit stays silent on topology.
-        static = _run_point("static-mesh", SCALES["small"], 0.05,
-                            pinned(TopologyMode.MESH))
+        static = run_simulation(spec)
         assert static.decision_counts is not None
         assert "topology_off" not in static.decision_counts
-        # A dynamic run starting FBFLY under light load downgrades,
-        # and those darkenings now land in the decision counts.
-        dynamic = _run_point("dynamic", SCALES["small"], 0.05,
-                             DynamicTopologyConfig())
-        assert dynamic.decision_counts.get("topology_off", 0) > 0
+        # A dynamic run starting from the mesh under heavy load
+        # upgrades, and those powerings-on land in the decision counts.
+        dynamic = run_simulation(replace(spec, control="dynamic_topology",
+                                         uniform_offered_load=0.3))
+        assert dynamic.decision_counts.get("topology_on", 0) > 0

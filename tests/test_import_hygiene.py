@@ -54,6 +54,12 @@ UNUSED_BY_EPOCH_RUN = (
     "repro.topology.folded_clos",
     "repro.sim.clos_network",
     "repro.workloads.synthetic_traces",
+    "repro.routing.dimension_order",
+    "repro.routing.energy_aware",
+    "repro.routing.fat_tree",
+    "repro.topology.fat_tree",
+    "repro.core.lane_controller",
+    "repro.core.dynamic_topology",
 )
 
 

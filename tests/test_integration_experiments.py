@@ -191,11 +191,10 @@ class TestEnergyAware:
 
 class TestTopologyComparison:
     def test_both_fabrics_save_power(self):
-        from repro.power.channel_models import IdealChannelPower
         result = topology_comparison.run(scale=TINY)
         assert set(result.fabrics) == {"fbfly", "fat-tree"}
         for run in result.fabrics.values():
-            assert run.controlled.power_fraction(IdealChannelPower()) < 0.5
+            assert run.controlled.ideal_power_fraction < 0.5
         assert "fat-tree" in result.format_table()
 
 

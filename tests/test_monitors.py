@@ -1,10 +1,10 @@
-"""Power and congestion time-series monitors."""
+"""The power time-series monitor."""
 
 import pytest
 
 from repro.core.controller import ControllerConfig, EpochController
 from repro.power.channel_models import MeasuredChannelPower
-from repro.sim.monitors import CongestionMonitor, PowerMonitor
+from repro.sim.monitors import PowerMonitor
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import MS, US
@@ -62,27 +62,6 @@ class TestPowerMonitor:
             PowerMonitor(net, channels=[])
 
 
-class TestCongestionMonitor:
-    def test_quiet_network_has_no_congestion(self):
-        net = make_network()
-        monitor = CongestionMonitor(net, period_ns=10.0 * US)
-        net.run(until_ns=0.1 * MS)
-        assert monitor.peak_queued_bytes() == 0
-        assert all(blocked == 0 for _, _, blocked in monitor.samples)
-
-    def test_burst_shows_up_in_samples(self):
-        net = make_network()
-        monitor = CongestionMonitor(net, period_ns=1.0 * US)
-        for i in range(20):
-            net.submit(i * 10.0, 0, 7, 60_000)
-        net.run(until_ns=0.2 * MS)
-        assert monitor.peak_queued_bytes() > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CongestionMonitor(make_network(), period_ns=-1.0)
-
-
 class TestUnobservedGuard:
     """Monitors refuse to answer for a run that never happened (S2)."""
 
@@ -92,18 +71,12 @@ class TestUnobservedGuard:
         with pytest.raises(RuntimeError, match="never ran.*cach"):
             monitor.peak()
 
-    def test_congestion_monitor_raises_on_never_run_network(self):
-        net = make_network()
-        monitor = CongestionMonitor(net, period_ns=10.0 * US)
-        with pytest.raises(RuntimeError, match="never ran"):
-            monitor.peak_queued_bytes()
-
     def test_short_run_without_samples_still_answers(self):
         # A live run shorter than one sampling period has no samples
         # but did fire events; that is legitimate, not a cache hit.
         net = make_network()
-        monitor = CongestionMonitor(net, period_ns=1.0 * MS)
+        monitor = PowerMonitor(net, period_ns=1.0 * MS)
         net.submit(0.0, 0, 7, 2_000)
         net.run(until_ns=50.0 * US)
         assert net.sim.events_fired > 0
-        assert monitor.peak_queued_bytes() == 0
+        assert monitor.peak() == 0.0

@@ -3,7 +3,7 @@
 Two contracts back the telemetry layer's zero-cost claim:
 
 1. **No perturbation**: a fully instrumented run (metrics + unbounded
-   decision log + power/congestion monitors) produces a summary digest
+   decision log + power monitor) produces a summary digest
    bit-identical to an uninstrumented run of the same spec — probes
    schedule no events and touch no RNG.
 2. **No hook tax**: with no probe attached, every hook site is a single
@@ -46,11 +46,10 @@ class TestNoPerturbation:
         assert telemetry.decision_log.decisions_recorded > 0
 
     def test_monitors_change_no_simulated_outcome(self):
-        # The power/congestion monitors sample via daemon events, which
+        # The power monitor samples via daemon events, which
         # the engine counts — but every simulated result is identical.
         plain = summary_digest(run_simulation(SPEC))
-        telemetry = Telemetry.full(power_period_ns=10_000.0,
-                                   congestion_period_ns=10_000.0)
+        telemetry = Telemetry.full(power_period_ns=10_000.0)
         full = summary_digest(run_simulation(SPEC, telemetry=telemetry))
         assert full["events_fired"] > plain["events_fired"]
         plain.pop("events_fired")

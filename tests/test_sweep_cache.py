@@ -76,7 +76,37 @@ def spec_strategy() -> st.SearchStrategy:
                                 st.integers(min_value=64, max_value=2**20)),
         inject_fraction=st.floats(min_value=0.1, max_value=1.0,
                                   allow_nan=False),
+        routing=st.sampled_from([None, "dimension_order", "energy_aware"]),
+        sensor=st.sampled_from([None, "queue_occupancy", "credit_stall",
+                                "composite"]),
+        fabric=st.sampled_from(["fbfly", "fat_tree"]),
+        measures=st.sampled_from([None, ("link_pairs",), ("lane",),
+                                  ("link_pairs", "media")]),
     )
+
+#: The canonical JSON and key of ``SimulationSpec()`` before the
+#: routing/sensor/fabric/measures fields existed: fields added later are
+#: elided at their defaults, so no pre-existing cache entry or golden
+#: moves.
+DEFAULT_SPEC_JSON = (
+    '{"concentration":null,"control":"epoch","duration_ns":2000000.0,'
+    '"epoch_ns":null,"independent_channels":false,"inject_fraction":1.0,'
+    '"k":4,"message_bytes":null,"n":3,"policy":"threshold",'
+    '"reactivation_ns":1000.0,"seed":1,"target_utilization":0.5,'
+    '"uniform_offered_load":0.25,"workload":"search"}')
+DEFAULT_SPEC_KEY = (
+    "6649c39514c355f90e4debd4b8e2a227c9e0a7dc6a538d7c59d3d519b5f8e936")
+
+#: One non-default value per field the spec sweep gained for the
+#: §3.2/§3.3 ablations and the §5.1/§5.2 proposals.
+NEW_FIELD_VALUES = [
+    ("routing", "dimension_order"), ("routing", "energy_aware"),
+    ("sensor", "queue_occupancy"), ("sensor", "credit_stall"),
+    ("sensor", "composite"), ("fabric", "fat_tree"),
+    ("measures", ("link_pairs",)), ("measures", ("media",)),
+    ("measures", ("lane",)), ("measures", ("topology_modes",)),
+    ("measures", ("link_pairs", "media")),
+]
 
 
 class TestSpecKey:
@@ -126,6 +156,46 @@ class TestSpecKey:
                 [sys.executable, "-c", code], env=env, check=True,
                 capture_output=True, text=True).stdout.strip()
             assert out == expected
+
+
+class TestNewSpecFields:
+    def test_default_spec_encoding_is_unchanged(self):
+        assert canonical_spec_json(SimulationSpec()) == DEFAULT_SPEC_JSON
+        assert spec_key(SimulationSpec()) == DEFAULT_SPEC_KEY
+
+    def test_every_non_default_value_gets_its_own_key(self):
+        specs = [SimulationSpec()] + [
+            replace(SimulationSpec(), **{name: value})
+            for name, value in NEW_FIELD_VALUES]
+        assert len({spec_key(spec) for spec in specs}) == len(specs)
+        for spec in specs:
+            assert spec_from_dict(json.loads(canonical_spec_json(spec))) \
+                == spec
+
+    @pytest.mark.parametrize("fields", [
+        {"sensor": "composite", "control": CONTROL_NONE},
+        {"sensor": "credit_stall", "control": "lane_aware"},
+        {"sensor": "thermal"},
+        {"routing": "energy_aware", "control": "demand_topo"},
+        {"routing": "dimension_order", "control": "topology_mesh"},
+        {"routing": "dimension_order", "faults": "chipkill"},
+        {"routing": "valiant"},
+        {"fabric": "fat_tree", "n": 2},
+        {"fabric": "fat_tree", "routing": "energy_aware"},
+        {"fabric": "fat_tree", "control": "dynamic_topology"},
+        {"fabric": "torus"},
+        {"measures": ("lane",)},
+        {"measures": ("topology_modes",), "control": "lane_aware"},
+        {"measures": ("media", "link_pairs")},
+        {"measures": ("media", "media")},
+        {"measures": ()},
+        {"measures": ("wattage",)},
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_a_value_the_mode_cannot_honour_raises(self, fields):
+        spec = replace(SimulationSpec(k=2, n=2, duration_ns=10_000.0),
+                       **fields)
+        with pytest.raises(ValueError):
+            run_simulation(spec)
 
 
 class TestSweepCache:

@@ -19,8 +19,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from repro.core.registry import DYNAMIC_TOPOLOGY_MODES
 from repro.experiments.cache import (
     SweepCache,
+    spec_to_dict,
     summary_digest,
     summary_to_dict,
 )
@@ -33,6 +37,65 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 #: the epoch controller, rate changes and both trace workload styles.
 SPEC = SimulationSpec(k=2, n=2, duration_ns=200_000.0)
 SPEC_B = replace(SPEC, workload="advert", seed=3)
+
+#: A loaded 2-ary 3-flat: two dimensions, so routing has choices.
+AXIS_BASE = SimulationSpec(k=2, n=3, workload="uniform",
+                           uniform_offered_load=0.5, duration_ns=200_000.0)
+
+#: One spec per field and per control mode the spec sweep gained for the
+#: §3.2/§3.3 ablations and the §5.1/§5.2 proposals.  The topology modes
+#: need k >= 4 for express links to exist.
+NEW_AXIS_SPECS = {
+    "routing": replace(AXIS_BASE, routing="energy_aware"),
+    "sensor": replace(AXIS_BASE, independent_channels=True,
+                      sensor="composite"),
+    "fabric": SimulationSpec(k=4, n=3, fabric="fat_tree",
+                             duration_ns=100_000.0),
+    "measures": replace(AXIS_BASE, control="none",
+                        measures=("link_pairs", "media")),
+    "lane_aware": replace(AXIS_BASE, control="lane_aware",
+                          measures=("lane",)),
+    **{mode: SimulationSpec(k=4, n=2, workload="uniform",
+                            uniform_offered_load=0.3,
+                            duration_ns=300_000.0, control=mode,
+                            measures=("topology_modes",))
+       for mode in DYNAMIC_TOPOLOGY_MODES},
+}
+
+
+def _canonical(summary) -> str:
+    return json.dumps(summary_digest(summary), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def new_axis_paths(tmp_path_factory):
+    """Each new-axis spec's canonical digest along four paths: in
+    process, in a pool worker, loaded back from a cold cache, and in a
+    fresh interpreter under another ``PYTHONHASHSEED``."""
+    specs = list(NEW_AXIS_SPECS.values())
+    in_process = {spec: _canonical(run_simulation(spec)) for spec in specs}
+    pooled = SweepRunner(jobs=2, use_cache=False).run(specs)
+    directory = tmp_path_factory.mktemp("new-axis-cache")
+    for spec, summary in pooled.items():
+        SweepCache(directory).put(spec, summary)
+    cold = {spec: _canonical(SweepCache(directory).get(spec))
+            for spec in specs}
+    code = (
+        "import json, sys;"
+        "from repro.experiments.cache import spec_from_dict, summary_digest;"
+        "from repro.experiments.runner import run_simulation;"
+        "print(json.dumps([json.dumps(summary_digest(run_simulation("
+        "spec_from_dict(d))), sort_keys=True)"
+        " for d in json.load(sys.stdin)]))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="987654321", PYTHONPATH=SRC_DIR)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+        input=json.dumps([spec_to_dict(spec) for spec in specs])).stdout
+    hashed = dict(zip(specs, json.loads(out)))
+    return {spec: (in_process[spec], _canonical(pooled[spec]), cold[spec],
+                   hashed[spec]) for spec in specs}
 
 
 class TestExecutionBoundaries:
@@ -95,6 +158,31 @@ class TestExecutionBoundaries:
                 [sys.executable, "-c", code], env=env, check=True,
                 capture_output=True, text=True).stdout.strip()
             assert out == expected, f"drift under PYTHONHASHSEED={hash_seed}"
+
+
+class TestNewAxes:
+    @pytest.mark.parametrize("axis", sorted(NEW_AXIS_SPECS))
+    def test_every_execution_path_agrees(self, axis, new_axis_paths):
+        in_process, pooled, cold, hashed = new_axis_paths[
+            NEW_AXIS_SPECS[axis]]
+        assert pooled == in_process
+        assert cold == in_process
+        assert hashed == in_process, f"drift under PYTHONHASHSEED ({axis})"
+
+    def test_new_axes_take_effect(self, new_axis_paths):
+        # Each new value must change the run it names, or it would be a
+        # second name for the same simulation.
+        runs = {axis: json.loads(paths[0]) for axis, paths in zip(
+            NEW_AXIS_SPECS, new_axis_paths.values())}
+        plain = summary_digest(run_simulation(AXIS_BASE))
+        independent = summary_digest(run_simulation(
+            replace(AXIS_BASE, independent_channels=True)))
+        for axis, twin in (("routing", plain), ("sensor", independent),
+                           ("lane_aware", plain)):
+            assert runs[axis]["events_fired"] != twin["events_fired"], axis
+        modes = {runs[mode]["measures"]["topology_modes"]["power_true_off"]
+                 for mode in DYNAMIC_TOPOLOGY_MODES}
+        assert len(modes) > 1
 
 
 class TestSweepEquivalence:
