@@ -48,6 +48,7 @@ Perfetto-loadable Chrome trace of a run (``export-trace``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import sys
@@ -235,25 +236,24 @@ def run_experiment(name: str, scale: ExperimentScale,
     description, needs_scale, run = EXPERIMENTS[name]
     # Analytic experiments never sweep: unless the counters are asked
     # for, they leave the sweep harness (and the simulator) unloaded.
-    counted = needs_scale or stats_sink is not None
-    if counted:
+    window = contextlib.nullcontext()
+    if needs_scale or stats_sink is not None:
         from repro.experiments import sweep
+        window = sweep.active_runner().counting()
     started = time.perf_counter()
-    before = sweep.active_runner().stats.snapshot() if counted else None
-    result = run(scale=scale) if needs_scale else run()
-    sweep_delta = (sweep.active_runner().stats.delta(before) if counted
-                   else None)
+    with window as sweep_stats:
+        result = run(scale=scale) if needs_scale else run()
     text = result.format_table()
     elapsed = time.perf_counter() - started
     header = f"[{name}] {description} ({elapsed:.1f}s)"
-    if sweep_delta is not None and sweep_delta.submitted:
-        header += f"\n[sweep: {sweep_delta.format_line()}]"
+    if sweep_stats is not None and sweep_stats.submitted:
+        header += f"\n[sweep: {sweep_stats.format_line()}]"
     if stats_sink is not None:
         stats_sink.append({
             "experiment": name,
             "scale": scale.name if needs_scale else None,
             "seconds": round(elapsed, 3),
-            "sweep": sweep_delta.to_dict(),
+            "sweep": sweep_stats.to_dict(),
         })
     block = f"{header}\n{text}\n"
     if output_dir is not None:
@@ -598,19 +598,18 @@ def campaign_main(argv) -> int:
     given = {key: getattr(args, key)
              for key in ("seed", "fault_seed", "scenario")
              if getattr(args, key) is not None}
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = campaign.run(args.name, run_log=args.run_log, **given)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
+    with sweep.active_runner().counting() as sweep_stats:
+        try:
+            result = campaign.run(args.name, run_log=args.run_log, **given)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(result.format_table())
     print()
     for line in result.verdict_lines():
         print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
+    if sweep_stats.submitted:
+        print(f"[sweep: {sweep_stats.format_line()}]")
     if args.json_out is not None:
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
         args.json_out.write_text(

@@ -15,7 +15,7 @@ paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.grouping import (
@@ -182,19 +182,23 @@ class EpochController:
         self._event = self.network.sim.schedule(epoch_ns, self._on_epoch,
                                                 daemon=True)
 
+    def _estimate(self, group: ChannelGroup,
+                  reading: GroupReading) -> float:
+        """The demand estimate one group's rate decision acts on."""
+        return self.sensor.estimate(group, reading)
+
     def _decide_group(self, group: ChannelGroup, reading: GroupReading,
                       ladder, now: float,
-                      log: Optional[DecisionLog]) -> None:
-        """Decide and apply one group's next-epoch rate.
+                      log: Optional[DecisionLog]) -> Optional[float]:
+        """Decide and apply one group's next-epoch rate; returns the
+        estimate it acted on.
 
         The single extension point for alternative decision planes: the
-        predictive controller
-        (:class:`repro.predict.controller.PredictiveEpochController`)
-        and clairvoyant oracle override only this method, inheriting the
-        epoch scheduling, group iteration, powered-off skipping and
-        drain/reactivation machinery unchanged.
+        predictive, oracle and lane-aware controllers override only
+        this method, inheriting the epoch scheduling, group iteration,
+        powered-off skipping and drain/reactivation machinery.
         """
-        estimate = self.sensor.estimate(group, reading)
+        estimate = self._estimate(group, reading)
         current = group.current_rate
         new_rate = self.policy.decide(group, current, estimate, ladder)
         changed = group.set_rate(new_rate, self.config.reactivation_ns)
@@ -208,3 +212,4 @@ class EpochController:
                        changed, estimate, reading.utilization,
                        reading.queue_fraction, reading.credit_stalls,
                        self.config.reactivation_ns if changed else 0.0)
+        return estimate

@@ -15,11 +15,11 @@ true power-off state:
 - Every epoch the controller measures delivered inter-switch bandwidth
   relative to the *powered* capacity and moves one mode up or down the
   MESH -> TORUS -> FBFLY ladder when it crosses the thresholds.
-- Powering a link *down* is a two-phase drain: the channel is first
-  marked ``draining`` so routing (which must use
-  :class:`~repro.routing.restricted.RestrictedAdaptiveRouting`) stops
-  offering it and its output queue empties; it is switched off once
-  drained.  Powering *up* pays a normal reactivation.
+- Powering a link *down* is a two-phase drain (``Channel.drain``):
+  routing (which must use :class:`~repro.routing.restricted.
+  RestrictedAdaptiveRouting`) stops offering it and its output queue
+  empties; it is switched off once drained.  Powering *up*
+  (``Channel.wake``) pays a normal reactivation.
 
 Host links are never powered off — a host would be disconnected.
 
@@ -137,7 +137,6 @@ class DynamicTopologyController:
         }
         self._stopped = False
         self._apply_mode()
-        self._drain_pass()
         self._event = network.sim.schedule(config.epoch_ns, self._on_epoch,
                                            daemon=True)
 
@@ -173,7 +172,8 @@ class DynamicTopologyController:
                 and backlog < threshold / 4.0
                 and self.mode > TopologyMode.MESH):
             self._set_mode(TopologyMode(self.mode - 1))
-        self._drain_pass()
+        for ch in self._channel_class:
+            ch.finish_drain()
         self._event = self.network.sim.schedule(
             self.config.epoch_ns, self._on_epoch, daemon=True)
 
@@ -250,17 +250,7 @@ class DynamicTopologyController:
     def _apply_mode(self) -> None:
         off_classes = _OFF_CLASSES[self.mode]
         for ch, cls in self._channel_class.items():
-            should_be_off = cls in off_classes
-            if should_be_off and not ch.is_off:
-                ch.draining = True
-            elif not should_be_off:
-                if ch.is_off:
-                    ch.power_on(self.config.reactivation_ns)
-                else:
-                    ch.draining = False
-
-    def _drain_pass(self) -> None:
-        """Power off every draining channel that has emptied."""
-        for ch in self._channel_class:
-            if ch.draining and ch.drained and not ch.is_off:
-                ch.power_off()
+            if cls in off_classes:
+                ch.drain()
+            else:
+                ch.wake(self.config.reactivation_ns)

@@ -422,10 +422,7 @@ class FailsafeGuard:
         gating claim (switch-local: acts on the raw channels, not the
         lossy command path)."""
         for ch in group.raw.channels:
-            if ch.is_off:
-                ch.power_on(self.reactivation_ns, rate_gbps=rate_gbps)
-            elif ch.draining:
-                ch.draining = False
+            ch.wake(self.reactivation_ns, rate_gbps=rate_gbps)
         # Controller decisions for this group restart from scratch.
         group._st.intended_rate = None
         self.power_journal.put(group.name, ON, self.sim.now)

@@ -19,20 +19,17 @@ what this controller does:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.core.grouping import (
-    ChannelGroup,
-    independent_groups,
-    paired_groups,
-)
+from repro.core.controller import EpochController
+from repro.core.grouping import ChannelGroup
+from repro.core.sensors import GroupReading
 from repro.obs.decisions import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,
     CLAMPED_MAX,
     CLAMPED_MIN,
     HOLD,
-    POWERED_OFF,
     REACTIVATION_PENDING,
     DecisionLog,
 )
@@ -42,7 +39,6 @@ from repro.power.lanes import (
     LaneLadder,
     ReactivationModel,
 )
-from repro.units import US
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.fabric import Fabric
@@ -78,8 +74,11 @@ class LaneControllerConfig:
         return 10.0 * self.reactivation.lane_change_ns
 
 
-class LaneAwareController:
+class LaneAwareController(EpochController):
     """Epoch controller over (lanes, per-lane rate) operating points.
+
+    The epoch loop, powered-off skipping and :meth:`stop` are the
+    scalar controller's; only the per-group decision differs.
 
     Args:
         network: The fabric whose channels this controller tunes.
@@ -94,38 +93,18 @@ class LaneAwareController:
                  config: LaneControllerConfig = LaneControllerConfig(),
                  decision_log: Optional[DecisionLog] = None,
                  name: str = "lane"):
-        self.network = network
-        self.config = config
-        self.decision_log = decision_log
-        self.name = name
-        self._check_ladder_compatible()
-        if config.independent_channels:
-            self.groups = independent_groups(network)
-        else:
-            self.groups = paired_groups(network)
-        self._config_of: Dict[ChannelGroup, LaneConfig] = {
-            group: config.ladder.max_config for group in self.groups
-        }
-        self.epochs_run = 0
-        self.reconfigurations = 0
-        self.reconfiguration_stall_ns = 0.0
-        self._stopped = False
-        self._event = network.sim.schedule(
-            config.effective_epoch_ns, self._on_epoch, daemon=True)
-
-    def _check_ladder_compatible(self) -> None:
-        channel_ladder = self.network.config.ladder
-        for rate in self.config.ladder.scalar_rates():
+        channel_ladder = network.config.ladder
+        for rate in config.ladder.scalar_rates():
             if rate not in channel_ladder:
                 raise ValueError(
                     f"lane ladder produces {rate} Gb/s but the network's "
                     f"channel ladder {channel_ladder} cannot serialize it")
-
-    def stop(self) -> None:
-        """Cease making decisions; links keep their current state."""
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
+        super().__init__(network, config=config,
+                         decision_log=decision_log, name=name)
+        self._config_of: Dict[ChannelGroup, LaneConfig] = {
+            group: config.ladder.max_config for group in self.groups
+        }
+        self.reconfiguration_stall_ns = 0.0
 
     def group_config(self, group: ChannelGroup) -> LaneConfig:
         """The lane configuration a group currently runs at."""
@@ -147,43 +126,23 @@ class LaneAwareController:
             return CLAMPED_MIN
         return HOLD
 
-    def _on_epoch(self) -> None:
-        if self._stopped:
-            return
-        epoch_ns = self.config.effective_epoch_ns
-        ladder = self.config.ladder
-        log = self.decision_log
-        now = self.network.sim.now
-        if log is not None:
-            log.epoch_mark(now)
-        for group in self.groups:
-            utilization = group.utilization_since_last(epoch_ns)
-            if group.is_off:
-                if log is not None:
-                    log.record(now, self.name, group.name,
-                               group.channel_names, None, None,
-                               POWERED_OFF, False, 0.0, utilization)
-                continue
-            current = self._config_of[group]
-            if utilization > self.config.target_utilization:
-                new = ladder.step_up_bandwidth(current)
-            elif utilization < self.config.target_utilization:
-                new = ladder.step_down_bandwidth(current)
-            else:
-                new = current
-            if new == current:
-                if log is not None:
-                    log.record(now, self.name, group.name,
-                               group.channel_names, current.gbps,
-                               current.gbps,
-                               self._classify(current, new, False,
-                                              utilization),
-                               False, utilization, utilization,
-                               old_mode=str(current),
-                               new_mode=str(current))
-                continue
+    def _decide_group(self, group: ChannelGroup, reading: GroupReading,
+                      ladder, now: float,
+                      log: Optional[DecisionLog]) -> float:
+        """Step one rung along the lane ladder (not the channels'
+        scalar ``ladder``), stalling for that transition's own
+        reactivation latency."""
+        utilization = reading.utilization
+        current = self._config_of[group]
+        if utilization > self.config.target_utilization:
+            new = self.config.ladder.step_up_bandwidth(current)
+        elif utilization < self.config.target_utilization:
+            new = self.config.ladder.step_down_bandwidth(current)
+        else:
+            new = current
+        changed = False
+        if new != current:
             latency = self.config.reactivation.latency_ns(current, new)
-            changed = False
             for channel in group.channels:
                 if not channel.is_off:
                     changed |= channel.set_rate(new.gbps, latency, mode=new)
@@ -191,14 +150,11 @@ class LaneAwareController:
                 self._config_of[group] = new
                 self.reconfigurations += 1
                 self.reconfiguration_stall_ns += latency
-            if log is not None:
-                log.record(now, self.name, group.name,
-                           group.channel_names, current.gbps, new.gbps,
-                           self._classify(current, new, changed,
-                                          utilization),
-                           changed, utilization, utilization,
-                           reactivation_ns=latency if changed else 0.0,
-                           old_mode=str(current), new_mode=str(new))
-        self.epochs_run += 1
-        self._event = self.network.sim.schedule(epoch_ns, self._on_epoch,
-                                                daemon=True)
+        if log is not None:
+            log.record(now, self.name, group.name, group.channel_names,
+                       current.gbps, new.gbps,
+                       self._classify(current, new, changed, utilization),
+                       changed, utilization, utilization,
+                       reactivation_ns=latency if changed else 0.0,
+                       old_mode=str(current), new_mode=str(new))
+        return utilization

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import ControllerConfig, EpochController
@@ -336,13 +336,30 @@ def _restricted_routing(spec: SimulationSpec) -> bool:
             or spec.control in DYNAMIC_TOPOLOGY_MODES)
 
 
+#: Controller knobs, each with the only modes that read it (``None``:
+#: every mode with a controller).
+_CONTROLLER_FIELDS = {
+    "policy": None, "target_utilization": None, "reactivation_ns": None,
+    "epoch_ns": None, "independent_channels": None,
+    "forecaster": (CONTROL_PREDICT, "demand_topo"),
+    "headroom": (CONTROL_PREDICT, CONTROL_ORACLE)}
+
+
 def _check_spec(spec: SimulationSpec) -> None:
-    """Reject a spec whose routing, sensor, fabric or measures its
-    control mode cannot honour, so two specs never name the same run.
+    """Reject a spec whose fields its control mode cannot honour or
+    ignores, so two specs never name the same run.
 
     Raises:
         ValueError: naming the offending field.
     """
+    defaults = {f.name: f.default for f in fields(SimulationSpec)}
+    for name, modes in _CONTROLLER_FIELDS.items():
+        value = getattr(spec, name)
+        if value != defaults[name] and (
+                spec.control in (CONTROL_NONE, CONTROL_ALWAYS_SLOWEST)
+                or spec.control not in (modes or (spec.control,))):
+            raise ValueError(f"{name}={value!r} has no effect under "
+                             f"control={spec.control!r}")
     restricted = _restricted_routing(spec)
     if spec.routing is not None:
         if spec.routing not in ROUTINGS:

@@ -43,7 +43,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -195,17 +195,6 @@ class SweepStats:
             setattr(self, f.name, max(mine, theirs)
                     if f.name == "run_seconds_max" else mine + theirs)
 
-    def delta(self, baseline: "SweepStats") -> "SweepStats":
-        """Counters accumulated since a ``baseline`` snapshot (the
-        slowest run is kept as it is: a max does not subtract)."""
-        return replace(self, **{
-            f.name: getattr(self, f.name) - getattr(baseline, f.name)
-            for f in fields(self) if f.name != "run_seconds_max"})
-
-    def snapshot(self) -> "SweepStats":
-        """A copy of the current counters (for later :meth:`delta`)."""
-        return replace(self)
-
     def format_line(self) -> str:
         """One printable line: executed vs hits, wall clock, latency."""
         parts = [
@@ -303,6 +292,7 @@ class SweepRunner:
         # monkeypatching the module-level _execute_spec still works.)
         self.stats = SweepStats()
         self.last_stats = SweepStats()
+        self._windows: List[SweepStats] = []
         self.run_log = Path(run_log) if run_log is not None else None
         self._run_recorder = None
 
@@ -317,6 +307,19 @@ class SweepRunner:
             from repro.obs.runrecord import RunRecordWriter
             self._run_recorder = RunRecordWriter(self.run_log)
         return self._run_recorder
+
+    @contextlib.contextmanager
+    def counting(self) -> Iterator[SweepStats]:
+        """Count the batches run inside the block, and only those, in
+        a fresh :class:`SweepStats` (one experiment's or campaign's
+        ``[sweep: ...]`` line); :attr:`stats` still counts them too."""
+        window = SweepStats()
+        self._windows.append(window)
+        try:
+            yield window
+        finally:
+            # By identity: equal counters do not make the same window.
+            self._windows = [w for w in self._windows if w is not window]
 
     # -- lookups -------------------------------------------------------
 
@@ -400,7 +403,8 @@ class SweepRunner:
                                     cached=spec not in simulated)
 
         batch.wall_seconds = time.perf_counter() - started
-        self.stats.merge(batch)
+        for stats in (self.stats, *self._windows):
+            stats.merge(batch)
         self.last_stats = batch
         if interrupted:
             raise KeyboardInterrupt()

@@ -103,7 +103,7 @@ def _build_pinned(network, spec, decision_log):
         config=ControllerConfig.from_spec(spec),
         sensor=_build_sensor(network, spec),
         decision_log=decision_log,
-        guard=SpanningSetGuard(network, mode="ring"),
+        guard=SpanningSetGuard(network),
         name=CONTROL_FAULT_PINNED,
     )
 

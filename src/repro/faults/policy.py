@@ -1,7 +1,10 @@
-"""Fault-aware rate control: gating with a pinned spanning set.
+"""Power gating: the shared dark-link core and the fault-aware controller.
 
-Two controllers, built on the reactive
-:class:`~repro.core.controller.EpochController`:
+:class:`GatingEpochController` is the core every controller that takes
+whole link groups dark builds on (this module's
+:class:`FaultAwareEpochController` and
+:class:`repro.topo.controller.DemandAwareTopologyController`).  The
+fault-aware controller registers two modes:
 
 - ``fault_gated`` — an *aggressive* power-gating controller: a group
   whose sensor estimate stays below ``GatingConfig.off_estimate`` for
@@ -11,18 +14,14 @@ Two controllers, built on the reactive
   sensor (or a fault taking out the detour links) lets rate-scaling
   cooperate with faults to disconnect the fabric.
 - ``fault_pinned`` — the same gating policy, but a
-  :class:`SpanningSetGuard` pins a configurable spanning set of links
-  at minimum-rate-on.  Gating requests against pinned links are
-  refused (``pinned_hold``), so whatever the sensors claim and
-  whatever links fault out, the controller itself never removes the
-  last usable path.
-
-The default spanning set is the per-dimension **ring** — exactly the
-paper's Section 5.1 torus degradation.  The ring is what
-:class:`~repro.routing.restricted.RestrictedAdaptiveRouting` falls back
-on (it only ever offers the direct hop or an adjacent ring step), so
-pinning it keeps every restricted route realizable; a generic Kruskal
-spanning ``tree`` mode exists for non-FBFLY fabrics and tests.
+  :class:`SpanningSetGuard` pins the per-dimension **ring** at
+  minimum-rate-on — exactly the paper's Section 5.1 torus degradation,
+  and what :class:`~repro.routing.restricted.RestrictedAdaptiveRouting`
+  falls back on (it only ever offers the direct hop or an adjacent ring
+  step), so every restricted route stays realizable.  Gating requests
+  against pinned links are refused (``pinned_hold``), so whatever the
+  sensors claim and whatever links fault out, the controller itself
+  never removes the last usable path.
 
 Gating power events are recorded with ``changed=False`` reasons
 (``gated_off`` / ``gated_wake`` / ``pinned_hold``) so the transition
@@ -36,14 +35,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.controller import ControllerConfig, EpochController
-from repro.obs.decisions import (
-    GATED_OFF,
-    GATED_WAKE,
-    PINNED_HOLD,
-    classify_reason,
-)
+from repro.obs.decisions import GATED_OFF, GATED_WAKE, PINNED_HOLD
+from repro.sim.channel import ChannelState
 
 Link = Tuple[int, int]
+
+_OFF = ChannelState.OFF
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class GatingConfig:
 class SpanningSetGuard:
     """Connectivity oracle for deliberate power-off decisions.
 
-    Chooses the spanning set of links a controller must keep on
+    Pins the per-dimension ring of links a controller must keep on
     (``pinned``, recomputed by :meth:`refresh` over the links that are
     not fault-dark) and answers whether a link may go dark at all
     (:meth:`may_power_off`): a power-off is vetoed when the link is
@@ -75,30 +72,18 @@ class SpanningSetGuard:
     to remove whatever unpinned link is carrying its detours.
 
     The gating controller uses only the pinned set; the topology
-    controller uses both halves and counts ``vetoes`` and
-    ``violations``.
+    controller uses both halves and counts ``violations``.
 
     Args:
         network: The fabric being guarded.
-        mode: ``"ring"`` pins each dimension's adjacent-coordinate
-            ring (the Section 5.1 torus floor, matched to restricted
-            routing's detour structure); ``"tree"`` pins a
-            deterministic Kruskal spanning forest of whatever links
-            are available.
     """
 
-    def __init__(self, network, mode: str = "ring"):
-        if mode not in ("ring", "tree"):
-            raise ValueError(f"unknown spanning-set mode {mode!r}")
-        self.network = network
+    def __init__(self, network):
         self.topology = network.topology
         self.num_switches = network.topology.num_switches
-        self.mode = mode
         self.pinned: FrozenSet[Link] = frozenset()
         # The ring depends only on the topology: derive it once.
-        self._ring = self.ring_links() if mode == "ring" else None
-        #: Power-offs refused by :meth:`may_power_off`.
-        self.vetoes = 0
+        self._ring = self.ring_links()
         #: Post-decision connectivity self-checks that failed.  Stays
         #: zero unless the guard itself is broken; campaign verdicts
         #: gate on it.
@@ -117,25 +102,6 @@ class SpanningSetGuard:
                     links.add((min(switch, peer), max(switch, peer)))
         return sorted(links)
 
-    def _spanning_forest(self, links: List[Link]) -> List[Link]:
-        """Deterministic Kruskal over sorted links (union-find)."""
-        parent: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        chosen = []
-        for a, b in links:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                chosen.append((a, b))
-        return chosen
-
     def refresh(self, available: List[Link]) -> FrozenSet[Link]:
         """Recompute the pinned set over the currently available links.
 
@@ -144,11 +110,8 @@ class SpanningSetGuard:
         routed around by the unpinned remainder until repair.
         """
         avail = set(available)
-        if self.mode == "ring":
-            pinned = [link for link in self._ring if link in avail]
-        else:
-            pinned = self._spanning_forest(sorted(avail))
-        self.pinned = frozenset(pinned)
+        self.pinned = frozenset(link for link in self._ring
+                                if link in avail)
         return self.pinned
 
     def connected(self, usable: Set[Link]) -> bool:
@@ -176,10 +139,7 @@ class SpanningSetGuard:
         darkened links; the check is that the remainder *without*
         ``link`` stays pinned-safe and connected.
         """
-        if link in self.pinned or not self.connected(usable - {link}):
-            self.vetoes += 1
-            return False
-        return True
+        return link not in self.pinned and self.connected(usable - {link})
 
 
 def link_endpoints(network, groups) -> Dict[str, Link]:
@@ -197,8 +157,147 @@ def link_endpoints(network, groups) -> Dict[str, Link]:
     return endpoints
 
 
-class FaultAwareEpochController(EpochController):
-    """Epoch controller with power-gating and an optional spanning set.
+class GatingEpochController(EpochController):
+    """Epoch controller that takes whole inter-switch groups dark.
+
+    Each epoch runs the subclass's ``_gating_pass()`` first, then the
+    inherited rate decisions, which skip the groups in ``_dark`` (this
+    controller's own, draining or off).  Subclasses also define
+    ``_wake(group, ladder)``; both go dark and light through
+    :meth:`_darken` and :meth:`_light`, which drive
+    :meth:`~repro.sim.channel.Channel.drain` and
+    :meth:`~repro.sim.channel.Channel.wake`.
+
+    The dark set is volatile: a cold restart forgets which groups this
+    controller darkened, the stranded-group hazard
+    :class:`repro.core.failsafe.FailsafeGuard` recovers from (it wakes
+    the group and calls :meth:`release_gate`).
+    """
+
+    def __init__(self, network, policy=None,
+                 config: ControllerConfig = ControllerConfig(),
+                 groups=None, sensor=None, decision_log=None,
+                 guard: Optional[SpanningSetGuard] = None,
+                 name: str = "gating"):
+        super().__init__(network, policy=policy, config=config,
+                         groups=groups, sensor=sensor,
+                         decision_log=decision_log, name=name)
+        self.guard = guard
+        self._endpoints = link_endpoints(network, self.groups)
+        self._dark: Set[str] = set()
+        # _candidates() is rebuilt only when self.groups is replaced
+        # (chaos and failsafe layers swap in their proxies after
+        # construction).
+        self._candidates_of: Optional[List] = None
+        self._candidate_groups: List = []
+        if guard is not None:
+            self._refresh_guard()
+
+    # -- link bookkeeping ----------------------------------------------
+
+    def _candidates(self):
+        """Inter-switch groups, in stable group order."""
+        groups = self.groups
+        if groups is not self._candidates_of:
+            self._candidates_of = groups
+            self._candidate_groups = [
+                g for g in groups if self._endpoints.get(g.name) is not None]
+        return self._candidate_groups
+
+    def _fault_dark(self, group) -> bool:
+        """Down for reasons outside this controller's own decisions?"""
+        if group.name in self._dark:
+            return False
+        for ch in group.channels:
+            if ch.state is _OFF or ch.draining:
+                return True
+        return False
+
+    def _refresh_guard(self) -> None:
+        available = [self._endpoints[group.name]
+                     for group in self._candidates()
+                     if not self._fault_dark(group)]
+        self.guard.refresh(sorted(set(available)))
+
+    def _pinned(self, group) -> bool:
+        return (self.guard is not None
+                and self._endpoints.get(group.name) in self.guard.pinned)
+
+    def _reset_volatile_state(self) -> None:
+        """Cold restart forgets which groups *we* darkened."""
+        super()._reset_volatile_state()
+        self._dark.clear()
+
+    def release_gate(self, name: str) -> None:
+        """Drop this controller's claim on a group an external actor
+        (the failsafe guard) woke, so it is not re-drained as if it
+        were still asleep."""
+        self._dark.discard(name)
+
+    # -- the epoch loop ------------------------------------------------
+
+    def _on_epoch(self) -> None:
+        if self._stopped:
+            return
+        self._gating_pass()
+        super()._on_epoch()
+
+    def _decide_group(self, group, reading, ladder, now, log):
+        if group.name in self._dark:
+            # Draining toward off; no rate decisions until it wakes.
+            return None
+        return super()._decide_group(group, reading, ladder, now, log)
+
+    # -- actuation -----------------------------------------------------
+
+    def _darken(self, group, reason: str, old_rate: Optional[float],
+                forecast: Optional[float] = None) -> None:
+        """Drain ``group`` toward off (each channel powers off once it
+        empties) and audit it."""
+        for ch in group.channels:
+            ch.drain()
+        self._dark.add(group.name)
+        self._log_power(group, reason, old_rate, None, forecast=forecast)
+
+    def _finish_drains(self) -> None:
+        """Power off the channels of dark groups that have emptied."""
+        for group in self._candidates():
+            if group.name in self._dark:
+                for ch in group.channels:
+                    ch.finish_drain()
+
+    def _light(self, group, ladder, reason: str,
+               audit_reactivation_ns: float = 0.0) -> None:
+        """Wake ``group`` at the slowest rate, drop every claim on it
+        (:meth:`release_gate`) and audit it with
+        ``audit_reactivation_ns``."""
+        for ch in group.channels:
+            ch.wake(self.config.reactivation_ns, rate_gbps=ladder.min_rate)
+        self.release_gate(group.name)
+        self._log_power(group, reason, None, ladder.min_rate,
+                        reactivation_ns=audit_reactivation_ns)
+
+    def _wake_pinned(self, ladder) -> None:
+        """Wake dark groups the freshly refreshed guard now pins:
+        faults made them part of the spanning set."""
+        for group in self._candidates():
+            if group.name in self._dark and self._pinned(group):
+                self._wake(group, ladder)
+
+    def _log_power(self, group, reason: str, old_rate: Optional[float],
+                   new_rate: Optional[float], reactivation_ns: float = 0.0,
+                   forecast: Optional[float] = None) -> None:
+        """One ``changed=False`` power-event record."""
+        if self.decision_log is None:
+            return
+        self.decision_log.record(
+            self.network.sim.now, self.name, group.name,
+            group.channel_names, old_rate, new_rate, reason, False,
+            reactivation_ns=reactivation_ns, forecast_gbps=forecast)
+
+
+class FaultAwareEpochController(GatingEpochController):
+    """Gating controller with an optional pinned spanning set.
 
     With ``guard=None`` this is the unprotected ``fault_gated``
     controller; with a :class:`SpanningSetGuard` it is
@@ -214,186 +313,94 @@ class FaultAwareEpochController(EpochController):
                  name: str = "fault_gated"):
         super().__init__(network, policy=policy, config=config,
                          groups=groups, sensor=sensor,
-                         decision_log=decision_log, name=name)
+                         decision_log=decision_log, guard=guard, name=name)
         self.gating = gating
-        self.guard = guard
-        self._endpoints = link_endpoints(network, self.groups)
         self._idle: Dict[str, int] = {}
-        self._gated: Set[str] = set()
         self._asleep: Dict[str, int] = {}
         self.gated_offs = 0
         self.gated_wakes = 0
         self.pinned_holds = 0
-        if self.guard is not None:
-            self._refresh_guard()
-
-    # ------------------------------------------------------------------
-
-    def _fault_dark(self, group) -> bool:
-        """Is this group down for reasons outside our own gating?"""
-        if group.name in self._gated:
-            return False
-        return any(ch.is_off or ch.draining for ch in group.channels)
-
-    def _refresh_guard(self) -> None:
-        available = [link for group in self.groups
-                     if (link := self._endpoints.get(group.name))
-                     is not None and not self._fault_dark(group)]
-        self.guard.refresh(sorted(set(available)))
-
-    def _pinned(self, group) -> bool:
-        if self.guard is None:
-            return False
-        link = self._endpoints.get(group.name)
-        return link is not None and link in self.guard.pinned
-
-    # ------------------------------------------------------------------
 
     def _reset_volatile_state(self) -> None:
         """Cold restart forgets gating bookkeeping.
 
         After a :meth:`~repro.core.controller.EpochController.
         cold_restart` the replacement process no longer knows which
-        groups *it* powered off: ``_campaign_pass`` only probes groups
-        in ``_gated`` awake, so a gated-off link would stay dark
+        groups *it* powered off: the gating pass only probes its own
+        dark groups awake, so a gated-off link would stay dark
         forever.  This is deliberate — stranding powered-off links is
         exactly the crash hazard the failsafe guard's recovery path
         (:class:`repro.core.failsafe.FailsafeGuard`) exists to catch.
         """
         super()._reset_volatile_state()
         self._idle.clear()
-        self._gated.clear()
         self._asleep.clear()
 
     def release_gate(self, name: str) -> None:
         """Drop gating claims on a group an external actor woke.
 
-        The failsafe guard calls this after powering a stranded group
-        back on so the controller does not immediately re-drain a link
-        it still believes is asleep (or re-gate it off the stale idle
-        streak accrued while telemetry was dark).
+        Besides the dark claim, forget its sleep timer and the stale
+        idle streak accrued while telemetry was dark, so it is not
+        immediately gated off again.
         """
-        self._gated.discard(name)
+        super().release_gate(name)
         self._asleep.pop(name, None)
         self._idle[name] = 0
 
-    # ------------------------------------------------------------------
-
-    def _on_epoch(self) -> None:
-        if self._stopped:
-            return
-        self._campaign_pass()
-        super()._on_epoch()
-
-    def _campaign_pass(self) -> None:
-        """Pre-epoch housekeeping: drain, sleep, wake, re-pin."""
+    def _gating_pass(self) -> None:
+        """Count sleep, wake sleepers, finish drains, re-pin."""
         ladder = self.network.config.ladder
-        for group in self.groups:
+        for group in self._candidates():
             name = group.name
-            if name not in self._gated:
-                continue
-            members = group.channels
-            if all(ch.is_off for ch in members):
+            if name in self._dark and all(ch.is_off
+                                          for ch in group.channels):
                 self._asleep[name] = self._asleep.get(name, 0) + 1
                 if self._asleep[name] >= self.gating.sleep_epochs:
                     self._wake(group, ladder)
-            else:
-                # Still draining toward off; finish what has drained.
-                for ch in members:
-                    if not ch.is_off and ch.draining and ch.drained:
-                        ch.power_off()
+        self._finish_drains()
         if self.guard is not None:
             self._refresh_guard()
-            for group in self.groups:
-                if group.name in self._gated and self._pinned(group):
-                    # The guard now needs a link gating already took
-                    # down (or started draining): bring it back.
-                    self._wake(group, ladder)
+            self._wake_pinned(ladder)
 
     def _wake(self, group, ladder) -> None:
-        for ch in group.channels:
-            if ch.is_off:
-                ch.power_on(self.config.reactivation_ns,
-                            rate_gbps=ladder.min_rate)
-            else:
-                ch.draining = False
-        self._gated.discard(group.name)
-        self._asleep.pop(group.name, None)
-        self._idle[group.name] = 0
+        self._light(group, ladder, GATED_WAKE)
         self.gated_wakes += 1
-        self._log_power_event(group, GATED_WAKE, old_rate=None,
-                              new_rate=ladder.min_rate)
 
-    def _log_power_event(self, group, reason: str,
-                         old_rate: Optional[float],
-                         new_rate: Optional[float]) -> None:
-        if self.decision_log is None:
-            return
-        self.decision_log.record(
-            time_ns=self.network.sim.now, controller=self.name,
-            group=group.name,
-            channels=group.channel_names,
-            old_rate=old_rate, new_rate=new_rate, reason=reason,
-            changed=False)
-
-    # ------------------------------------------------------------------
-
-    def _decide_group(self, group, reading, ladder, now, log) -> None:
-        name = group.name
-        if name in self._gated:
-            # Draining toward off; no rate decisions until it sleeps.
-            return
-        estimate = self.sensor.estimate(group, reading)
+    def _estimate(self, group, reading) -> float:
         # Sensor cross-check: a link whose output queue is backing up
         # is not idle, whatever its (possibly stuck) sensor claims.
         # The queue occupancy is measured in the switch itself, not the
         # sensor path, so it stays honest under sensor faults — this is
         # what lets a pinned ring ramp up under detour pressure instead
         # of being held at the minimum rate by a stuck-at-zero sensor.
-        estimate = max(estimate, reading.queue_fraction)
+        return max(super()._estimate(group, reading),
+                   reading.queue_fraction)
+
+    def _decide_group(self, group, reading, ladder, now, log):
         current = group.current_rate
-        new_rate = self.policy.decide(group, current, estimate, ladder)
-        changed = group.set_rate(new_rate, self.config.reactivation_ns)
-        if changed:
-            self.reconfigurations += 1
-        if log is not None:
-            log.record(now, self.name, name, group.channel_names,
-                       current, new_rate,
-                       classify_reason(current, new_rate, changed,
-                                       estimate, ladder, self.policy),
-                       changed, estimate, reading.utilization,
-                       reading.queue_fraction, reading.credit_stalls,
-                       self.config.reactivation_ns if changed else 0.0)
+        estimate = super()._decide_group(group, reading, ladder, now, log)
+        if estimate is None:
+            return None
         # Gating bookkeeping runs on the *estimate*: the controller
         # trusts its sensor, stuck or not — that trust is the hazard
         # the pinned spanning set exists to bound.
+        name = group.name
         if estimate <= self.gating.off_estimate:
             self._idle[name] = self._idle.get(name, 0) + 1
         else:
             self._idle[name] = 0
-        if self._idle.get(name, 0) < self.gating.idle_epochs:
-            return
-        if self._endpoints.get(name) is None:
-            return  # never gate host links
+        if (self._idle[name] < self.gating.idle_epochs
+                or self._endpoints.get(name) is None):
+            return estimate  # host links are never gated
+        self._idle[name] = 0
         if self._pinned(group):
             self.pinned_holds += 1
-            self._idle[name] = 0
-            self._log_power_event(group, PINNED_HOLD,
-                                  old_rate=group.current_rate,
-                                  new_rate=group.current_rate)
-            return
-        for ch in group.channels:
-            if not ch.is_off:
-                ch.draining = True
-                if ch.drained:
-                    ch.power_off()
-        self._gated.add(name)
-        self._idle[name] = 0
-        self.gated_offs += 1
-        self._log_power_event(group, GATED_OFF, old_rate=current,
-                              new_rate=None)
-
-    # ------------------------------------------------------------------
+            self._log_power(group, PINNED_HOLD, group.current_rate,
+                            group.current_rate)
+        else:
+            self._darken(group, GATED_OFF, current)
+            self.gated_offs += 1
+        return estimate
 
     def faults_summary(self) -> Dict[str, object]:
         """JSON-safe campaign-side accounting for the run summary."""
@@ -402,7 +409,7 @@ class FaultAwareEpochController(EpochController):
             "gated_offs": self.gated_offs,
             "gated_wakes": self.gated_wakes,
             "pinned_holds": self.pinned_holds,
-            "gated_now": len(self._gated),
+            "gated_now": len(self._dark),
             "pinned_links": (len(self.guard.pinned)
                              if self.guard is not None else 0),
         }

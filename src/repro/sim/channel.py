@@ -109,9 +109,9 @@ class Channel:
         # as the stats accounting key instead of the scalar rate.
         self._mode = None
         self._pending_mode = None
-        #: Set by the dynamic-topology controller while a channel is being
-        #: derouted ahead of power-off: no new traffic is accepted, the
-        #: queue drains, then the channel can be powered down.
+        #: Set by :meth:`drain` while a channel is being derouted ahead
+        #: of power-off: no new traffic is accepted, the queue drains,
+        #: then :meth:`finish_drain` powers it down.
         self.draining = False
         # Invalidates in-flight reactivation-complete events whenever the
         # channel is reconfigured again or powered off underneath them.
@@ -254,8 +254,8 @@ class Channel:
     def power_off(self) -> None:
         """Power the channel down entirely (dynamic topologies, §5.1).
 
-        Only legal when idle and drained; the dynamic-topology controller
-        deroutes traffic first.
+        Only legal when idle and drained; callers go through
+        :meth:`drain`, which deroutes traffic first.
         """
         if not self.drained:
             raise RuntimeError(f"cannot power off {self.name} with traffic queued")
@@ -288,6 +288,36 @@ class Channel:
         sim = self.sim
         sim.schedule_at(sim._now + reactivation_ns, self._on_reactivated,
                         self._react_token)
+
+    # ------------------------------------------------------------------
+    # Drain and wake: how every caller takes a channel dark and back
+    # ------------------------------------------------------------------
+
+    def drain(self) -> bool:
+        """Stop taking traffic ahead of power-off (routing skips a
+        draining channel), powering off at once if already empty.
+        Returns whether the channel is off."""
+        if self.state is not _OFF:
+            self.draining = True
+            self.finish_drain()
+        return self.state is _OFF
+
+    def finish_drain(self) -> bool:
+        """Power a draining channel off once it has emptied; returns
+        whether it did."""
+        if self.draining and self.drained:
+            self.power_off()
+            return True
+        return False
+
+    def wake(self, reactivation_ns: float,
+             rate_gbps: Optional[float] = None) -> None:
+        """Undo :meth:`drain`: power an off channel on (see
+        :meth:`power_on`), or clear ``draining`` on a lit one."""
+        if self.state is _OFF:
+            self.power_on(reactivation_ns, rate_gbps=rate_gbps)
+        else:
+            self.draining = False
 
     # ------------------------------------------------------------------
     # Credit flow (called by the downstream node)

@@ -178,10 +178,7 @@ class LinkFaultInjector:
         channel._queue_bytes = 0
         # An in-flight packet is considered delivered (its last bit may
         # already be on the wire); only queued packets are re-routed.
-        channel.draining = True
-        if channel.drained:
-            channel.power_off()
-        else:
+        if not channel.drain():
             # Serializer busy: power down the moment it finishes.
             self._defer_power_off(channel, record)
         switch = self.network.switches[owner_switch]
@@ -197,11 +194,8 @@ class LinkFaultInjector:
 
         def attempt():
             nonlocal budget
-            if channel.is_off or not channel.draining:
-                return  # powered off, or repaired in the meantime
-            if channel.drained:
-                channel.power_off()
-                return
+            if not channel.draining or channel.finish_drain():
+                return  # powered off now or before, or repaired
             budget -= 1
             if budget <= 0:
                 # Give up: the channel stays draining (unusable) until
@@ -237,10 +231,7 @@ class LinkFaultInjector:
         new_rate = None
         for src, dst in ((a, b), (b, a)):
             channel = self.network.switch_channel(src, dst)
-            if channel.is_off:
-                channel.power_on(reactivation_ns=1000.0)
-            else:
-                channel.draining = False
+            channel.wake(reactivation_ns=1000.0)
             new_rate = channel.rate_gbps
         self.repairs_applied += 1
         self._log_fault("fault_repair", a, b, old_rate=None,

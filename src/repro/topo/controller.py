@@ -28,32 +28,30 @@ fabric.  Refusals are recorded as ``topology_guard_veto``; hysteresis
 as ``topology_off`` / ``topology_on`` — all ``changed=False`` records,
 so the rate-transition audit is untouched.
 
-Crash interop: like gating, topology state is volatile — a cold
-restart forgets which groups *this controller* darkened, which is the
-stranded-dark-group hazard :class:`repro.core.failsafe.FailsafeGuard`
-journals ``topology_off``/``topology_on`` records to recover from (it
-wakes the stranded group and calls :meth:`release_gate`).
+The dark-group bookkeeping, the guard refresh, the crash amnesia
+(a cold restart forgets which groups *this controller* darkened, the
+hazard :class:`repro.core.failsafe.FailsafeGuard` journals
+``topology_off``/``topology_on`` records to recover from) and the
+drain and wake actuation are the gating core's,
+:class:`~repro.faults.policy.GatingEpochController`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.controller import ControllerConfig, EpochController
-from repro.faults.policy import SpanningSetGuard, link_endpoints
+from repro.core.controller import ControllerConfig
+from repro.faults.policy import GatingEpochController, SpanningSetGuard
 from repro.obs.decisions import (
     TOPOLOGY_GUARD_VETO,
     TOPOLOGY_HELD,
     TOPOLOGY_OFF,
     TOPOLOGY_ON,
 )
-from repro.sim.channel import ChannelState
 from repro.topo.demand import DemandMatrixEstimator
 
 Link = Tuple[int, int]
-
-_OFF = ChannelState.OFF
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,13 @@ class TopologyControlConfig:
     freeze: bool = False
 
 
-class DemandAwareTopologyController(EpochController):
+class DemandAwareTopologyController(GatingEpochController):
     """Epoch controller co-scheduling link rates and topology.
 
     Rate decisions are inherited unchanged from
     :class:`~repro.core.controller.EpochController`; the topology pass
-    runs first each epoch, so rate control immediately sees (and skips)
-    the groups it darkened — the same ordering the fault-gating
-    controller uses.
+    is the gating core's pass, run first each epoch, so rate control
+    immediately sees (and skips) the groups it darkened.
     """
 
     def __init__(self, network, policy=None,
@@ -111,18 +108,14 @@ class DemandAwareTopologyController(EpochController):
                  name: str = "demand_topo"):
         super().__init__(network, policy=policy, config=config,
                          groups=groups, sensor=sensor,
-                         decision_log=decision_log, name=name)
+                         decision_log=decision_log,
+                         guard=(guard if guard is not None
+                                else SpanningSetGuard(network)),
+                         name=name)
         self.topo = topo
-        self.guard = (guard if guard is not None
-                      else SpanningSetGuard(network, mode="ring"))
-        self._endpoints = link_endpoints(network, self.groups)
         #: Inter-switch channels in (src, dst) order, for telemetry.
         self._switch_channels = sorted(network.switch_channel_map().items())
-        # _candidates() is rebuilt only when self.groups is replaced
-        # (chaos and failsafe layers swap in their proxies after
-        # construction); _link_state() lives for one topology pass.
-        self._candidates_of: Optional[List] = None
-        self._candidate_groups: List = []
+        # _link_state() lives for one topology pass.
         self._in_pass = False
         self._links: Optional[Tuple[FrozenSet[Link], Dict[int, int]]] = None
         forecaster = None
@@ -132,7 +125,6 @@ class DemandAwareTopologyController(EpochController):
         self.demand = DemandMatrixEstimator(
             network.topology.num_switches, ewma_alpha=topo.ewma_alpha,
             forecaster=forecaster)
-        self._dark: Set[str] = set()
         self._dwell: Dict[str, int] = {}
         self._last_bytes: Dict[str, int] = {}
         # Accounting surfaced by topo_summary().
@@ -144,7 +136,6 @@ class DemandAwareTopologyController(EpochController):
         self.reactivation_wait_ns = 0.0
         self.dark_group_ns = 0.0
         self._dark_per_epoch: List[int] = []
-        self._refresh_guard()
         if topo.start_dark:
             self._apply_start_dark()
 
@@ -158,33 +149,11 @@ class DemandAwareTopologyController(EpochController):
                    in classify_links(self.network.topology).items()}
         for group in self._candidates():
             link = self._endpoints[group.name]
-            if classes.get(link) not in self.topo.start_dark:
-                continue
-            if link in self.guard.pinned:
-                continue
-            if not self.guard.may_power_off(link, self._usable_links()):
-                continue
-            self._power_off(group)
+            if (classes.get(link) in self.topo.start_dark
+                    and self.guard.may_power_off(link, self._usable_links())):
+                self._power_off(group)
 
     # -- link bookkeeping ----------------------------------------------
-
-    def _candidates(self):
-        """Inter-switch groups, in stable group order."""
-        groups = self.groups
-        if groups is not self._candidates_of:
-            self._candidates_of = groups
-            self._candidate_groups = [
-                g for g in groups if self._endpoints.get(g.name) is not None]
-        return self._candidate_groups
-
-    def _fault_dark(self, group) -> bool:
-        """Down for reasons outside our own topology decisions?"""
-        if group.name in self._dark:
-            return False
-        for ch in group.channels:
-            if ch.state is _OFF or ch.draining:
-                return True
-        return False
 
     def _usable_links(self) -> FrozenSet[Link]:
         """Links routing can use right now: lit and not fault-dark."""
@@ -214,52 +183,33 @@ class DemandAwareTopologyController(EpochController):
             self._links = state
         return state
 
-    def _refresh_guard(self) -> None:
-        available = [link for group in self._candidates()
-                     if not self._fault_dark(group)
-                     and (link := self._endpoints[group.name]) is not None]
-        self.guard.refresh(sorted(set(available)))
-
-    # -- crash semantics (mirrors the gating controller) ----------------
+    # -- crash semantics ------------------------------------------------
 
     def _reset_volatile_state(self) -> None:
-        """Cold restart forgets which groups *we* darkened — the
-        stranded-dark-group hazard the failsafe guard recovers."""
+        """Cold restart also forgets dwell clocks and byte counters."""
         super()._reset_volatile_state()
-        self._dark.clear()
         self._dwell.clear()
         self._last_bytes.clear()
 
     def release_gate(self, name: str) -> None:
         """Drop topology claims on a group an external actor woke
-        (the failsafe guard, after recovering a stranded dark group)."""
-        self._dark.discard(name)
+        (the failsafe guard, after recovering a stranded dark group),
+        restarting its dwell clock."""
+        super().release_gate(name)
         self._dwell[name] = 0
+        self._links = None
 
     # -- the epoch loop -------------------------------------------------
 
-    def _on_epoch(self) -> None:
-        if self._stopped:
-            return
-        self._topology_pass()
-        super()._on_epoch()
-
-    def _decide_group(self, group, reading, ladder, now, log) -> None:
-        if group.name in self._dark:
-            # Draining toward off; no rate decisions until it sleeps.
-            return
-        super()._decide_group(group, reading, ladder, now, log)
-
-    def _topology_pass(self) -> None:
-        self._links = None
+    def _gating_pass(self) -> None:
         self._in_pass = True
         try:
-            self._run_topology_pass()
+            self._topology_pass()
         finally:
             self._in_pass = False
             self._links = None
 
-    def _run_topology_pass(self) -> None:
+    def _topology_pass(self) -> None:
         epoch_ns = self.config.effective_epoch_ns
         ladder = self.network.config.ladder
         self._ingest_telemetry(epoch_ns)
@@ -274,10 +224,7 @@ class DemandAwareTopologyController(EpochController):
         # Pinned links the guard now needs must come back regardless
         # of freeze: a static degraded topology still must not hold a
         # link dark once faults make it the last spanning candidate.
-        for group in self._candidates():
-            if group.name in self._dark and (
-                    self._endpoints[group.name] in self.guard.pinned):
-                self._wake(group, ladder)
+        self._wake_pinned(ladder)
         if not self.guard.connected(self._usable_links()):
             # The intersection hazard: a fault landing *after* a legal
             # power-off can cut the fabric (the guard only vetoes at
@@ -316,14 +263,6 @@ class DemandAwareTopologyController(EpochController):
                 flows[(src, dst)] = delta * 8.0 / epoch_ns
         self.demand.observe(flows)
 
-    def _finish_drains(self) -> None:
-        for group in self._candidates():
-            if group.name not in self._dark:
-                continue
-            for ch in group.channels:
-                if not ch.is_off and ch.draining and ch.drained:
-                    ch.power_off()
-
     def _wake_pass(self, ladder) -> None:
         for group in self._candidates():
             name = group.name
@@ -357,17 +296,13 @@ class DemandAwareTopologyController(EpochController):
                 continue
             if self._dwell.get(name, 0) < self.topo.min_dwell_epochs:
                 self.topology_holds += 1
-                self._log_topology(group, TOPOLOGY_HELD,
-                                   old_rate=group.current_rate,
-                                   new_rate=group.current_rate,
-                                   forecast=demand)
+                self._log_power(group, TOPOLOGY_HELD, group.current_rate,
+                                group.current_rate, forecast=demand)
                 continue
             if not self.guard.may_power_off((a, b), self._usable_links()):
                 self.guard_vetoes += 1
-                self._log_topology(group, TOPOLOGY_GUARD_VETO,
-                                   old_rate=group.current_rate,
-                                   new_rate=group.current_rate,
-                                   forecast=demand)
+                self._log_power(group, TOPOLOGY_GUARD_VETO, group.current_rate,
+                                group.current_rate, forecast=demand)
                 # Vetoed power-offs restart the dwell clock: retrying
                 # every epoch against the same guard state is the
                 # livelock-adjacent loop the hysteresis exists to damp.
@@ -378,47 +313,16 @@ class DemandAwareTopologyController(EpochController):
     # -- actuation ------------------------------------------------------
 
     def _power_off(self, group, forecast: float = 0.0) -> None:
-        old_rate = group.current_rate
-        for ch in group.channels:
-            if not ch.is_off:
-                ch.draining = True
-                if ch.drained:
-                    ch.power_off()
-        self._dark.add(group.name)
+        self._darken(group, TOPOLOGY_OFF, group.current_rate, forecast)
         self._links = None
         self._dwell[group.name] = 0
         self.topology_offs += 1
-        self._log_topology(group, TOPOLOGY_OFF, old_rate=old_rate,
-                           new_rate=None, forecast=forecast)
 
     def _wake(self, group, ladder) -> None:
-        for ch in group.channels:
-            if ch.is_off:
-                ch.power_on(self.config.reactivation_ns,
-                            rate_gbps=ladder.min_rate)
-            else:
-                ch.draining = False
-        self._dark.discard(group.name)
-        self._links = None
-        self._dwell[group.name] = 0
+        self._light(group, ladder, TOPOLOGY_ON, self.config.reactivation_ns)
         self.topology_ons += 1
         self.reactivation_waits += 1
         self.reactivation_wait_ns += self.config.reactivation_ns
-        self._log_topology(group, TOPOLOGY_ON, old_rate=None,
-                           new_rate=ladder.min_rate)
-
-    def _log_topology(self, group, reason: str,
-                      old_rate: Optional[float],
-                      new_rate: Optional[float],
-                      forecast: Optional[float] = None) -> None:
-        if self.decision_log is None:
-            return
-        self.decision_log.record(
-            self.network.sim.now, self.name, group.name,
-            group.channel_names, old_rate, new_rate, reason, False,
-            reactivation_ns=(self.config.reactivation_ns
-                             if reason == TOPOLOGY_ON else 0.0),
-            forecast_gbps=forecast)
 
     # -- reporting ------------------------------------------------------
 

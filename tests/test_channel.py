@@ -432,3 +432,82 @@ class TestDraining:
         sim.run()
         channel.power_off()
         assert channel.is_off
+
+
+class TestDrainWakeProtocol:
+    """drain / finish_drain / wake: the one way a channel goes dark."""
+
+    def test_drain_powers_an_idle_channel_off_at_once(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        assert channel.drain() is True
+        assert channel.is_off and not channel.draining
+
+    def test_drain_leaves_a_busy_channel_draining(self):
+        sim = Simulator()
+        channel, sink = make_channel(sim)
+        channel.enqueue(packet(1000))
+        channel.enqueue(packet(1000))
+        assert channel.drain() is False
+        assert channel.draining and not channel.is_off
+        assert not channel.usable
+        assert channel.finish_drain() is False   # still serializing
+        sim.run()
+        assert len(sink.received) == 2
+        assert channel.finish_drain() is True
+        assert channel.is_off and not channel.draining
+
+    def test_drain_of_an_off_channel_is_a_no_op(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.power_off()
+        assert channel.drain() is True
+        assert channel.is_off and not channel.draining
+
+    @pytest.mark.parametrize("off", [False, True])
+    def test_finish_drain_leaves_a_channel_not_draining_alone(self, off):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        if off:
+            channel.power_off()
+        assert channel.finish_drain() is False
+        assert channel.is_off is off
+
+    @pytest.mark.parametrize("rate", [None, 2.5])
+    def test_wake_powers_an_off_channel_on(self, rate):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.drain()
+        channel.wake(100.0, rate_gbps=rate)
+        assert channel.state is ChannelState.REACTIVATING
+        assert channel.rate_gbps == (40.0 if rate is None else rate)
+        assert channel.stats.reactivations == 1
+        sim.run()
+        assert channel.state is ChannelState.ACTIVE and channel.usable
+
+    @pytest.mark.parametrize("rate", [None, 2.5])
+    def test_wake_clears_draining_on_a_lit_channel(self, rate):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.enqueue(packet(1000))
+        channel.drain()
+        channel.wake(100.0, rate_gbps=rate)
+        # No power cycle, no reactivation: the rate is left alone.
+        assert not channel.draining and channel.usable
+        assert channel.rate_gbps == 40.0
+        assert channel.stats.reactivations == 0
+
+    def test_wake_of_a_lit_channel_is_a_no_op(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.wake(100.0, rate_gbps=2.5)
+        assert channel.state is ChannelState.ACTIVE
+        assert channel.rate_gbps == 40.0 and channel.usable
+
+    def test_wake_rejects_a_bad_stall_before_any_change(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.drain()
+        with pytest.raises(ValueError):
+            channel.wake(-1.0)
+        assert channel.is_off

@@ -115,6 +115,42 @@ class TestExecution:
         assert block.startswith("[table2]")
         assert "InfiniBand" in block
 
+    def test_each_experiment_reports_its_own_slowest_run(
+            self, monkeypatch):
+        # Two experiments on one runner: the second's sweep line must
+        # not inherit the first one's slower run.
+        from dataclasses import replace
+
+        from repro.experiments.runner import SimulationSpec
+
+        def timed(spec):
+            summary = sweep_mod._execute_spec(spec)
+            return replace(summary, wall_seconds=float(spec.seed))
+
+        class Table:
+            def format_table(self):
+                return "table"
+
+        def experiment(seed):
+            def run(scale):
+                sweep_mod.sweep([SimulationSpec(
+                    k=2, n=2, duration_ns=50_000.0, seed=seed)])
+                return Table()
+            return ("synthetic", True, run)
+
+        monkeypatch.setitem(EXPERIMENTS, "slow", experiment(9))
+        monkeypatch.setitem(EXPERIMENTS, "fast", experiment(2))
+        runner = sweep_mod.SweepRunner(jobs=1, use_cache=False,
+                                       worker_fn=timed)
+        sink = []
+        with sweep_mod.using_runner(runner):
+            run_experiment("slow", SCALES["small"], None, stats_sink=sink)
+            block = run_experiment("fast", SCALES["small"], None,
+                                   stats_sink=sink)
+        assert [e["sweep"]["run_seconds_max"] for e in sink] == [9.0, 2.0]
+        assert [e["sweep"]["executed"] for e in sink] == [1, 1]
+        assert "max run 2.00s" in block
+
     def test_registry_consistency(self):
         for name, (description, needs_scale, run) in EXPERIMENTS.items():
             assert description

@@ -215,28 +215,19 @@ class TestFaultySensor:
 class TestSpanningSetGuard:
     def test_ring_links_cover_every_switch(self):
         net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="ring")
+        guard = SpanningSetGuard(net)
         ring = guard.ring_links()
         touched = {s for link in ring for s in link}
         assert touched == set(range(net.topology.num_switches))
 
     def test_refresh_drops_unavailable_links(self):
         net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="ring")
+        guard = SpanningSetGuard(net)
         full = guard.refresh(all_links(net))
         dead = next(iter(sorted(full)))
         reduced = guard.refresh([l for l in all_links(net) if l != dead])
         assert dead in full and dead not in reduced
 
-    def test_tree_mode_spans_with_minimum_edges(self):
-        net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="tree")
-        pinned = guard.refresh(all_links(net))
-        assert len(pinned) == net.topology.num_switches - 1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SpanningSetGuard(make_network(), mode="mesh")
 
 
 def make_controller(net, guard=None, gating=None, log=None):
@@ -263,7 +254,7 @@ class TestFaultAwareController:
 
     def test_guard_refuses_to_gate_the_ring(self):
         net = make_network()
-        guard = SpanningSetGuard(net, mode="ring")
+        guard = SpanningSetGuard(net)
         controller = make_controller(net, guard=guard)
         net.run(until_ns=20_000.0)
         assert controller.pinned_holds > 0

@@ -88,6 +88,17 @@ class TestRuns:
         with pytest.raises(ValueError):
             run_simulation(SimulationSpec(**QUICK, control="magic"))
 
+    @pytest.mark.parametrize("fields", [
+        dict(control=CONTROL_NONE, policy="aggressive", headroom=0.2),
+        dict(control=CONTROL_ALWAYS_SLOWEST, independent_channels=True),
+        dict(forecaster="ewma"),
+        dict(control="demand_topo", headroom=0.1),
+    ])
+    def test_fields_the_mode_ignores_rejected(self, fields):
+        # Two cache keys must never name one simulation.
+        with pytest.raises(ValueError, match="has no effect"):
+            run_simulation(SimulationSpec(**QUICK, **fields))
+
     def test_cached_run_returns_same_object(self):
         spec = SimulationSpec(**QUICK, seed=99)
         assert cached_run(spec) is cached_run(spec)

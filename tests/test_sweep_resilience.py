@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import signal
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,11 @@ def _kill_first_worker(spec):
 
 def _always_failing_worker(spec):
     raise RuntimeError(f"synthetic failure for seed {spec.seed}")
+
+
+def _seconds_from_seed_worker(spec):
+    """Computes, then reports the spec's seed as its wall seconds."""
+    return replace(_execute_spec(spec), wall_seconds=float(spec.seed))
 
 
 def _fail_n_times_worker(spec):
@@ -296,6 +302,20 @@ class TestGracefulInterrupt:
         stats.merge(other)
         assert stats.interrupted == 5
         assert stats.to_dict()["interrupted"] == 5
-        snapshot = stats.snapshot()
-        assert snapshot.interrupted == 5
-        assert stats.delta(SweepStats()).interrupted == 5
+
+    def test_counting_window_sees_only_its_own_batches(self):
+        runner = SweepRunner(jobs=1, use_cache=False,
+                             worker_fn=_seconds_from_seed_worker)
+        slow = SimulationSpec(k=2, n=2, duration_ns=100_000.0, seed=9)
+        runner.run([slow])
+        with runner.counting() as outer:
+            runner.run([SPEC_A])
+            with runner.counting() as inner:
+                runner.run([SPEC_B])
+        assert (outer.executed, inner.executed) == (2, 1)
+        assert (outer.run_seconds_max, inner.run_seconds_max) == (3.0, 3.0)
+        assert runner.stats.executed == 3
+        assert runner.stats.run_seconds_max == 9.0
+        runner.run([SimulationSpec(k=2, n=2, duration_ns=100_000.0,
+                                   seed=5)])
+        assert outer.executed == 2     # a closed window stops counting
