@@ -6,14 +6,11 @@ JOBS ?= 4
 SEED ?= 1
 PAIRS ?= 10
 
-.PHONY: test bench e2e pair smoke-sweep campaigns \
+.PHONY: test e2e pair smoke-sweep campaigns \
 	golden-refresh clean-cache
 
 test:            ## tier-1 test suite
 	$(PY) -m pytest -x -q
-
-bench:           ## full benchmark suite (regenerates every figure)
-	$(PY) -m pytest benchmarks/ --benchmark-only
 
 e2e:             ## end-to-end benchmark: every workload, per-layer shares
 	python3 e2ebench/e2e.py run

@@ -226,12 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run_experiment(name: str, scale: ExperimentScale,
                    output_dir: Optional[Path],
                    write_json: bool = False,
-                   stats_sink: Optional[list] = None) -> str:
+                   stats_sink: Optional[list] = None,
+                   failed_claims: Optional[list] = None) -> str:
     """Run one experiment and return its formatted table.
 
-    When ``stats_sink`` is given (a list), one machine-readable entry
-    per experiment — name, scale, wall seconds and the sweep counters —
-    is appended to it (the ``--stats-json`` payload).
+    The experiment module's ``CLAIMS`` (:class:`report.Claim` rows) are
+    checked against the result: the header counts those that hold and
+    names each that fails.  When ``stats_sink`` is given (a list), one
+    machine-readable entry per experiment — name, scale, wall seconds
+    and the sweep counters — is appended to it (the ``--stats-json``
+    payload); when ``failed_claims`` is given, the text of every
+    failing claim is appended to it.
     """
     description, needs_scale, run = EXPERIMENTS[name]
     # Analytic experiments never sweep: unless the counters are asked
@@ -248,6 +253,14 @@ def run_experiment(name: str, scale: ExperimentScale,
     header = f"[{name}] {description} ({elapsed:.1f}s)"
     if sweep_stats is not None and sweep_stats.submitted:
         header += f"\n[sweep: {sweep_stats.format_line()}]"
+    claims = getattr(sys.modules.get(run.__module__), "CLAIMS", ())
+    if claims:
+        failed = [claim.text for claim in claims if not claim.holds(result)]
+        header += (f"\n[claims: {len(claims) - len(failed)} of "
+                   f"{len(claims)} hold]")
+        header += "".join(f"\n  FAILS: {text}" for text in failed)
+        if failed_claims is not None:
+            failed_claims.extend(failed)
     if stats_sink is not None:
         stats_sink.append({
             "experiment": name,
@@ -311,10 +324,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--duration-ns", type=float, default=2_000_000.0,
                       help="simulated duration in ns (default: 2e6)")
     p_tr.add_argument("--control", default="epoch",
-                      choices=["epoch", "none", "always_slowest",
-                               "predict", "oracle", "fault_gated",
-                               "fault_pinned", "demand_topo",
-                               "degraded_topo"],
                       help="control mode (default: epoch)")
     p_tr.add_argument("--faults", default=None, metavar="SCENARIO",
                       help="named fault scenario to inject; fault and "
@@ -741,12 +750,14 @@ def main(argv=None) -> int:
     names = (sorted(EXPERIMENTS) if args.experiment == "all"
              else [args.experiment])
     stats_sink: Optional[list] = [] if args.stats_json else None
+    failed_claims: list = []
     if stats_sink is not None or any(EXPERIMENTS[name][1] for name in names):
         configure_sweep(args)
     for name in names:
         print(run_experiment(name, scale, args.output,
                              write_json=args.json,
-                             stats_sink=stats_sink))
+                             stats_sink=stats_sink,
+                             failed_claims=failed_claims))
     if args.stats_json is not None:
         from repro.experiments import sweep
 
@@ -756,7 +767,7 @@ def main(argv=None) -> int:
         }
         args.stats_json.parent.mkdir(parents=True, exist_ok=True)
         args.stats_json.write_text(json.dumps(payload, indent=2) + "\n")
-    return 0
+    return 1 if failed_claims else 0
 
 
 if __name__ == "__main__":   # pragma: no cover - exercised via __main__

@@ -2,13 +2,15 @@
 
 Every module exposes ``run(...)`` returning a result object with
 ``rows()`` (the data the paper's table/figure reports) and
-``format_table()`` (a printable rendering), plus a ``main()`` so it can
-be executed directly (the campaigns run through
-``python -m repro campaign <name>`` instead, and their arm-builder
-modules expose only ``arms(...)`` and label tuples)::
+``format_table()`` (a printable rendering), plus ``CLAIMS``: the
+paper's claims as :class:`~repro.experiments.report.Claim` predicates
+over that result.  The CLI runs each and checks its claims (the
+campaigns run through ``python -m repro campaign <name>`` instead, and
+their arm-builder modules expose only ``arms(...)`` and label
+tuples)::
 
-    python -m repro.experiments.table1
-    python -m repro.experiments.figure8
+    python -m repro table1
+    python -m repro figure8
 
 Simulation-backed experiments accept an :class:`ExperimentScale`
 (default from the ``REPRO_SCALE`` environment variable: ``small``,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import CONTROL_NONE, SimulationSpec
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -80,10 +80,10 @@ def run(scale: Optional[ExperimentScale] = None,
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("many traffic patterns show very asymmetric use",
+          lambda r: r.fraction_2x > 0.3),
+    Claim("a link's hot direction carries over 1.5x its cold one's load",
+          lambda r: r.mean_hot_utilization > 1.5 * r.mean_cold_utilization),
+)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.dynamic_topology import TopologyMode
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -129,10 +129,30 @@ def run(scale: Optional[ExperimentScale] = None,
         dynamic_points=[p for p in points if p.label == "dynamic"])
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _static(result: DynamicTopologyResult,
+            label: str) -> List[DynamicTopologyPoint]:
+    return [p for p in result.static_points if p.label == label]
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("a static mesh burns less link power than the full FBFLY",
+          lambda r: max(p.power_true_off
+                        for p in _static(r, "static-mesh")) < 1.0),
+    Claim("a static FBFLY keeps every express link powered",
+          lambda r: all(p.power_true_off == 1.0
+                        for p in _static(r, "static-fbfly"))),
+    Claim("the mesh saturates before the FBFLY",
+          lambda r: min(p.delivered_fraction
+                        for p in _static(r, "static-mesh"))
+          < min(p.delivered_fraction for p in _static(r, "static-fbfly"))),
+    Claim("the dynamic controller upgrades its mode as load grows",
+          lambda r: r.dynamic_points[-1].mode_time_fractions[
+              TopologyMode.FBFLY]
+          > r.dynamic_points[0].mode_time_fractions[TopologyMode.FBFLY]),
+    Claim("the dynamic controller saves power at low load",
+          lambda r: r.dynamic_points[0].power_true_off < 0.9),
+    Claim("the dynamic controller still delivers traffic at every load",
+          lambda r: all(p.delivered_fraction > 0.8
+                        for p in r.dynamic_points)),
+)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -66,10 +66,12 @@ def run(scale: Optional[ExperimentScale] = None,
     return EnergyAwareResult(runs=runs)
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("consolidating traffic does not cost power",
+          lambda r: r.runs["energy-aware"].ideal_power_fraction
+          <= 1.1 * r.runs["adaptive"].ideal_power_fraction),
+    Claim("consolidating traffic does not lose traffic",
+          lambda r: r.runs["energy-aware"].delivered_fraction
+          > 0.95 * r.runs["adaptive"].delivered_fraction),
+)

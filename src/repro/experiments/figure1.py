@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.experiments.report import dollars, format_table, pct, watts
+from repro.experiments.report import Claim, dollars, format_table, pct, watts
 from repro.power.cluster import ClusterPowerModel
 from repro.power.cost import EnergyCostModel
 from repro.topology.folded_clos import FoldedClos
@@ -72,10 +72,18 @@ def run(num_hosts: int = 32 * 1024,
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _share(result: Figure1Result, scenario: str) -> float:
+    watts = result.scenarios[scenario]
+    return watts["network_watts"] / (
+        watts["network_watts"] + watts["server_watts"])
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the network is ~12% of power at full utilization",
+          lambda r: 0.11 < _share(r, "full_utilization") < 0.13),
+    Claim("the network is ~50% of power with proportional servers at 15%",
+          lambda r: 0.45 < _share(r, "proportional_servers_15pct") < 0.52),
+    Claim("a proportional network saves ~975 kW",
+          lambda r: abs(r.network_watts_saved_at_15pct - 975_000) < 10_000),
+)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.power.switch_profile import (
     INFINIBAND_SWITCH_PROFILE,
     SwitchDynamicRangeProfile,
@@ -50,10 +50,17 @@ def run(profile: SwitchDynamicRangeProfile = INFINIBAND_SWITCH_PROFILE,
     return Figure5Result(profile=profile, bars=profile.figure5_rows())
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _optical(result: Figure5Result, mode: str) -> float:
+    return next(optical for name, _, _, optical in result.bars
+                if name == mode)
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the slowest mode runs 16x slower than the fastest",
+          lambda r: r.profile.performance_dynamic_range == 16.0),
+    Claim("the slowest optical mode (1x SDR) draws 42% of full power",
+          lambda r: abs(_optical(r, "1x SDR") - 0.42) < 1e-9),
+    Claim("the fastest mode (4x QDR) draws full power",
+          lambda r: _optical(r, "4x QDR") == 1.0),
+)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.power.itrs import ITRS_SERIES, ItrsPoint, bandwidth_cagr
 
 
@@ -38,10 +38,9 @@ def run() -> Figure6Result:
     return Figure6Result(series=ITRS_SERIES, cagr=bandwidth_cagr())
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("switch I/O bandwidth reaches 160 Tb/s",
+          lambda r: r.series[-1].io_bandwidth_tbps == 160.0),
+    Claim("I/O bandwidth grows over 20% a year", lambda r: r.cagr > 0.2),
+)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -93,10 +93,16 @@ def run(scale: Optional[ExperimentScale] = None,
                          independent=results[specs[1]])
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("most links spend a majority of their time in the lowest "
+          "power/performance state",
+          lambda r: r.paired.time_at_rate.get(2.5, 0.0) > 0.5),
+    Claim("independent channels spend more time at 2.5 Gb/s than pairs",
+          lambda r: r.independent.time_at_rate.get(2.5, 0.0)
+          > r.paired.time_at_rate.get(2.5, 0.0)),
+    Claim("independently controlling each unidirectional channel nearly "
+          "halves the fraction of time spent at the faster speeds",
+          lambda r: r.fast_time(r.independent)
+          < 0.8 * r.fast_time(r.paired)),
+)

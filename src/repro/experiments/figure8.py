@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.ideal import always_slowest_power_fraction
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import (
     CONTROL_NONE,
     SimulationSpec,
@@ -148,10 +148,28 @@ def run(scale: Optional[ExperimentScale] = None) -> Figure8Result:
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _traces(result: Figure8Result) -> List[WorkloadPowerRow]:
+    """The trace workloads' rows (Advert and Search)."""
+    return [result.rows_by_workload[w] for w in ("advert", "search")]
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("with measured channels, trace-workload power approaches the "
+          "42% floor",
+          lambda r: all(0.42 <= row.independent.measured_power_fraction
+                        < 0.60 for row in _traces(r))),
+    Claim("with ideal channels, trace-workload power falls more than 4x",
+          lambda r: all(row.reduction_factor_ideal_independent > 4.0
+                        for row in _traces(r))),
+    Claim("power cannot beat the average-utilization floor",
+          lambda r: all(row.independent.ideal_power_fraction
+                        > row.baseline_utilization for row in _traces(r))),
+    Claim("Uniform with ideal independent channels draws ~36% of baseline",
+          lambda r: 0.25 < r.rows_by_workload["uniform"]
+          .independent.ideal_power_fraction < 0.45),
+    Claim("independent channel control never loses to paired control",
+          lambda r: all(row.independent.ideal_power_fraction
+                        <= row.paired.ideal_power_fraction * 1.02
+                        for row in r.rows_by_workload.values())),
+)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.report import format_table, us
+from repro.experiments.report import Claim, format_table, us
 from repro.experiments.runner import (
     SimulationSpec,
     SimulationSummary,
@@ -180,10 +180,27 @@ def run(scale: Optional[ExperimentScale] = None,
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _added(result: Figure9Result, workload: str, index: int) -> float:
+    """Added mean latency at the ``index``-th reactivation time."""
+    react = result.reactivations_ns[index]
+    return result.by_reactivation[(workload, react)].added_mean_latency_ns
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("added latency does not shrink as the target utilization rises",
+          lambda r: all(
+              r.by_target[(w, r.targets[-1])].added_mean_latency_ns
+              >= r.by_target[(w, r.targets[0])].added_mean_latency_ns
+              for w in r.workloads)),
+    Claim("at a 50% target the penalty is tens of microseconds, not ms",
+          lambda r: all(0.0 < r.by_target[(w, 0.5)].added_mean_latency_ns
+                        < 500_000.0 for w in r.workloads)),
+    Claim("added latency grows with reactivation time",
+          lambda r: all(_added(r, w, -1) > _added(r, w, 0)
+                        for w in r.workloads)),
+    Claim("a 100 us reactivation is an overhead that can impact many "
+          "applications (over 5x the 1 us penalty)",
+          lambda r: all(_added(r, w, -1) > 5 * _added(r, w, 1)
+                        for w in r.workloads)),
+)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import (
     CONTROL_EPOCH,
     CONTROL_NONE,
@@ -92,10 +92,15 @@ def run(scale: Optional[ExperimentScale] = None,
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the lane-aware ladder matches the scalar ladder's power",
+          lambda r: abs(r.runs["lane-aware"].power_fraction
+                        - r.runs["scalar 1us"].power_fraction) < 0.05),
+    Claim("pricing CDR-only re-locks cuts total reconfiguration stall",
+          lambda r: r.runs["lane-aware"].stall_ns_total
+          < 0.7 * r.runs["scalar 1us"].stall_ns_total),
+    Claim("the lane-aware ladder loses no traffic",
+          lambda r: r.runs["lane-aware"].summary.delivered_fraction
+          > 0.95 * r.runs["scalar 1us"].summary.delivered_fraction),
+)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import (
     CONTROL_EPOCH,
     CONTROL_NONE,
@@ -89,10 +89,13 @@ def run(scale: Optional[ExperimentScale] = None,
             "rate-scaled (independent)"].measures["media"]["copper_fraction"])
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("copper is never more expensive than optical",
+          lambda r: all(row.packaging_aware <= row.all_optical
+                        for row in r.rows_list)),
+    Claim("pricing copper links as copper wins back over 5% of power",
+          lambda r: r.rows_list[0].saving > 0.05),
+    Claim("over 30% of channels are short enough for copper",
+          lambda r: r.copper_channel_fraction > 0.3),
+)

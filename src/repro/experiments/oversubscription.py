@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import CONTROL_NONE, SimulationSpec
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -106,10 +106,24 @@ def run(scale: Optional[ExperimentScale] = None, seed: int = 1,
     return OversubscriptionResult(points=points)
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _delivered(result: OversubscriptionResult, c: int, load: float) -> float:
+    return next(p.delivered_fraction for p in result.points
+                if (p.c, p.offered_load) == (c, load))
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims, over points that run concentration-major,
+#: each over the loads in rising order.
+CLAIMS = (
+    Claim("network watts per host fall monotonically with concentration",
+          lambda r: [p.network_watts_per_host for p in r.points] == sorted(
+              [p.network_watts_per_host for p in r.points], reverse=True)),
+    Claim("at low load every build delivers its traffic",
+          lambda r: all(p.delivered_fraction > 0.9 for p in r.points
+                        if p.offered_load == r.points[0].offered_load)),
+    Claim("at high load the balanced build delivers its traffic",
+          lambda r: _delivered(r, r.points[0].c,
+                               r.points[-1].offered_load) > 0.9),
+    Claim("at high load the 2:1 over-subscribed build saturates",
+          lambda r: r.points[-1].delivered_fraction < 0.8 * _delivered(
+              r, r.points[0].c, r.points[-1].offered_load)),
+)

@@ -1,8 +1,17 @@
-"""Plain-text table rendering for experiment outputs."""
+"""Plain-text table rendering and paper claims for experiment outputs."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Any, Callable, Iterable, List, NamedTuple, Sequence
+
+
+class Claim(NamedTuple):
+    """One of the paper's claims as a predicate over an experiment's
+    result.  An experiment module lists its claims in ``CLAIMS``; the
+    CLI checks every one against the result it has just computed."""
+
+    text: str
+    holds: Callable[[Any], bool]
 
 
 def pct(value: float, digits: int = 1) -> str:

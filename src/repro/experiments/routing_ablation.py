@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
@@ -88,10 +88,14 @@ def run(scale: Optional[ExperimentScale] = None, seed: int = 1,
                                  reactivations_ns=tuple(reactivations_ns))
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("adaptive routing never delivers less than dimension-order",
+          lambda r: all(r.delivered("adaptive", react)
+                        >= 0.97 * r.delivered("dimension-order", react)
+                        for react in r.reactivations_ns)),
+    Claim("at the longest reactivation, adaptive routing's path diversity "
+          "buys a real throughput margin",
+          lambda r: r.delivered("adaptive", max(r.reactivations_ns))
+          > 1.02 * r.delivered("dimension-order", max(r.reactivations_ns))),
+)

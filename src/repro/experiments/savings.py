@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import dollars, format_table, pct
+from repro.experiments.report import Claim, dollars, format_table, pct
 from repro.experiments.runner import (
     SimulationSpec,
     baseline_spec,
@@ -110,10 +110,20 @@ def run(scale: Optional[ExperimentScale] = None,
                          topology_savings_dollars=topology_savings)
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
+def _traces(result: SavingsResult) -> List[SavingsRow]:
+    """The trace workloads' rows (Advert and Search)."""
+    return [result.rows_by_workload[w] for w in ("advert", "search")]
 
 
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the flattened butterfly topology saves $1.6M",
+          lambda r: abs(r.topology_savings_dollars - 1.6e6) < 0.05e6),
+    Claim("ideal channels save $2.4M-$2.5M",
+          lambda r: all(2.0e6 < row.ideal_savings_dollars < 3.0e6
+                        for row in _traces(r))),
+    Claim("topology and rate scaling save up to $3M over four years",
+          lambda r: all(2.7e6 < row.measured_savings_dollars
+                        + r.topology_savings_dollars < 3.6e6
+                        for row in _traces(r))),
+)

@@ -4,7 +4,7 @@ The paper simulates a 15-ary 3-flat (3,375 hosts).  A pure-Python
 simulator reproduces the same per-link mechanisms at any scale, so the
 default experiment scale is a 4-ary 3-flat (64 hosts, 16 switches, the
 same two inter-switch dimensions and hence the same routing diversity
-structure), which keeps the full benchmark suite in minutes.  Set
+structure), which keeps ``python -m repro all`` in minutes.  Set
 ``REPRO_SCALE=medium`` or ``REPRO_SCALE=paper`` to grow it.
 """
 

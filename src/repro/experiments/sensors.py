@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import (
     SimulationSpec,
     SimulationSummary,
@@ -79,10 +79,13 @@ def run(scale: Optional[ExperimentScale] = None,
         runs={name: results[spec] for name, spec in specs.items()})
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("no sensor saves meaningfully more power than utilization",
+          lambda r: all(run.ideal_power_fraction
+                        > 0.8 * r.runs["utilization"].ideal_power_fraction
+                        for run in r.runs.values())),
+    Claim("utilization keeps throughput on par with the best sensor",
+          lambda r: r.runs["utilization"].delivered_fraction
+          > 0.95 * max(run.delivered_fraction for run in r.runs.values())),
+)

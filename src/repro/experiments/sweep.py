@@ -18,7 +18,7 @@ which route through a process-wide default runner.  The CLI's
 :func:`configure`; the ``REPRO_JOBS``, ``REPRO_CACHE``,
 ``REPRO_CACHE_DIR``, ``REPRO_RUN_LOG`` and ``REPRO_RETRIES``
 environment variables fill in whatever a caller leaves unset, there and
-everywhere else (benchmarks included), and :func:`using_runner` scopes
+everywhere else, and :func:`using_runner` scopes
 an explicit runner for tests.
 
 Per-sweep accounting follows the :mod:`repro.sim.stats` idiom: plain

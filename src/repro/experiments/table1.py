@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.experiments.report import dollars, format_table
+from repro.experiments.report import Claim, dollars, format_table
 from repro.power.cluster import ClusterPowerModel
 from repro.power.cost import EnergyCostModel
 from repro.topology.flattened_butterfly import FlattenedButterfly
@@ -84,10 +84,16 @@ def run(num_hosts: int = 32 * 1024, link_rate_gbps: float = 40.0,
     )
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the folded Clos needs 8,235 switch chips",
+          lambda r: r.clos["switch_chips"] == 8235),
+    Claim("the flattened butterfly needs 4,096 switch chips",
+          lambda r: r.fbfly["switch_chips"] == 4096),
+    Claim("the folded Clos draws 1,146,880 W",
+          lambda r: r.clos["total_power_watts"] == 1_146_880),
+    Claim("the flattened butterfly draws 737,280 W",
+          lambda r: r.fbfly["total_power_watts"] == 737_280),
+    Claim("the flattened butterfly saves $1.6M over four years",
+          lambda r: abs(r.fbfly_savings_dollars - 1.607e6) < 0.01e6),
+)

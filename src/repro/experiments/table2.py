@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.power.link_rates import INFINIBAND_RATES, InfiniBandRate
 
 
@@ -34,10 +34,12 @@ def run() -> Table2Result:
     return Table2Result(rates=INFINIBAND_RATES)
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("4x QDR signals at 40 Gb/s",
+          lambda r: {x.name: x.gbps for x in r.rates}["4x QDR"] == 40.0),
+    Claim("1x SDR signals at 2.5 Gb/s",
+          lambda r: {x.name: x.gbps for x in r.rates}["1x SDR"] == 2.5),
+    Claim("InfiniBand offers six data rates",
+          lambda r: len({x.name for x in r.rates}) == 6),
+)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table, pct, us
+from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import (
     SimulationSpec,
     SimulationSummary,
@@ -112,10 +112,16 @@ def run(scale: Optional[ExperimentScale] = None,
     return TopologyComparisonResult(fabrics=fabrics)
 
 
-def main() -> None:
-    """CLI entry point: run the experiment and print its table."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()
+#: The paper's claims this result bears out (checked by the CLI).
+CLAIMS = (
+    Claim("the same controller saves large power on both fabrics",
+          lambda r: all(f.controlled.ideal_power_fraction < 0.4
+                        for f in r.fabrics.values())),
+    Claim("each fabric keeps its throughput relative to its own baseline",
+          lambda r: all(f.controlled.delivered_fraction
+                        > 0.9 * f.baseline.delivered_fraction
+                        for f in r.fabrics.values())),
+    Claim("both fabrics land in the same savings class",
+          lambda r: 0.3 < r.fabrics["fbfly"].controlled.ideal_power_fraction
+          / r.fabrics["fat-tree"].controlled.ideal_power_fraction < 3.0),
+)

@@ -266,16 +266,15 @@ class GatingEpochController(EpochController):
                 for ch in group.channels:
                     ch.finish_drain()
 
-    def _light(self, group, ladder, reason: str,
-               audit_reactivation_ns: float = 0.0) -> None:
+    def _light(self, group, ladder, reason: str) -> None:
         """Wake ``group`` at the slowest rate, drop every claim on it
-        (:meth:`release_gate`) and audit it with
-        ``audit_reactivation_ns``."""
+        (:meth:`release_gate`) and audit the reactivation stall it
+        pays."""
         for ch in group.channels:
             ch.wake(self.config.reactivation_ns, rate_gbps=ladder.min_rate)
         self.release_gate(group.name)
         self._log_power(group, reason, None, ladder.min_rate,
-                        reactivation_ns=audit_reactivation_ns)
+                        reactivation_ns=self.config.reactivation_ns)
 
     def _wake_pinned(self, ladder) -> None:
         """Wake dark groups the freshly refreshed guard now pins:

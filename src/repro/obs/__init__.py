@@ -14,7 +14,7 @@ other subsystem reports through:
 - :mod:`repro.obs.decisions` — a
   :class:`~repro.obs.decisions.DecisionLog` auditing every epoch
   controller decision (sensor reading, old -> new rate, reason) into a
-  bounded ring buffer with optional JSONL spill.
+  bounded ring buffer with exact aggregate counters.
 - :mod:`repro.obs.runrecord` — provenance-stamped JSONL run records
   (canonical spec, cache key, cached flag, git SHA, ``REPRO_*`` env)
   appended by the sweep harness so any figure traces back to the exact

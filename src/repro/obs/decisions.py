@@ -8,8 +8,6 @@ what it did (old rate -> new rate) and *why* (a reason code), into a
 
 - a **bounded ring buffer** of full :class:`Decision` records
   (attachable, bounded, queryable),
-- an optional **JSONL spill** writing every record to disk as it is
-  made — full fidelity even when the ring has wrapped,
 - always-on **aggregate counters**: decisions by reason and rate
   transitions by ``(old, new)`` pair.  The aggregates are exact however
   small the ring is, which is what lets
@@ -24,10 +22,9 @@ what it did (old rate -> new rate) and *why* (a reason code), into a
 
 Controllers call :meth:`DecisionLog.record` with the decision's
 fields, not with a built record.  A :class:`Decision` is built only
-when the ring keeps it or the spill writes it, so the counters-only
-audit (``max_records=0``, no spill) builds none: it costs the counter
-updates and the taps, nothing more.  Retained records and spilled
-lines are the same whichever way the log is configured.
+when the ring keeps it, so the counters-only audit (``max_records=0``)
+builds none: it costs the counter updates and the taps, nothing more.
+Retained records are the same whichever way the log is configured.
 
 Reason codes:
 
@@ -147,9 +144,7 @@ free-form strings would otherwise mask the bug forever).
 from __future__ import annotations
 
 import collections
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: Reason codes (see module docstring).
@@ -348,12 +343,9 @@ class DecisionLog:
         max_records: Ring-buffer bound.  ``None`` retains everything
             (trace export), ``0`` keeps counters only (the run
             harness's always-on audit).
-        spill_path: Optional JSONL file; every record (and epoch mark)
-            is appended as it happens, unaffected by the ring bound.
     """
 
-    def __init__(self, max_records: Optional[int] = 100_000,
-                 spill_path: Optional[Path] = None):
+    def __init__(self, max_records: Optional[int] = 100_000):
         if max_records is not None and max_records < 0:
             raise ValueError(
                 f"max_records must be >= 0 or None, got {max_records}")
@@ -373,12 +365,6 @@ class DecisionLog:
         #: to journal power intent, and read nothing else.  Empty by
         #: default, so the hot path pays one truthiness check.
         self.taps: List[Callable[[str, str, float, bool], None]] = []
-        self._spill_path = Path(spill_path) if spill_path else None
-        self._spill_file = None
-        if self._spill_path is not None:
-            self._spill_path.parent.mkdir(parents=True, exist_ok=True)
-            self._spill_file = open(self._spill_path, "a",
-                                    encoding="utf-8")
 
     # -- recording (called by the controllers) --------------------------
 
@@ -392,13 +378,13 @@ class DecisionLog:
                new_mode: Optional[str] = None,
                forecast_gbps: Optional[float] = None,
                observed_gbps: Optional[float] = None) -> None:
-        """Count one decision; keep and spill it if the log does.
+        """Count one decision; keep it if the log does.
 
         The parameters are :class:`Decision`'s fields, in its order
         and with its defaults.  The counters always move; a
         :class:`Decision` is built only when the ring keeps it
-        (``max_records != 0``) or the spill file writes it, so the
-        counters-only audit every run carries builds none.  Taps get
+        (``max_records != 0``), so the counters-only audit every run
+        carries builds none.  Taps get
         ``(reason, group, time_ns, changed)``.
 
         Raises:
@@ -418,17 +404,12 @@ class DecisionLog:
             key = (old_rate, new_rate)
             self.transition_counts[key] = (
                 self.transition_counts.get(key, 0) + 1)
-        if self.max_records != 0 or self._spill_file is not None:
-            decision = Decision(
+        if self.max_records != 0:
+            self.records.append(Decision(
                 time_ns, controller, group, channels, old_rate, new_rate,
                 reason, changed, estimate, utilization, queue_fraction,
                 credit_stalls, reactivation_ns, old_mode, new_mode,
-                forecast_gbps, observed_gbps)
-            if self.max_records != 0:
-                self.records.append(decision)
-            if self._spill_file is not None:
-                self._spill_file.write(
-                    json.dumps(decision.to_dict(), sort_keys=True) + "\n")
+                forecast_gbps, observed_gbps))
         if self.taps:
             for tap in self.taps:
                 tap(reason, group, time_ns, changed)
@@ -436,23 +417,6 @@ class DecisionLog:
     def epoch_mark(self, time_ns: float) -> None:
         """Record one controller epoch boundary."""
         self.epochs.append(time_ns)
-        if self._spill_file is not None:
-            self._spill_file.write(
-                json.dumps({"epoch_ns": time_ns}, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        """Flush and close the spill file (idempotent)."""
-        if self._spill_file is not None:
-            self._spill_file.close()
-            self._spill_file = None
-
-    def __enter__(self) -> "DecisionLog":
-        """Context-manager entry; returns the log itself."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: close the spill file."""
-        self.close()
 
     # -- queries ---------------------------------------------------------
 

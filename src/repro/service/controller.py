@@ -241,7 +241,7 @@ class ServiceDecisionLoop:
         config = self.config
         now = self.clock.now_ns
         fleet_floor = False
-        if config.degraded_modes:
+        if config.resilient:
             ttl = config.staleness_ttl_epochs
             over_ttl = sum(
                 1 for g in state.groups.values()
@@ -267,7 +267,7 @@ class ServiceDecisionLoop:
         g = self.state.groups[name]
         self.state.decisions_made += 1
         age = epoch - g.fresh_epoch  # never fresh (-1): epoch + 1
-        if not config.degraded_modes:
+        if not config.resilient:
             # Naive mapping: absence is a zero reading (the dropout
             # hazard the chaos DSL documents).
             demand = g.fresh_demand if age == 0 else 0.0
@@ -375,7 +375,7 @@ class ServiceDecisionLoop:
                      and rate > 0,
                      old_rate=old_rate,
                      new_rate=rate if rate > 0 else None)
-        if config.retries:
+        if config.resilient:
             self._journal_intent(name, rate, epoch, seq, now)
         else:
             # Optimistic belief: the unprotected controller assumes
@@ -411,7 +411,7 @@ class ServiceDecisionLoop:
 
     def _run_retries(self, now: float) -> None:
         config = self.config
-        if not config.retries:
+        if not config.resilient:
             return
         state = self.state
         for name in list(state.journal):
@@ -459,7 +459,7 @@ class ServiceDecisionLoop:
                         SERVICE_RECOVERED, False)
         self.state.command_seq += 1
         seq = self.state.command_seq
-        if self.config.retries:
+        if self.config.resilient:
             self._journal_intent(name, rate, self.state.decided_epoch,
                                  seq, now)
         self.transport.send(RateCommand(

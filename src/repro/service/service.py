@@ -14,9 +14,9 @@ and runs it to a fixed virtual horizon on a single
 workload executes in well under a second of wall time and two runs of
 the same config produce byte-identical decision streams.
 
-Resilience toggles live on :class:`ServiceConfig` (``shedding``,
-``degraded_modes``, ``supervised``, ``retries``);
-:meth:`ServiceConfig.unprotected` flips them all off, which is the
+One toggle, :attr:`ServiceConfig.resilient`, switches every resilience
+feature (load shedding, degraded modes, supervision, journaled
+retries); :meth:`ServiceConfig.unprotected` turns it off, which is the
 ablation arm every resilience claim in the campaign is measured
 against.  :class:`ServiceSummary` is the run's digest — decision
 latency percentiles measured telemetry-emission → decision-emission
@@ -94,10 +94,7 @@ class ServiceConfig:
     epochs_per_day: int = 240
     peak_gbps: float = 32.0
     seed: int = 0
-    shedding: bool = True
-    degraded_modes: bool = True
-    supervised: bool = True
-    retries: bool = True
+    resilient: bool = True
 
     # Derived once per config (the loop reads both every epoch); a
     # cached_property writes the instance dict, so frozen is no bar.
@@ -123,9 +120,7 @@ class ServiceConfig:
 
     def unprotected(self) -> "ServiceConfig":
         """The ablation arm: every resilience feature off."""
-        return dataclasses.replace(self, shedding=False,
-                                   degraded_modes=False,
-                                   supervised=False, retries=False)
+        return dataclasses.replace(self, resilient=False)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe config (run records, checkpoints provenance)."""
@@ -273,7 +268,7 @@ class ControlPlaneService:
         # Only the supervisor reads it, so an unsupervised service keeps
         # none and its records skip the tap.
         self.power_journal: Optional[PowerJournal] = None
-        if config.supervised:
+        if config.resilient:
             self.power_journal = PowerJournal(
                 (GATED_OFF,),
                 (GATED_WAKE, SERVICE_SAFE_FLOOR, SERVICE_RECOVERED),
@@ -281,7 +276,7 @@ class ControlPlaneService:
             self.log.taps.append(self.power_journal.observe)
         self.stream = TelemetryStream(
             self.clock,
-            capacity=config.stream_capacity if config.shedding else None,
+            capacity=config.stream_capacity if config.resilient else None,
             high_watermark=config.high_watermark,
             low_watermark=config.low_watermark,
             on_shed=self._on_shed)
@@ -291,7 +286,7 @@ class ControlPlaneService:
             ack_delay_ns=config.ack_delay_ns, on_ack=self._on_ack)
         self.supervisor = (Supervisor(self.clock, self, self.log,
                                       self.power_journal)
-                           if config.supervised else None)
+                           if config.resilient else None)
 
         self.loop: Optional[ServiceDecisionLoop] = None
         self.loop_task: Optional[asyncio.Task] = None

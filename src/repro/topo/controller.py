@@ -319,7 +319,7 @@ class DemandAwareTopologyController(GatingEpochController):
         self.topology_offs += 1
 
     def _wake(self, group, ladder) -> None:
-        self._light(group, ladder, TOPOLOGY_ON, self.config.reactivation_ns)
+        self._light(group, ladder, TOPOLOGY_ON)
         self.topology_ons += 1
         self.reactivation_waits += 1
         self.reactivation_wait_ns += self.config.reactivation_ns

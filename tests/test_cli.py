@@ -376,3 +376,24 @@ class TestObsCli:
         payload = json.loads(out_path.read_text())
         assert validate_trace(payload) == []
         assert payload["otherData"]["transitions"] > 0
+
+    def test_obs_export_trace_takes_every_registered_mode(self, tmp_path,
+                                                          capsys):
+        import json
+        from repro.obs.trace_export import validate_trace
+
+        out_path = tmp_path / "trace.json"
+        assert main(["obs", "export-trace", "--out", str(out_path),
+                     "--control", "dynamic_topology",
+                     "--duration-ns", "300000"]) == 0
+        capsys.readouterr()
+        assert validate_trace(json.loads(out_path.read_text())) == []
+
+    def test_obs_export_trace_unknown_mode_is_an_error(self, tmp_path,
+                                                       capsys):
+        assert main(["obs", "export-trace", "--out",
+                     str(tmp_path / "trace.json"),
+                     "--control", "nonsense"]) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown control mode 'nonsense'" in err
+        assert "dynamic_topology" in err

@@ -13,7 +13,10 @@ direct group reads and the shared keyed-draw stream), which had to
 reproduce them unchanged.  The gating, lane and dynamic-topology pins
 were computed before the gating controllers shared one core and every
 drain and wake went through ``Channel``; they also pin the run's event
-count, which catches a drain or wake that moves in time.
+count, which catches a drain or wake that moves in time.  The two
+gating pins moved once since, and only in ``reactivation_ns`` on
+``gated_wake`` records: a gated wake now audits the reactivation stall
+its channels pay instead of 0.
 """
 
 import hashlib
@@ -84,7 +87,7 @@ def test_pinned_chaos_arm_stream_is_pinned():
             "failsafe_deadman", "failsafe_retry"} <= reasons
     assert (len(log.records), len(log.epochs), events) == (3306, 31, 37823)
     assert stream_digest(log) == (
-        "0c3f9b0f7d2dffee68dd4ded8fc2c14414b095f950d45a01d00b5d55f689f6d1")
+        "1d003f997d72f89339047bf7c9f31b58278f20bc158f2fd14b8cc7e94739e264")
 
 
 def test_gated_mtbf_stream_is_pinned():
@@ -98,7 +101,7 @@ def test_gated_mtbf_stream_is_pinned():
             "powered_off"} <= reasons
     assert (len(log.records), len(log.epochs), events) == (2891, 30, 34888)
     assert stream_digest(log) == (
-        "5b3f694026e766f5513c2af0d2b082c356e8664c9b5fc0835244d5d26ef87d98")
+        "eee2e280d4a47fb855b9d029d0fa40f7f0a4ed04c20a785e972cdf0463a423ea")
 
 
 def test_lane_aware_stream_is_pinned():

@@ -173,6 +173,41 @@ class TestCancellation:
         assert repr(cancelled) == "Event(t=2.0ns, list, daemon cancelled)"
         assert repr(pending) == "Event(t=9.0ns, list, pending)"
 
+    def test_interleaved_chains_fire_every_link(self):
+        sim = Simulator()
+
+        def chain(remaining):
+            if remaining:
+                sim.schedule(1.0, chain, remaining - 1)
+
+        for _ in range(8):
+            sim.schedule(0.0, chain, 2_500)
+        sim.run()
+        assert sim.events_fired == 8 * 2_501
+
+    def test_escape_timer_pattern_fires_only_the_kept_deadlines(self):
+        # Eight interleaved chains of items, each arming a long deadline
+        # when it starts and cancelling it one step later, except every
+        # tenth item, whose deadline fires.
+        sim = Simulator()
+
+        def expire():
+            pass
+
+        def advance(remaining, deadline):
+            if remaining % 10:
+                deadline.cancel()
+            if remaining:
+                sim.schedule_at(sim.now + 1.0, advance, remaining - 1,
+                                sim.schedule(1_000.0, expire))
+
+        for _ in range(8):
+            sim.schedule(0.0, advance, 2_500, sim.schedule(1_000.0, expire))
+        sim.run()
+        # Per chain: 2,501 steps and the 251 deadlines left armed.
+        assert sim.events_fired == 8 * (2_501 + 251)
+        assert sim.pending_events == 0
+
 
 class TestPurge:
     """Cancelled entries are dropped from the heap once they outnumber

@@ -5,8 +5,6 @@ import dataclasses
 import inspect
 import json
 import pickle
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,21 +135,6 @@ class TestDecisionLog:
         log.record(**_decision(1, reason=BELOW_THRESHOLD, old=20.0,
                              new=10.0, changed=True))
         assert [d.group for d in log.transitions()] == ["g1"]
-
-    def test_spill_writes_jsonl(self, tmp_path):
-        path = tmp_path / "decisions.jsonl"
-        with DecisionLog(max_records=1, spill_path=path) as log:
-            log.epoch_mark(0.0)
-            log.record(**_decision(0))
-            log.record(**_decision(1))
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        # Spill keeps everything even though the ring holds one record:
-        # the epoch mark plus both decisions.
-        assert len(lines) == 3
-        assert lines[0] == {"epoch_ns": 0.0}
-        assert lines[1]["group"] == "g0"
-        assert lines[2]["reason"] == HOLD
 
     def test_unknown_reason_raises(self):
         log = DecisionLog()
@@ -303,8 +286,8 @@ def _state(log):
 
 class TestCountersOnlyAudit:
     """``DecisionLog.record`` takes a decision's fields and builds a
-    :class:`Decision` only when the ring keeps it or the spill writes
-    it; every mode must count and tap the same."""
+    :class:`Decision` only when the ring keeps it; both modes must
+    count and tap the same."""
 
     def test_record_signature_is_the_field_list(self):
         params = list(inspect.signature(
@@ -323,50 +306,40 @@ class TestCountersOnlyAudit:
            st.lists(st.tuples(st.integers(min_value=0), _UNKNOWN_REASON),
                     max_size=3))
     def test_every_mode_counts_and_taps_the_same(self, records, bad):
-        with tempfile.TemporaryDirectory() as tmp:
-            spill = Path(tmp) / "decisions.jsonl"
-            logs = (DecisionLog(max_records=0), DecisionLog(max_records=None),
-                    DecisionLog(max_records=0, spill_path=spill))
-            taps = ([], [], [])
-            for log, seen in zip(logs, taps):
-                log.taps.append(lambda *payload, seen=seen:
-                                seen.append(payload))
-            rejected = {i % (len(records) + 1): reason for i, reason in bad}
-            for i in range(len(records) + 1):
-                if i in rejected:
-                    for log in logs:
-                        before = _state(log)
-                        # changed=True: a late check would move the
-                        # transition counts too.
-                        with pytest.raises(ValueError,
-                                           match="unknown decision reason"):
-                            log.record(0.0, "c", "g", (), 10.0, 20.0,
-                                       rejected[i], True)
-                        assert _state(log) == before
-                if i == len(records):
-                    break
-                fields = records[i]
-                # Positional with every field, and keyword with the
-                # optional ones left to their defaults.
-                logs[0].record(*_full(fields))
-                logs[1].record(**fields)
-                logs[2].record(**fields)
-            for log in logs:
-                log.close()
-            lines = spill.read_text(encoding="utf-8").splitlines()
+        logs = (DecisionLog(max_records=0), DecisionLog(max_records=None))
+        taps = ([], [])
+        for log, seen in zip(logs, taps):
+            log.taps.append(lambda *payload, seen=seen:
+                            seen.append(payload))
+        rejected = {i % (len(records) + 1): reason for i, reason in bad}
+        for i in range(len(records) + 1):
+            if i in rejected:
+                for log in logs:
+                    before = _state(log)
+                    # changed=True: a late check would move the
+                    # transition counts too.
+                    with pytest.raises(ValueError,
+                                       match="unknown decision reason"):
+                        log.record(0.0, "c", "g", (), 10.0, 20.0,
+                                   rejected[i], True)
+                    assert _state(log) == before
+            if i == len(records):
+                break
+            fields = records[i]
+            # Positional with every field, and keyword with the
+            # optional ones left to their defaults.
+            logs[0].record(*_full(fields))
+            logs[1].record(**fields)
         expected = [Decision(*_full(fields)) for fields in records]
-        assert _state(logs[0])[:3] == _state(logs[1])[:3] \
-            == _state(logs[2])[:3]
+        assert _state(logs[0])[:3] == _state(logs[1])[:3]
         assert logs[0].decisions_recorded == len(records)
-        assert taps[0] == taps[1] == taps[2] == [
+        assert taps[0] == taps[1] == [
             (d.reason, d.group, d.time_ns, d.changed) for d in expected]
-        assert len(logs[0]) == len(logs[2]) == 0
+        assert len(logs[0]) == 0
         assert list(logs[1].records) == expected
         assert [vars(d) for d in logs[1].records] == [
             dict(zip([f.name for f in _FIELDS], _full(fields)))
             for fields in records]
-        assert lines == [json.dumps(d.to_dict(), sort_keys=True)
-                         for d in expected]
 
     def test_counters_only_log_builds_no_decision(self, monkeypatch):
         import repro.obs.decisions as decisions

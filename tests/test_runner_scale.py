@@ -107,3 +107,11 @@ class TestRuns:
         summary = run_simulation(SimulationSpec(**QUICK))
         assert summary.wall_seconds > 0.0
         assert summary.events_fired > 0
+
+    def test_uniform_fabric_run_delivers_messages(self):
+        summary = run_simulation(SimulationSpec(
+            k=3, n=3, workload="uniform", duration_ns=300_000.0,
+            control="none", uniform_offered_load=0.2,
+            message_bytes=65536))
+        assert summary.messages_delivered > 0
+        assert summary.events_fired > 0

@@ -86,10 +86,7 @@ class TestArmMatrix:
             for resilient in (True, False):
                 mode = "resilient" if resilient else "unprotected"
                 config, _, slow = arms[f"{scenario}/{mode}"]
-                assert config.shedding is resilient
-                assert config.degraded_modes is resilient
-                assert config.supervised is resilient
-                assert config.retries is resilient
+                assert config.resilient is resilient
                 if scenario == "slow":
                     assert slow is not None
                 else:
@@ -100,8 +97,7 @@ class TestArmMatrix:
         ablated = base.unprotected()
         changed = {name for name in base.to_dict()
                    if getattr(base, name) != getattr(ablated, name)}
-        assert changed == {"shedding", "degraded_modes", "supervised",
-                           "retries"}
+        assert changed == {"resilient"}
 
     def test_unknown_scenario_is_rejected(self):
         # The service campaign declares no parameters: a --scenario is
@@ -176,3 +172,23 @@ class TestSmallScaleSeparation:
         assert summary.sheds == 0
         assert summary.retry_exhausted == 0
         assert summary.decisions == SMALL.groups * SMALL.epochs
+
+    def test_campaign_reference_day_decides_at_the_fleet_rate(self):
+        config = dataclasses.replace(
+            service_resilience.CAMPAIGN_CONFIG,
+            epochs=service_resilience.CAMPAIGN_CONFIG.epochs_per_day)
+        summary = ControlPlaneService(config).run()
+        # Every group decided every epoch: the ideal fleet rate.
+        assert summary.decisions == config.groups * config.epochs
+        assert summary.decisions_per_sec == pytest.approx(
+            config.groups / (config.epoch_ns / 1e9))
+        # Fault-free latency is deterministic: the fleet's telemetry
+        # records plus the tick, well under an epoch.
+        assert summary.latency_p50_ns >= (
+            config.groups * config.record_cost_ns + config.tick_cost_ns)
+        assert summary.latency_p99_ns < config.epoch_ns
+        assert summary.latency_p50_ns == summary.latency_p99_ns
+        assert summary.partitions == 0
+        assert summary.sheds == 0
+        assert summary.restarts == 0
+        assert summary.retry_exhausted == 0

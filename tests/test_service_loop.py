@@ -299,7 +299,7 @@ class TestPowerJournal:
         # decision record pays for its tap.
         log = DecisionLog()
         service = ControlPlaneService(
-            dataclasses.replace(CONFIG, supervised=False), decision_log=log)
+            CONFIG.unprotected(), decision_log=log)
         assert service.power_journal is None and service.supervisor is None
         assert log.taps == []
 

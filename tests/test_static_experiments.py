@@ -29,6 +29,14 @@ class TestTable1:
         assert result.fbfly["watts_per_bisection_gbps"] == \
             pytest.approx(1.125)
 
+    @pytest.mark.parametrize("num_hosts", [8192, 16384, 32768])
+    def test_advantage_holds_across_cluster_sizes(self, num_hosts):
+        # Exact host-count parity needs a perfect k**5, so the size-fair
+        # metric is the bottom row: watts per Gb/s of bisection.
+        result = table1.run(num_hosts=num_hosts)
+        assert result.fbfly["watts_per_bisection_gbps"] < \
+            result.clos["watts_per_bisection_gbps"]
+
     def test_savings_1_6m(self, result):
         assert result.fbfly_savings_dollars == pytest.approx(1.6e6, rel=0.01)
 

@@ -345,6 +345,25 @@ class TestRunnerCacheInterplay:
         runner.run([TINY])
         assert not (tmp_path / "unused").exists()
 
+    def test_warm_sweep_fires_nothing_and_matches_cold(self, tmp_path):
+        specs = [SimulationSpec(k=2, n=2, duration_ns=200_000.0, seed=seed)
+                 for seed in range(1, 5)]
+        cold_runner = SweepRunner(jobs=1, cache=SweepCache(tmp_path))
+        cold = cold_runner.run(specs)
+        stats = cold_runner.last_stats
+        assert (stats.executed, stats.cache_hits) == (len(specs), 0)
+        assert set(cold) == set(specs)
+        assert stats.events_fired > 0
+        warm_runner = SweepRunner(jobs=1, cache=SweepCache(tmp_path))
+        warm = warm_runner.run(specs)
+        stats = warm_runner.last_stats
+        assert (stats.executed, stats.cache_hits) == (0, len(specs))
+        assert set(warm) == set(specs)
+        # Everything comes from disk: no engine event fires.
+        assert stats.events_fired == 0
+        for spec in specs:
+            assert summary_digest(warm[spec]) == summary_digest(cold[spec])
+
 
 class TestCorruptionQuarantine:
     """A torn cache entry is moved aside, warned about, and re-runnable."""
