@@ -2,12 +2,10 @@
 # from a source checkout without installation.
 
 PY := PYTHONPATH=src python
-JOBS ?= 4
 SEED ?= 1
 PAIRS ?= 10
 
-.PHONY: test e2e pair smoke-sweep campaigns \
-	golden-refresh clean-cache
+.PHONY: test e2e pair smoke-sweep golden-refresh clean-cache
 
 test:            ## tier-1 test suite
 	$(PY) -m pytest -x -q
@@ -29,13 +27,6 @@ pair:            ## speed-up check: make pair BASE=<rev> WORKLOAD=<w>
 
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers
 	$(PY) -m repro figure7 --jobs 2
-
-campaigns:       ## every SLO campaign in the table, each gated on its verdict
-	for name in $$($(PY) -c "from repro.experiments.campaign import \
-	CAMPAIGNS; print(*CAMPAIGNS)"); do \
-		$(PY) -m repro campaign $$name --compare --jobs $(JOBS) \
-			|| exit 1; \
-	done
 
 golden-refresh:  ## deliberately regenerate tests/golden/*.json
 	$(PY) -m repro golden-refresh --no-cache

@@ -16,8 +16,8 @@ Usage::
     python -m repro obs export-trace --out trace.json
     python -m repro predictive                     # forecaster sweep
     python -m repro predict --forecaster ewma --oracle
-    python -m repro campaign chaos-campaign --compare   # SLO verdict gate
-    python -m repro campaign fault-tolerance --scenario chipkill
+    python -m repro chaos-campaign                 # an SLO campaign
+    python -m repro campaign fault-tolerance --fault-seed 2
     python -m repro campaign demand-topology --json-out verdict.json
     python -m repro serve --single slow/resilient --trace-out svc.json
 
@@ -31,11 +31,11 @@ bypasses it.  A per-experiment ``[sweep: ...]`` line reports runs
 executed vs. cache hits and wall-clock; ``--stats-json`` writes the
 same counters machine-readably.
 
-The seeded SLO campaigns (:mod:`repro.experiments.campaign`) run
-through one verb, ``campaign <name>``: ``--compare`` gates the exit
-status on the verdict, ``--json-out`` writes the verdict artifact, and
-``--seed`` / ``--fault-seed`` / ``--scenario`` override the parameters
-the campaign declares.  ``serve --single ARM`` runs one arm of the
+The seeded SLO campaigns (:mod:`repro.experiments.campaign`) are
+experiments like the rest, gated on their claims; ``campaign <name>``
+runs one with ``--seed`` / ``--fault-seed`` / ``--scenario``
+overriding the parameters it declares and ``--json-out`` writing its
+verdict artifact.  ``serve --single ARM`` runs one arm of the
 live-service campaign and exports its run record, metrics and trace.
 
 Observability (:mod:`repro.obs`) surfaces through two hooks:
@@ -54,7 +54,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.experiments.scale import SCALES, ExperimentScale, current_scale
 
@@ -62,16 +62,24 @@ from repro.experiments.scale import SCALES, ExperimentScale, current_scale
 def _deferred(module: str, campaign: Optional[str] = None) -> Callable:
     """``repro.experiments.<module>.run`` — or campaign ``campaign`` of
     :mod:`repro.experiments.campaign` — imported on the first call, so
-    the CLI loads only the command it dispatches."""
+    the CLI loads only the command it dispatches; ``run.claims()``
+    resolves the claims its result is checked against the same way."""
     qualified = f"repro.experiments.{module}"
 
     def run(*args, **kwargs):
         experiment = importlib.import_module(qualified)
-        target = (experiment.run if campaign is None
-                  else experiment.experiment(campaign))
-        return target(*args, **kwargs)
+        if campaign is None:
+            return experiment.run(*args, **kwargs)
+        return experiment.run(campaign, *args, **kwargs)
+
+    def claims() -> tuple:
+        experiment = importlib.import_module(qualified)
+        if campaign is None:
+            return experiment.CLAIMS
+        return experiment.CAMPAIGNS[campaign].claims
 
     run.__module__ = qualified
+    run.claims = claims
     return run
 
 
@@ -227,12 +235,14 @@ def run_experiment(name: str, scale: ExperimentScale,
                    output_dir: Optional[Path],
                    write_json: bool = False,
                    stats_sink: Optional[list] = None,
-                   failed_claims: Optional[list] = None) -> str:
-    """Run one experiment and return its formatted table.
+                   failed_claims: Optional[list] = None,
+                   **params) -> Tuple[str, Any]:
+    """Run one experiment (``params``: a campaign's overrides) and
+    return its formatted block and its result.
 
-    The experiment module's ``CLAIMS`` (:class:`report.Claim` rows) are
-    checked against the result: the header counts those that hold and
-    names each that fails.  When ``stats_sink`` is given (a list), one
+    The experiment's claims (:class:`report.Claim` rows) are checked
+    against the result: the header counts those that hold and names
+    each that fails.  When ``stats_sink`` is given (a list), one
     machine-readable entry per experiment — name, scale, wall seconds
     and the sweep counters — is appended to it (the ``--stats-json``
     payload); when ``failed_claims`` is given, the text of every
@@ -247,13 +257,13 @@ def run_experiment(name: str, scale: ExperimentScale,
         window = sweep.active_runner().counting()
     started = time.perf_counter()
     with window as sweep_stats:
-        result = run(scale=scale) if needs_scale else run()
+        result = run(scale=scale, **params) if needs_scale else run()
     text = result.format_table()
     elapsed = time.perf_counter() - started
     header = f"[{name}] {description} ({elapsed:.1f}s)"
     if sweep_stats is not None and sweep_stats.submitted:
         header += f"\n[sweep: {sweep_stats.format_line()}]"
-    claims = getattr(sys.modules.get(run.__module__), "CLAIMS", ())
+    claims = run.claims()
     if claims:
         failed = [claim.text for claim in claims if not claim.holds(result)]
         header += (f"\n[claims: {len(claims) - len(failed)} of "
@@ -283,7 +293,7 @@ def run_experiment(name: str, scale: ExperimentScale,
             }
             (output_dir / f"{name}.json").write_text(
                 json.dumps(payload, indent=2) + "\n")
-    return block
+    return block, result
 
 
 def build_obs_parser() -> argparse.ArgumentParser:
@@ -572,16 +582,13 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
         description="Run one seeded SLO campaign: every arm, a per-arm "
-                    "verdict on the campaign's legs, and the "
-                    "expectations its verdict asserts (protected arms "
-                    "pass every leg, ablation arms fail one).",
+                    "verdict on the campaign's legs, and its claims "
+                    "(protected arms pass every leg, ablation arms fail "
+                    "one); exits 1 if a claim fails.",
         parents=[sweep_flags()],
     )
     parser.add_argument("name", choices=sorted(campaign.CAMPAIGNS),
                         help="the campaign to run")
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the campaign verdict")
     parser.add_argument(
         "--json-out", type=Path, default=None, metavar="PATH",
         help="also write the machine-readable verdict as JSON "
@@ -599,33 +606,29 @@ def build_campaign_parser() -> argparse.ArgumentParser:
 
 
 def campaign_main(argv) -> int:
-    """Entry point for ``python -m repro campaign ...``."""
-    from repro.experiments import campaign, sweep
-
+    """Entry point for ``python -m repro campaign ...``: ``repro <name>``
+    with the given overrides, plus the ``--json-out`` verdict."""
     args = build_campaign_parser().parse_args(argv)
     configure_sweep(args)
     given = {key: getattr(args, key)
              for key in ("seed", "fault_seed", "scenario")
              if getattr(args, key) is not None}
-    with sweep.active_runner().counting() as sweep_stats:
-        try:
-            result = campaign.run(args.name, run_log=args.run_log, **given)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_stats.submitted:
-        print(f"[sweep: {sweep_stats.format_line()}]")
+    failed_claims: list = []
+    try:
+        block, result = run_experiment(args.name, current_scale(), None,
+                                       failed_claims=failed_claims,
+                                       **given)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(block)
     if args.json_out is not None:
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
         args.json_out.write_text(
             json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
             + "\n")
         print(f"wrote {args.json_out}")
-    return 1 if args.compare and not result.ok else 0
+    return 1 if failed_claims else 0
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -754,10 +757,11 @@ def main(argv=None) -> int:
     if stats_sink is not None or any(EXPERIMENTS[name][1] for name in names):
         configure_sweep(args)
     for name in names:
-        print(run_experiment(name, scale, args.output,
-                             write_json=args.json,
-                             stats_sink=stats_sink,
-                             failed_claims=failed_claims))
+        block, _ = run_experiment(name, scale, args.output,
+                                  write_json=args.json,
+                                  stats_sink=stats_sink,
+                                  failed_claims=failed_claims)
+        print(block)
     if args.stats_json is not None:
         from repro.experiments import sweep
 

@@ -4,10 +4,10 @@ Every module exposes ``run(...)`` returning a result object with
 ``rows()`` (the data the paper's table/figure reports) and
 ``format_table()`` (a printable rendering), plus ``CLAIMS``: the
 paper's claims as :class:`~repro.experiments.report.Claim` predicates
-over that result.  The CLI runs each and checks its claims (the
-campaigns run through ``python -m repro campaign <name>`` instead, and
-their arm-builder modules expose only ``arms(...)`` and label
-tuples)::
+over that result.  The four SLO campaigns are entries of one table in
+``campaign``, each with its ``claims``; their arm-builder modules
+expose only ``arms(...)`` and label tuples.  The CLI runs every
+experiment and campaign the same way and checks its claims::
 
     python -m repro table1
     python -m repro figure8

@@ -33,7 +33,7 @@ import os
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.experiments.runner import SimulationSpec, SimulationSummary
 

@@ -32,20 +32,21 @@ harness below:
   rate; every unprotected arm must break one.
 
 Every campaign is seed-pinned (``--scale`` is accepted and ignored):
-its verdict is a property of one seeded fault process.
+its verdict is a property of one seeded fault process, and each
+expectation is one of the claims (:attr:`Campaign.claims`) it is gated on.
 
 **Adding a campaign** is one table entry: an arm builder (label ->
 :class:`~repro.experiments.runner.SimulationSpec` or
 :class:`~repro.experiments.service_resilience.ServiceArm`) with its
 parameter defaults, the measures read off each run, the legs that gate
-which arms, and the expectations the verdict asserts.  The four
+which arms, and the expectations its claims assert.  The four
 campaigns above keep their arm builders in modules of the same name
 (:mod:`~repro.experiments.fault_tolerance`,
 :mod:`~repro.experiments.chaos`,
 :mod:`~repro.experiments.demand_topology`,
 :mod:`~repro.experiments.service_resilience`); only the table below
-names them.  It then runs as ``repro campaign <name>``, lists as a
-``repro`` experiment and perf scenario, and freezes into
+names them.  It then runs as ``repro <name>`` (or ``repro campaign
+<name>`` with overrides) and freezes into
 ``tests/golden/<golden>.json``.  The name and description are also
 listed in :data:`repro.cli.EXPERIMENTS`, so the CLI can offer the
 campaign without importing this module (``tests/test_campaigns.py``
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
@@ -65,9 +65,9 @@ from repro.experiments import (
     fault_tolerance,
     service_resilience,
 )
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.experiments.runner import SimulationSpec
-from repro.experiments.sweep import sweep
+from repro.experiments.sweep import active_runner, sweep
 from repro.obs.runrecord import RunRecordWriter
 from repro.service.service import ControlPlaneService
 
@@ -103,7 +103,8 @@ class Leg:
 
 @dataclass(frozen=True)
 class Expectation:
-    """A campaign-level verdict boolean, stored under ``key``.
+    """A campaign-level verdict boolean, stored under ``key`` and
+    checked as one of the campaign's claims.
 
     It holds when every arm in ``arms`` passes all its legs (only
     ``legs``, when given) or, with ``degrade``, fails at least one —
@@ -148,6 +149,25 @@ class Campaign:
     gated_key: Optional[str] = None
     golden_verdict: bool = True
     golden_params: Tuple[str, ...] = ()
+
+    @property
+    def claims(self) -> Tuple[Claim, ...]:
+        """Each expectation as a :class:`~repro.experiments.report.Claim`
+        over a :class:`CampaignResult`.  Its text names the key, the
+        arms and the leg checks they must pass (with ``degrade``, fail
+        at least one of)."""
+        def text(e: Expectation) -> str:
+            legs = ", ".join(
+                f"{leg.name} ("
+                + " and ".join(f"{m} {op} {b}" for m, op, b in leg.checks)
+                + ")"
+                for leg in self.legs if set(e.arms) & set(leg.arms)
+                and (e.legs is None or leg.name in e.legs))
+            arms = ("each of " if len(e.arms) > 1 else "") + ", ".join(e.arms)
+            verb = "must fail one of" if e.degrade else "must pass"
+            return f"{e.key}: {arms} {verb} {legs}"
+        return tuple(Claim(text(e), lambda result, e=e: not result.misses(e))
+                     for e in self.expectations)
 
 
 _OPS = {"<=": operator.le, "<": operator.lt,
@@ -200,11 +220,6 @@ class CampaignResult:
         return {e.key: not self.misses(e)
                 for e in self.campaign.expectations}
 
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict: every expectation holds."""
-        return all(self.expectations().values())
-
     # -- reporting -------------------------------------------------------
 
     def arm_record(self, label: str) -> Dict[str, Any]:
@@ -243,8 +258,9 @@ class CampaignResult:
                 out[c.reference_key] = fields(self.by_label[c.reference])
         out["arms"] = [self.arm_record(label) for label in self.by_label
                        if self.gated(label)]
-        out.update(self.expectations())
-        out["ok"] = self.ok
+        expectations = self.expectations()
+        out.update(expectations)
+        out["ok"] = all(expectations.values())
         return out
 
     def rows(self) -> List[List[object]]:
@@ -271,36 +287,15 @@ class CampaignResult:
             + ["verdict"],
             self.rows(), title=c.title.format(**self.params))
 
-    def verdict_lines(self) -> List[str]:
-        """Human-readable lines: each leg, each expectation, the verdict."""
-        lines = [f"{leg.name}: "
-                 + " and ".join(f"{m} {op} {b}" for m, op, b in leg.checks)
-                 + f" on {len(leg.arms)} arm(s)"
-                 for leg in self.campaign.legs]
-        for e in self.campaign.expectations:
-            misses = self.misses(e)
-            want = ("fail a leg" if e.degrade
-                    else "pass " + ("leg " + ",".join(e.legs) if e.legs
-                                    else "every leg"))
-            lines.append(
-                f"{e.key}: {len(e.arms)} arm(s) must {want} — "
-                + ("OK" if not misses else "FAILED: " + "; ".join(
-                    f"{label} -> "
-                    + (",".join(self.violations(label, e.legs))
-                       or "passes every leg")
-                    for label in misses)))
-        lines.append(f"verdict: {'OK' if self.ok else 'FAILED'}")
-        return lines
 
-
-def run(name: str, run_log: Optional[Path] = None,
-        **params) -> CampaignResult:
+def run(name: str, scale=None, **params) -> CampaignResult:
     """Run campaign ``name`` and judge it.
 
     ``params`` override the campaign's declared parameters; one it does
-    not declare is a ``ValueError``.  Simulated arms go through the
-    active sweep runner (and its run log); service arms run in turn,
-    each appending a service record to ``run_log`` when given.
+    not declare is a ``ValueError``.  ``scale`` is ignored: a campaign
+    is seed-pinned.  Simulated arms go through the active sweep runner
+    (and its run log); service arms run in turn, each appending a
+    service record to that run log when one is set.
     """
     campaign = CAMPAIGNS[name]
     unknown = sorted(set(params) - set(campaign.params))
@@ -312,6 +307,7 @@ def run(name: str, run_log: Optional[Path] = None,
     specs = {label: arm for label, arm in arms.items()
              if isinstance(arm, SimulationSpec)}
     results = sweep(list(specs.values()))
+    run_log = active_runner().run_log
     writer = None
     by_label = {}
     for label, arm in arms.items():
@@ -324,14 +320,6 @@ def run(name: str, run_log: Optional[Path] = None,
             writer = writer or RunRecordWriter(run_log)
             writer.record_service(label, arm.config, summary)
     return CampaignResult(campaign, params, by_label)
-
-
-def experiment(name: str) -> Callable[..., CampaignResult]:
-    """Campaign ``name`` as a ``repro <name>`` experiment callable."""
-    def run_campaign(scale=None) -> CampaignResult:
-        """Run the campaign at its defaults; ``scale`` is ignored."""
-        return run(name)
-    return run_campaign
 
 
 # -- the table ---------------------------------------------------------------

@@ -11,7 +11,7 @@ halving the time spent at the fast speeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import SimulationSpec, SimulationSummary

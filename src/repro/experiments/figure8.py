@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 from repro.core.ideal import always_slowest_power_fraction
 from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import (
-    CONTROL_NONE,
     SimulationSpec,
     SimulationSummary,
     baseline_spec,

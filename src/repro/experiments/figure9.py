@@ -26,7 +26,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
-from repro.units import US
 
 WORKLOADS = ("uniform", "advert", "search")
 TARGET_UTILIZATIONS = (0.25, 0.50, 0.75)

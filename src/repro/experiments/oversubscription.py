@@ -16,7 +16,7 @@ sweeps c at two offered loads and reports both sides of the trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.experiments.report import Claim, format_table, pct, us
 from repro.experiments.runner import CONTROL_NONE, SimulationSpec

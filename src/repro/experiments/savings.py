@@ -14,13 +14,12 @@ combined proposal (conclusion; the intro's $1.6M + $2.4M arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.experiments.report import Claim, dollars, format_table, pct
 from repro.experiments.runner import (
     SimulationSpec,
-    baseline_spec,
     cached_run,
 )
 from repro.experiments.scale import ExperimentScale, current_scale

@@ -21,7 +21,7 @@ Prometheus-flavoured text dump for the CLI and CI artifacts.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets in nanoseconds (1 us .. 10 ms, log-spaced).
 LATENCY_BUCKETS_NS = (1e3, 1e4, 1e5, 1e6, 1e7)

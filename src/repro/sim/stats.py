@@ -16,7 +16,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.power.channel_models import ChannelPowerModel
 from repro.sums import left_sum

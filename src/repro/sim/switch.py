@@ -21,7 +21,7 @@ hop based solely on the output queue depth".  Our switch:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.sim.channel import Channel, ChannelState
 from repro.sim.engine import Simulator

@@ -35,7 +35,7 @@ Determinism rules (the property tests pin both):
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 
 GroupPair = Tuple[int, int]

@@ -24,7 +24,7 @@ simulator can keep using a flat switch array.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from repro.topology.base import SwitchLink
 from repro.topology.parts import PartCount

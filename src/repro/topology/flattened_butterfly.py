@@ -14,7 +14,7 @@ is what gives the minimal adaptive routing its path diversity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.topology.base import Coordinate, SwitchLink, Topology
 from repro.topology.parts import PartCount

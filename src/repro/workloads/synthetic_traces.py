@@ -39,7 +39,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 from repro.sums import left_sum

@@ -1,12 +1,12 @@
 """The campaign harness, parametrized over every table entry.
 
 :mod:`repro.experiments.campaign` judges every campaign with one set of
-functions; these tests drive each entry's real legs and expectations
-with synthetic measure values (no simulation): the published SLO
-checks, inclusive versus strict bounds, each leg failing on its own,
-one bad protected arm failing the campaign, a gentle campaign failing
-its must-degrade expectation, reference rows read from the reference
-run, and the verdict artifact's shape against the frozen golden.  The
+functions; these tests drive each entry's real legs and claims with
+synthetic measure values (no simulation): the published SLO checks,
+inclusive versus strict bounds, each leg failing on its own, one bad
+protected arm failing its claim, a gentle campaign failing its
+must-degrade claim, reference rows read from the reference run, and
+the verdict artifact's shape against the frozen golden.  The
 per-campaign files (``test_chaos_campaign.py`` and friends) cover each
 entry's arm builders and real extractors.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_campaign_parser
+from repro.cli import EXPERIMENTS, build_campaign_parser, build_parser
 from repro.experiments import golden
 from repro.experiments.campaign import (
     CAMPAIGNS,
@@ -121,6 +121,12 @@ def synthetic(name, overrides=None):
     return CampaignResult(entry, dict(entry.params), by_label)
 
 
+def failing_claims(result):
+    """The text of every claim of ``result``'s campaign that fails."""
+    return [claim.text for claim in result.campaign.claims
+            if not claim.holds(result)]
+
+
 def protected_arms(name):
     return [label for e in CAMPAIGNS[name].expectations if not e.degrade
             for label in e.arms]
@@ -149,6 +155,38 @@ class TestRegistry:
         assert entry.golden in golden.GOLDEN_BUILDERS
         assert EXPERIMENTS[name][0] == entry.description
         assert build_campaign_parser().parse_args([name]).name == name
+        assert build_parser().parse_args([name]).experiment == name
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_the_verb_takes_overrides_and_sweep_flags(self, name,
+                                                      tmp_path):
+        parser = build_campaign_parser()
+        args = parser.parse_args([name])
+        # Only flags the user gives reach the campaign; the defaults
+        # are the ones its table entry declares.
+        assert (args.json_out, args.seed, args.fault_seed, args.scenario,
+                args.retries) == (None,) * 5
+        args = parser.parse_args(
+            [name, "--json-out", str(tmp_path / "v.json"),
+             "--retries", "3", "--jobs", "2", "--no-cache"])
+        assert args.json_out == tmp_path / "v.json"
+        assert (args.retries, args.jobs, args.no_cache) == (3, 2, True)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_each_expectation_is_a_claim_naming_its_legs(self, name):
+        entry = CAMPAIGNS[name]
+        assert len(entry.claims) == len(entry.expectations)
+        for expectation, claim in zip(entry.expectations, entry.claims):
+            assert claim.text.startswith(f"{expectation.key}: ")
+            for label in expectation.arms:
+                assert label in claim.text
+            for leg in entry.legs:
+                checks = " and ".join(f"{m} {op} {b}"
+                                      for m, op, b in leg.checks)
+                named = f"{leg.name} ({checks})" in claim.text
+                assert named == (
+                    bool(set(leg.arms) & set(expectation.arms))
+                    and leg.name in (expectation.legs or (leg.name,)))
 
     def test_the_four_campaigns(self):
         assert NAMES == ["chaos-campaign", "demand-topology",
@@ -198,19 +236,20 @@ class TestRun:
         monkeypatch.setitem(CAMPAIGNS, "mixed", dataclasses.replace(
             CAMPAIGNS["chaos-campaign"], arms=lambda: arms, params={}))
         log = tmp_path / "runs.jsonl"
-        with using_runner(SweepRunner(jobs=1, use_cache=False)) as runner:
-            result = run("mixed", run_log=log)
+        with using_runner(SweepRunner(jobs=1, use_cache=False,
+                                      run_log=log)) as runner:
+            result = run("mixed")
         assert list(result.by_label) == list(arms)
         assert runner.stats.executed == 1
         assert result.by_label["sim"].digest() == \
             run_simulation(spec).digest()
         assert result.by_label["svc"].digest() == \
             ControlPlaneService(config).run().digest()
-        # Service arms append one service record each, in arm order;
-        # simulated arms log through the sweep runner instead.
+        # The sweep runner logs the simulated arm; each service arm
+        # appends one service record to the same log, in arm order.
         records = read_run_log(log)
-        assert [(r["kind"], r["label"]) for r in records] == [
-            ("service", "svc"), ("service", "svc/unprotected")]
+        assert [(r.get("kind"), r.get("label")) for r in records] == [
+            (None, None), ("service", "svc"), ("service", "svc/unprotected")]
 
 
 class TestLegs:
@@ -256,8 +295,8 @@ class TestExpectations:
     def test_degraded_ablations_and_clean_protected_arms_pass(self, name):
         result = degraded(name)
         assert all(result.expectations().values())
-        assert result.ok
-        assert result.verdict_lines()[-1] == "verdict: OK"
+        assert failing_claims(result) == []
+        assert result.verdict_dict()["ok"] is True
 
     @pytest.mark.parametrize("name", NAMES)
     def test_one_bad_protected_arm_fails_the_campaign(self, name):
@@ -267,13 +306,14 @@ class TestExpectations:
             result = degraded(name)
             result.by_label[label][leg.checks[0][0]] = failing_value(
                 passing_values(entry), leg.checks[0])
-            assert not result.ok, label
             failed = [key for key, ok in result.expectations().items()
                       if not ok]
             assert failed, label
-            lines = "\n".join(result.verdict_lines())
-            assert f"{label} -> {leg.name}" in lines
-            assert lines.endswith("verdict: FAILED")
+            assert [text.split(":")[0] for text in failing_claims(result)] \
+                == failed
+            assert result.verdict_dict()["ok"] is False
+            assert f"viol:{leg.name}" in dict(
+                (row[0], row[-1]) for row in result.rows())[label]
 
     @pytest.mark.parametrize("name", sorted(MUST_DEGRADE))
     def test_gentle_campaign_fails_the_must_degrade_expectation(
@@ -286,9 +326,11 @@ class TestExpectations:
         gentle = expectation.arms[0]
         result.by_label[gentle] = passing_values(entry)
         assert result.expectations()[key] is False
-        assert not result.ok
-        assert f"{gentle} -> passes every leg" in "\n".join(
-            result.verdict_lines())
+        claim = next(c for c in entry.claims if c.text.startswith(key))
+        assert failing_claims(result) == [claim.text]
+        assert "must fail one of" in claim.text
+        assert dict((row[0], row[-1]) for row in result.rows())[gentle] \
+            == "PASS"
 
 
 class TestRendering:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.link_rates import DEFAULT_RATE_LADDER, RateLadder
+from repro.power.link_rates import DEFAULT_RATE_LADDER
 from repro.sim.channel import Channel, ChannelState
 from repro.sim.engine import Simulator
 from repro.sim.packet import Message

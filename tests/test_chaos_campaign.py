@@ -3,8 +3,8 @@
 The campaign itself is pinned by ``tests/golden/chaos.json``; here the
 entry in :data:`repro.experiments.campaign.CAMPAIGNS` is exercised with
 synthetic summaries: spec construction, the per-arm SLO legs and their
-boundary semantics, the two expectations (failsafe meets SLOs /
-unprotected violates them) and the JSON verdict artifact CI uploads.
+boundary semantics, the two claims (failsafe meets SLOs / unprotected
+violates them) and the JSON verdict artifact.
 The harness itself is covered generically by ``test_campaigns.py``.
 """
 
@@ -52,6 +52,11 @@ def fake_result(failsafe_latency=95.0, unprotected_latency=480.0,
             latency=unprotected_latency, power=0.4, delivered=0.6,
             scenario=f"ctl_chaos_{intensity}")
     return CampaignResult(CHAOS, dict(CHAOS.params), by_label)
+
+
+def failing_claims(result):
+    return [claim.text.split(":")[0] for claim in CHAOS.claims
+            if not claim.holds(result)]
 
 
 def build_specs(**params):
@@ -141,14 +146,14 @@ class TestCampaignVerdict:
         result = fake_result()
         assert result.expectations() == {"failsafe_ok": True,
                                          "unprotected_degraded": True}
-        assert result.ok
+        assert failing_claims(result) == []
 
     def test_one_bad_failsafe_arm_fails_the_campaign(self):
         result = fake_result()
         result.by_label[arm_label("high", True)] = fake_summary(
             latency=400.0, scenario="ctl_chaos_high")
         assert not result.expectations()["failsafe_ok"]
-        assert not result.ok
+        assert failing_claims(result) == ["failsafe_ok"]
 
     def test_one_partition_fails_the_failsafe_leg(self):
         result = fake_result(failsafe_partitions=1)
@@ -161,7 +166,7 @@ class TestCampaignVerdict:
         result.by_label[arm_label("low", False)].delivered_fraction = 1.0
         assert result.expectations() == {"failsafe_ok": True,
                                          "unprotected_degraded": False}
-        assert not result.ok
+        assert failing_claims(result) == ["unprotected_degraded"]
 
     def test_verdict_dict_carries_bands_arms_and_booleans(self):
         d = fake_result().verdict_dict()
@@ -199,12 +204,15 @@ class TestCampaignVerdict:
         assert row[1 + [m.name for m in CHAOS.measures].index(
             "partitions")] == "2"
 
-    def test_verdict_lines_name_both_legs(self):
-        lines = "\n".join(fake_result().verdict_lines())
-        assert "failsafe_ok: 3 arm(s) must pass every leg — OK" in lines
-        assert "unprotected_degraded: 3 arm(s) must fail a leg — OK" \
-            in lines
+    def test_claims_name_both_expectations(self):
+        slos = ("partitions (partitions <= 0), latency (latency_factor "
+                "<= 1.5), power (power_delta <= 0.15)")
+        assert [claim.text for claim in CHAOS.claims] == [
+            "failsafe_ok: each of low/failsafe, mid/failsafe, "
+            "high/failsafe must pass " + slos,
+            "unprotected_degraded: each of low/unprotected, "
+            "mid/unprotected, high/unprotected must fail one of " + slos]
         broken = fake_result(failsafe_latency=400.0)
-        lines = "\n".join(broken.verdict_lines())
-        assert "failsafe_ok" in lines and "-> latency" in lines
-        assert lines.endswith("verdict: FAILED")
+        assert failing_claims(broken) == ["failsafe_ok"]
+        assert all(row[-1] == "viol:latency" for row in broken.rows()
+                   if row[0].endswith("/failsafe"))

@@ -1,22 +1,23 @@
 """The paper's claims, stated by each experiment and checked by the CLI."""
 
 import importlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.experiments.campaign import CAMPAIGNS
+from repro.experiments import campaign
 from repro.experiments.report import Claim
 
 
-def _module(name):
-    return importlib.import_module(EXPERIMENTS[name][2].__module__)
+def _claims(name):
+    """The claims the CLI checks on experiment ``name``'s result."""
+    return EXPERIMENTS[name][2].claims()
 
 
-@pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - set(CAMPAIGNS)))
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_every_experiment_states_its_claims(name):
-    # The campaigns gate on their verdicts instead (campaign --compare).
-    claims = _module(name).CLAIMS
+    claims = _claims(name)
     assert claims
     assert all(isinstance(claim, Claim) and claim.text for claim in claims)
 
@@ -25,12 +26,12 @@ def test_every_experiment_states_its_claims(name):
                                   "figure6"])
 def test_analytic_claims_hold(name):
     result = EXPERIMENTS[name][2]()
-    assert [claim.text for claim in _module(name).CLAIMS
+    assert [claim.text for claim in _claims(name)
             if not claim.holds(result)] == []
 
 
 def test_a_failing_claim_fails_the_command(monkeypatch, capsys):
-    module = _module("table1")
+    module = importlib.import_module(EXPERIMENTS["table1"][2].__module__)
     broken = module.CLAIMS[0]._replace(holds=lambda result: False)
     monkeypatch.setattr(module, "CLAIMS", (broken,) + module.CLAIMS[1:])
     assert main(["table1"]) == 1
@@ -43,3 +44,31 @@ def test_a_failing_claim_fails_the_command(monkeypatch, capsys):
 def test_holding_claims_pass_the_command(capsys):
     assert main(["table2"]) == 0
     assert "[claims: 3 of 3 hold]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["fault-tolerance"],
+                                  ["campaign", "fault-tolerance"]])
+def test_a_failing_campaign_claim_fails_both_commands(argv, monkeypatch,
+                                                      capsys):
+    # A fault campaign whose pinned arm loses deliveries: its
+    # protected_ok claim fails, whichever verb runs it.
+    entry = campaign.CAMPAIGNS["fault-tolerance"]
+
+    def run(name, scale=None, **params):
+        def summary(delivered, partitions, drop_bursts):
+            return SimpleNamespace(
+                delivered_fraction=delivered, measured_power_fraction=0.5,
+                mean_message_latency_ns=1000.0,
+                faults={"partitions": partitions,
+                        "drop_bursts": drop_bursts})
+        return campaign.CampaignResult(entry, dict(entry.params), {
+            "baseline": summary(1.0, 0, 0), "gated": summary(0.7, 3, 9),
+            "pinned": summary(0.9, 0, 2)})
+
+    monkeypatch.setattr(campaign, "run", run)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    protected_ok = entry.claims[0]
+    assert protected_ok.text.startswith("protected_ok: pinned must pass ")
+    assert "[claims: 1 of 2 hold]" in out
+    assert f"FAILS: {protected_ok.text}" in out

@@ -3,9 +3,9 @@
 The campaign itself is pinned by ``tests/golden/demand_topology.json``;
 here the entry in :data:`repro.experiments.campaign.CAMPAIGNS` is
 exercised with synthetic summaries: spec construction, the per-arm
-energy/latency/safety legs and their gating semantics, the two
-expectations (demand wins the gated matrices / every arm is safe) and
-the JSON verdict artifact CI uploads.  The harness itself is covered
+energy/latency/safety legs and their gating semantics, the two claims
+(demand wins the gated matrices / every arm is safe) and the JSON
+verdict artifact.  The harness itself is covered
 generically by ``test_campaigns.py``.
 """
 
@@ -143,32 +143,42 @@ class TestArmVerdict:
         assert violated.arm_record("skewed/demand")["ok"] is False
 
 
+def failing_claims(result):
+    return [claim.text.split(":")[0] for claim in DEMAND.claims
+            if not claim.holds(result)]
+
+
 class TestResultVerdict:
     def test_clean_campaign_is_ok(self):
         result = fake_result()
         assert result.expectations() == {"demand_wins": True,
                                          "safe_everywhere": True}
-        assert result.ok
+        assert failing_claims(result) == []
 
     def test_demand_loss_on_a_gated_matrix_fails(self):
         result = fake_result(demand_power=0.65)
         assert result.expectations() == {"demand_wins": False,
                                          "safe_everywhere": True}
-        assert not result.ok
+        assert failing_claims(result) == ["demand_wins"]
 
     def test_any_unsafe_arm_fails_the_campaign(self):
         result = fake_result(demand_partitions=1)
         assert not result.expectations()["safe_everywhere"]
-        assert not result.ok
+        assert "safe_everywhere" in failing_claims(result)
 
-    def test_verdict_lines_name_failures(self):
-        lines = "\n".join(fake_result(demand_power=0.65).verdict_lines())
-        assert "demand_wins: 2 arm(s) must pass every leg — FAILED" in lines
-        assert "skewed/demand -> energy" in lines
-        ok_lines = "\n".join(fake_result().verdict_lines())
-        assert "demand_wins: 2 arm(s) must pass every leg — OK" in ok_lines
-        assert "safe_everywhere: 9 arm(s) must pass leg safety — OK" \
-            in ok_lines
+    def test_claims_name_their_arms_and_legs(self):
+        demand_wins, safe_everywhere = (claim.text
+                                        for claim in DEMAND.claims)
+        assert demand_wins.startswith(
+            "demand_wins: each of skewed/demand, diurnal/demand must pass "
+            "energy (power_delta < 0.0), latency (latency_factor <= 1.3)")
+        assert safe_everywhere.endswith(
+            "must pass safety (partitions <= 0 and guard_violations <= 0)")
+        assert all(label in safe_everywhere for label in DEMAND.arms(
+            **DEMAND.params))
+        rows = dict((row[0], row[-1])
+                    for row in fake_result(demand_power=0.65).rows())
+        assert rows["skewed/demand"] == "viol:energy"
 
 
 class TestVerdictArtifact:

@@ -6,7 +6,6 @@ from repro.sim.clos_network import FatTreeNetwork
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.fat_tree import FatTree
 from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.workloads.base import TraceEvent
 
 
 class TestSharedBehaviour:

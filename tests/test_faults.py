@@ -6,7 +6,7 @@ from repro.routing.restricted import RestrictedAdaptiveRouting
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.units import MS, US
+from repro.units import MS
 from repro.workloads.uniform import UniformRandomWorkload
 
 

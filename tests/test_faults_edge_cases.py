@@ -14,7 +14,7 @@ from repro.routing.restricted import RestrictedAdaptiveRouting
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.units import MS, US
+from repro.units import US
 
 
 def fail_chip(net, injector, time_ns, switch, down_ns=None):

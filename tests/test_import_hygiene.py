@@ -8,19 +8,25 @@ to a constructed service.  A package loads nothing until one of its
 names is used, a control-mode registry imports its implementation on
 the first build, and the CLI imports only the command it runs.  Each
 case runs in a fresh interpreter, because this test process has long
-since imported everything.
+since imported everything.  And no module imports a name it never
+uses: an AST scan of ``src/repro`` and ``tests`` stands in for a
+linter.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+import pytest
+
+REPO_DIR = Path(__file__).resolve().parents[1]
+SRC_DIR = str(REPO_DIR / "src")
 
 #: The modules the end-to-end benchmark's workloads import, plus the CLI.
 ENTRY_MODULES = (
@@ -331,3 +337,63 @@ class TestCliImportsTheChosenCommand:
                                "repro.experiments.scale",
                                "repro.experiments.table1"]
         assert not any(name.startswith("repro.sim") for name in loaded)
+
+
+def unused_imports(source: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` for each name ``source`` imports and never uses:
+    not as a name, in a string annotation or in ``__all__``.  Imports
+    from ``__future__`` and those marked ``# noqa: F401`` (loaded for
+    their side effects) are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: Dict[str, int] = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if (getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                imported.setdefault(
+                    alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(target, "id", None) for target in node.targets}:
+            used.update(leaf.value for leaf in ast.walk(node.value)
+                        if isinstance(leaf, ast.Constant))
+        annotation = (node.annotation if isinstance(node, (ast.arg,
+                                                           ast.AnnAssign))
+                      else getattr(node, "returns", None))
+        for leaf in ast.walk(annotation) if annotation else ():
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value,
+                                                             str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(leaf.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+class TestEveryImportIsUsed:
+    def test_the_scan_reads_names_annotations_and_all(self):
+        source = "\n".join([
+            "from __future__ import annotations",
+            "import os.path",
+            "import sys  # noqa: F401",
+            "from typing import Dict, List, Tuple",
+            "from json import dumps as to_json, loads",
+            "__all__ = ['loads']",
+            "def f(x: 'Dict[str, int]') -> List[int]:",
+            "    return os.path.join(x)",
+        ])
+        assert unused_imports(source) == [(4, "Tuple"), (5, "to_json")]
+
+    @pytest.mark.parametrize("root", ["src/repro", "tests"])
+    def test_no_module_imports_a_name_it_never_uses(self, root):
+        # Package __init__s export lazily, so they are not scanned.
+        unused = [f"{path.relative_to(REPO_DIR)}:{line}: {name}"
+                  for path in sorted((REPO_DIR / root).rglob("*.py"))
+                  if path.name != "__init__.py"
+                  for line, name in unused_imports(path.read_text())]
+        assert unused == []

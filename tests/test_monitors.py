@@ -8,7 +8,6 @@ from repro.sim.monitors import PowerMonitor
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import MS, US
-from repro.workloads.synthetic_traces import search_workload
 
 
 def make_network(seed=19):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.network import FbflyNetwork, NetworkConfig
-from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.workloads.base import TraceEvent
 
 

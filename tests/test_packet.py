@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.packet import Message, Packet
+from repro.sim.packet import Message
 
 
 class TestMessage:

@@ -1,7 +1,6 @@
 """Property-based tests for the extension substrates:
 lane ladders and fat-tree routing."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.power.lanes import (

@@ -5,7 +5,6 @@ the global invariants: everything injected is delivered, flow-control
 credits are conserved, and the run is deterministic.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig, EpochController

@@ -1,7 +1,5 @@
 """Property-based tests: topology invariants (hypothesis)."""
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.flattened_butterfly import FlattenedButterfly

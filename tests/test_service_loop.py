@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.faults.control_faults import (
     ControlFaultScenario,
     ControllerCrash,

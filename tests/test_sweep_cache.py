@@ -34,7 +34,6 @@ from repro.experiments.cache import (
     summary_to_dict,
 )
 from repro.experiments.runner import (
-    CONTROL_EPOCH,
     CONTROL_NONE,
     SimulationSpec,
     cached_run,

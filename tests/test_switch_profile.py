@@ -5,7 +5,6 @@ import pytest
 from repro.power.switch_profile import (
     INFINIBAND_SWITCH_PROFILE,
     LinkMedium,
-    SwitchDynamicRangeProfile,
 )
 
 

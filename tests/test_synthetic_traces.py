@@ -12,7 +12,6 @@ from repro.units import MS, US
 from repro.workloads.burstiness import (
     burstiness_profile,
     mean_asymmetry_ratio,
-    utilization_series,
 )
 from repro.workloads.synthetic_traces import (
     ADVERT_PROFILE,

@@ -10,7 +10,6 @@ cold (topology-dark) and cut off by faults.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig
@@ -27,7 +26,6 @@ from repro.faults.policy import SpanningSetGuard
 from repro.obs.decisions import (
     DecisionLog,
     TOPOLOGY_GUARD_VETO,
-    TOPOLOGY_HELD,
     TOPOLOGY_OFF,
     TOPOLOGY_ON,
     TOPOLOGY_REASONS,
