@@ -4,12 +4,15 @@
 Shows the full trace-substrate workflow around the synthetic
 production-trace substitutes:
 
-  1. generate a Search-like trace and save it to a CSV file,
-  2. load it back and replay it through the simulator,
-  3. apply the paper's transforms (placement randomization, time
+  1. generate a Search-like trace, save it to a CSV file and load it
+     back,
+  2. apply the paper's transforms (placement randomization, time
      scaling), and
-  4. verify the structural properties the paper attributes to its
+  3. verify the structural properties the paper attributes to its
      traces: multi-timescale burstiness and asymmetric channel use.
+
+Every simulated experiment drives the same generator through
+``SimulationSpec(workload="search")``; see ``examples/quickstart.py``.
 
 Run:  python examples/trace_workload_analysis.py
 """
@@ -17,7 +20,7 @@ Run:  python examples/trace_workload_analysis.py
 import tempfile
 from pathlib import Path
 
-from repro import FbflyNetwork, FlattenedButterfly, search_workload
+from repro import FlattenedButterfly, search_workload
 from repro.experiments.report import format_table
 from repro.units import MS, US
 from repro.workloads.burstiness import (
@@ -25,7 +28,6 @@ from repro.workloads.burstiness import (
     mean_asymmetry_ratio,
 )
 from repro.workloads.trace import (
-    ReplayWorkload,
     load_trace,
     randomize_placement,
     save_trace,
@@ -50,15 +52,7 @@ def main() -> None:
         assert reloaded == sorted(events)
         print(f"Round-tripped through {path.name}: {len(reloaded):,} events")
 
-    # 2. Replay through the simulator.
-    replay = ReplayWorkload(events, num_hosts=TOPOLOGY.num_hosts)
-    network = FbflyNetwork(TOPOLOGY)
-    network.attach_workload(replay.events(DURATION_NS))
-    stats = network.run(until_ns=DURATION_NS)
-    print(f"Replay: delivered {stats.delivered_fraction():.1%} of bytes, "
-          f"avg utilization {stats.average_utilization():.1%}")
-
-    # 3. The paper's transforms.
+    # 2. The paper's transforms.
     remapped = randomize_placement(events, TOPOLOGY.num_hosts, seed=4)
     intensified = scale_time(events, factor=2.0)
     print(f"Transforms: randomized placement over "
@@ -66,7 +60,7 @@ def main() -> None:
           f"event from {events[-1].time_ns / 1000:.0f} us to "
           f"{intensified[-1].time_ns / 1000:.0f} us")
 
-    # 4. Structural properties.
+    # 3. Structural properties.
     windows = [10.0 * US, 50.0 * US, 250.0 * US, 1000.0 * US]
     profile = burstiness_profile(events, DURATION_NS, windows, 40.0,
                                  TOPOLOGY.num_hosts)

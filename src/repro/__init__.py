@@ -18,17 +18,15 @@ The library has three layers:
 :mod:`repro.experiments` regenerates every table and figure of the
 paper's evaluation on top of these layers.
 
-Quickstart::
+Every simulation is a :class:`~repro.experiments.runner.SimulationSpec`
+run by ``run_simulation`` (or many at once by ``sweep``).  Quickstart::
 
-    from repro import (FlattenedButterfly, FbflyNetwork, EpochController,
-                       search_workload, MeasuredChannelPower)
+    from repro.experiments.runner import SimulationSpec, run_simulation
 
-    topo = FlattenedButterfly(k=4, n=3)          # 64 hosts, 16 switches
-    net = FbflyNetwork(topo)
-    EpochController(net)                          # paper's heuristic
-    net.attach_workload(search_workload(topo.num_hosts).events(2e6))
-    stats = net.run(until_ns=2e6)
-    print(stats.power_fraction(MeasuredChannelPower()))
+    # 64 hosts on 16 switches, the paper's epoch heuristic, 2 ms.
+    spec = SimulationSpec(workload="search", independent_channels=True)
+    summary = run_simulation(spec)
+    print(summary.measured_power_fraction)     # ~0.47 vs 1.0 baseline
 """
 
 from repro._lazy import lazy_exports

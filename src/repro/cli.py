@@ -35,7 +35,9 @@ The seeded SLO campaigns (:mod:`repro.experiments.campaign`) are
 experiments like the rest, gated on their claims; ``campaign <name>``
 runs one with ``--seed`` / ``--fault-seed`` / ``--scenario``
 overriding the parameters it declares and ``--json-out`` writing its
-verdict artifact.  ``serve --single ARM`` runs one arm of the
+verdict artifact.  ``predict`` runs the ``predictive`` experiment the
+same way, narrowed to one ``--forecaster`` with its own knobs, and is
+gated on the same claims.  ``serve --single ARM`` runs one arm of the
 live-service campaign and exports its run record, metrics and trace.
 
 Observability (:mod:`repro.obs`) surfaces through two hooks:
@@ -159,8 +161,9 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 
 def sweep_flags() -> argparse.ArgumentParser:
-    """The sweep-harness flags shared by main, ``predict`` and
-    ``campaign`` (an argparse parent parser)."""
+    """The sweep-harness flags shared by main and the ``predict`` and
+    ``campaign`` verbs, which all run through :func:`run_experiment`
+    (an argparse parent parser)."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--jobs", type=_int_at_least(1), default=None, metavar="N",
@@ -237,8 +240,8 @@ def run_experiment(name: str, scale: ExperimentScale,
                    stats_sink: Optional[list] = None,
                    failed_claims: Optional[list] = None,
                    **params) -> Tuple[str, Any]:
-    """Run one experiment (``params``: a campaign's overrides) and
-    return its formatted block and its result.
+    """Run one experiment (``params``: a campaign's overrides or
+    ``predict``'s knobs) and return its formatted block and its result.
 
     The experiment's claims (:class:`report.Claim` rows) are checked
     against the result: the header counts those that hold and names
@@ -520,7 +523,9 @@ def build_predict_parser() -> argparse.ArgumentParser:
         prog="python -m repro predict",
         description="Compare predictive rate control against the "
                     "reactive controller, the full-rate baseline and "
-                    "(optionally) the clairvoyant oracle.",
+                    "(optionally) the clairvoyant oracle, and check the "
+                    "predictive experiment's claims; exits 1 if one "
+                    "fails.",
         parents=[sweep_flags()],
     )
     from repro.predict.forecasters import FORECASTERS
@@ -552,27 +557,28 @@ def build_predict_parser() -> argparse.ArgumentParser:
 
 
 def predict_main(argv) -> int:
-    """Entry point for ``python -m repro predict ...``."""
-    from repro.experiments import predictive
-
+    """Entry point for ``python -m repro predict ...``: ``repro
+    predictive`` with one forecaster and the given knobs, plus the
+    dominance verdict."""
     args = build_predict_parser().parse_args(argv)
     configure_sweep(args)
     scale = SCALES[args.scale] if args.scale else current_scale()
+    failed_claims: list = []
     try:
-        result = predictive.run(
-            scale=scale, workload=args.workload,
-            forecasters=[args.forecaster], headroom=args.headroom,
-            target=args.target, seed=args.seed,
+        block, result = run_experiment(
+            "predictive", scale, None, failed_claims=failed_claims,
+            workload=args.workload, forecasters=[args.forecaster],
+            headroom=args.headroom, target=args.target, seed=args.seed,
             with_oracle=args.oracle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(result.format_table())
+    print(block)
     winner = result.dominance()
     if winner:
-        print(f"\npredict/{winner} strictly dominates reactive control "
+        print(f"predict/{winner} strictly dominates reactive control "
               "on the power/latency frontier (>=5% margin).")
-    return 0
+    return 1 if failed_claims else 0
 
 
 def build_campaign_parser() -> argparse.ArgumentParser:

@@ -9,23 +9,22 @@ per-pair utilization ratios plus the workload-level host asymmetry.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.experiments.report import Claim, format_table, pct
 from repro.experiments.runner import CONTROL_NONE, SimulationSpec
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.sweep import sweep
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.sums import left_sum
 
 
 @dataclass
 class AsymmetryResult:
     workload: str
     #: max(util)/min(util) per link pair, for pairs with traffic both ways.
-    pair_ratios: np.ndarray
+    pair_ratios: List[float]
     #: Fraction of pairs where one direction carries >= 2x the other.
     fraction_2x: float
     #: Mean utilization of the busier vs quieter direction.
@@ -34,14 +33,18 @@ class AsymmetryResult:
 
     def rows(self) -> List[List[object]]:
         """The result's data rows, matching ``format_table``'s columns."""
-        import numpy as np
-
-        if len(self.pair_ratios) == 0:
+        ratios = self.pair_ratios
+        if not ratios:
             return [["(no loaded pairs)", "-", "-"]]
+        # The inclusive method interpolates between order statistics as
+        # a linear percentile does; it needs two points, and one point
+        # is its own 90th percentile.
+        p90 = (ratios[0] if len(ratios) == 1 else
+               statistics.quantiles(ratios, n=10, method="inclusive")[8])
         return [
-            ["median direction ratio", f"{np.median(self.pair_ratios):.2f}x", ""],
-            ["90th pct direction ratio",
-             f"{np.percentile(self.pair_ratios, 90):.2f}x", ""],
+            ["median direction ratio",
+             f"{statistics.median(ratios):.2f}x", ""],
+            ["90th pct direction ratio", f"{p90:.2f}x", ""],
             ["pairs with >=2x imbalance", pct(self.fraction_2x), ""],
             ["mean util (hot direction)", pct(self.mean_hot_utilization), ""],
             ["mean util (cold direction)", pct(self.mean_cold_utilization), ""],
@@ -59,8 +62,6 @@ class AsymmetryResult:
 def run(scale: Optional[ExperimentScale] = None,
         workload: str = "search", seed: int = 1) -> AsymmetryResult:
     """Run the experiment and return its result object."""
-    import numpy as np
-
     scale = scale or current_scale()
     spec = SimulationSpec(k=scale.k, n=scale.n, workload=workload,
                           duration_ns=scale.duration_ns, seed=seed,
@@ -69,14 +70,13 @@ def run(scale: Optional[ExperimentScale] = None,
     cold = [lo for lo, _ in pairs]
     hot = [hi for _, hi in pairs]
     ratios = [hi / lo for lo, hi in pairs if lo > 0]
-    ratios_arr = np.array(ratios)
     return AsymmetryResult(
         workload=workload,
-        pair_ratios=ratios_arr,
-        fraction_2x=(float(np.mean(ratios_arr >= 2.0))
-                     if len(ratios_arr) else 0.0),
-        mean_hot_utilization=float(np.mean(hot)) if hot else 0.0,
-        mean_cold_utilization=float(np.mean(cold)) if cold else 0.0,
+        pair_ratios=ratios,
+        fraction_2x=(sum(ratio >= 2.0 for ratio in ratios) / len(ratios)
+                     if ratios else 0.0),
+        mean_hot_utilization=left_sum(hot) / len(hot) if hot else 0.0,
+        mean_cold_utilization=left_sum(cold) / len(cold) if cold else 0.0,
     )
 
 

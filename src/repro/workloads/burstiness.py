@@ -6,20 +6,19 @@ variety of timescales" with low average utilization, and asymmetric
 per-direction load.  These metrics quantify both so tests can assert the
 generators actually have the properties the results depend on.
 
-numpy is imported inside the functions that build arrays, so importing
-this module (or :mod:`repro.workloads`, which re-exports it) does not
-load it.
+Series are plain lists and every float total is a left-to-right
+:func:`~repro.sums.left_sum`, so the numbers are the same on every
+supported Python.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.sums import left_sum
 from repro.units import gbps_to_bytes_per_ns
 from repro.workloads.base import TraceEvent
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def utilization_series(
@@ -28,34 +27,33 @@ def utilization_series(
     window_ns: float,
     line_rate_gbps: float,
     num_hosts: int,
-) -> np.ndarray:
+) -> List[float]:
     """Aggregate injected load per window, as a fraction of capacity.
 
     Message bytes are attributed to the window of the injection time
     (an *offered-load* series; serialization spreading is the network's
     business).
     """
-    import numpy as np
-
     if duration_ns <= 0 or window_ns <= 0:
         raise ValueError("duration and window must be positive")
-    num_windows = int(np.ceil(duration_ns / window_ns))
-    series = np.zeros(num_windows)
+    series = [0.0] * math.ceil(duration_ns / window_ns)
     for event in events:
         if 0 <= event.time_ns < duration_ns:
             series[int(event.time_ns // window_ns)] += event.size_bytes
     capacity = num_hosts * gbps_to_bytes_per_ns(line_rate_gbps) * window_ns
-    return series / capacity
+    return [load / capacity for load in series]
 
 
-def coefficient_of_variation(series: np.ndarray) -> float:
-    """Std/mean of a load series — the burstiness index per timescale."""
-    import numpy as np
-
-    mean = float(np.mean(series))
+def coefficient_of_variation(series: Sequence[float]) -> float:
+    """Population std/mean of a load series — the burstiness index per
+    timescale (0 for an empty or all-zero series)."""
+    if not series:
+        return 0.0
+    mean = left_sum(series) / len(series)
     if mean == 0.0:
         return 0.0
-    return float(np.std(series)) / mean
+    variance = left_sum((x - mean) ** 2 for x in series) / len(series)
+    return math.sqrt(variance) / mean
 
 
 def burstiness_profile(
@@ -80,16 +78,14 @@ def burstiness_profile(
 
 def host_asymmetry(
     events: Iterable[TraceEvent], num_hosts: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[List[float], List[float]]:
     """Per-host (injected, received) byte totals.
 
     The imbalance between the two is what makes independent
     unidirectional-channel control pay off (Section 3.3.1 / Figure 7).
     """
-    import numpy as np
-
-    injected = np.zeros(num_hosts)
-    received = np.zeros(num_hosts)
+    injected = [0.0] * num_hosts
+    received = [0.0] * num_hosts
     for event in events:
         injected[event.src] += event.size_bytes
         received[event.dst] += event.size_bytes
@@ -102,8 +98,6 @@ def mean_asymmetry_ratio(events: Sequence[TraceEvent], num_hosts: int) -> float:
     1.0 means perfectly symmetric hosts; production-like traffic with
     read-heavy file servers sits well above it.
     """
-    import numpy as np
-
     injected, received = host_asymmetry(events, num_hosts)
     ratios = []
     for i in range(num_hosts):
@@ -113,4 +107,4 @@ def mean_asymmetry_ratio(events: Sequence[TraceEvent], num_hosts: int) -> float:
             ratios.append(hi / lo)
     if not ratios:
         return 1.0
-    return float(np.mean(ratios))
+    return left_sum(ratios) / len(ratios)

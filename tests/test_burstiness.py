@@ -1,6 +1,5 @@
 """Burstiness and asymmetry analysis utilities."""
 
-import numpy as np
 import pytest
 
 from repro.workloads.base import TraceEvent
@@ -25,12 +24,12 @@ class TestUtilizationSeries:
     def test_total_preserved(self):
         events = [TraceEvent(float(i), 0, 1, 50) for i in range(100)]
         series = utilization_series(events, 100.0, 10.0, 8.0, 1)
-        assert series.sum() * 10.0 == pytest.approx(100 * 50)
+        assert sum(series) * 10.0 == pytest.approx(100 * 50)
 
     def test_events_beyond_duration_ignored(self):
         events = [TraceEvent(150.0, 0, 1, 100)]
         series = utilization_series(events, 100.0, 10.0, 8.0, 1)
-        assert series.sum() == 0.0
+        assert sum(series) == 0.0
 
     def test_invalid_windows_rejected(self):
         with pytest.raises(ValueError):
@@ -41,16 +40,21 @@ class TestUtilizationSeries:
 
 class TestCoefficientOfVariation:
     def test_constant_series_has_zero_cv(self):
-        assert coefficient_of_variation(np.array([5.0, 5.0, 5.0])) == 0.0
+        assert coefficient_of_variation([5.0, 5.0, 5.0]) == 0.0
 
     def test_zero_series(self):
-        assert coefficient_of_variation(np.zeros(10)) == 0.0
+        assert coefficient_of_variation([0.0] * 10) == 0.0
 
     def test_bursty_series_has_high_cv(self):
-        bursty = np.array([0.0] * 9 + [10.0])
-        smooth = np.ones(10)
+        bursty = [0.0] * 9 + [10.0]
+        smooth = [1.0] * 10
+        # Mean 1, population variance (9 * 1 + 81) / 10 = 9.
+        assert coefficient_of_variation(bursty) == pytest.approx(3.0)
         assert coefficient_of_variation(bursty) > \
             coefficient_of_variation(smooth)
+
+    def test_empty_series(self):
+        assert coefficient_of_variation([]) == 0.0
 
 
 class TestBurstinessProfile:

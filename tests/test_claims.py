@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.experiments import campaign
+from repro.experiments import campaign, predictive, sweep
 from repro.experiments.report import Claim
+from repro.predict.regret import RegretReport
 
 
 def _claims(name):
@@ -72,3 +73,32 @@ def test_a_failing_campaign_claim_fails_both_commands(argv, monkeypatch,
     assert protected_ok.text.startswith("protected_ok: pinned must pass ")
     assert "[claims: 1 of 2 hold]" in out
     assert f"FAILS: {protected_ok.text}" in out
+
+
+def test_a_failing_predictive_claim_fails_the_predict_command(monkeypatch,
+                                                              capsys):
+    # A reactive run that draws the baseline's full power: the "every
+    # controller saves power" claim fails, and ``predict`` says so.
+    def summary(power, latency_ns):
+        return SimpleNamespace(
+            events_fired=1, measured_power_fraction=power,
+            mean_message_latency_ns=latency_ns)
+
+    def run(scale=None, **params):
+        return predictive.PredictiveResult(
+            workload=params["workload"], headroom=params["headroom"],
+            baseline=summary(1.0, 1000.0), reactive=summary(1.0, 2000.0),
+            oracle=None, by_forecaster={"ewma": summary(0.5, 1500.0)},
+            report=RegretReport(rows=[]))
+
+    monkeypatch.setattr(predictive, "run", run)
+    # main() reconfigures the process-wide sweep runner; undo it.
+    monkeypatch.setattr(sweep, "_default_runner", sweep._default_runner)
+    assert main(["predict", "--forecaster", "ewma"]) == 1
+    out = capsys.readouterr().out
+    saves_power = predictive.CLAIMS[1]
+    assert saves_power.text == \
+        "every controller saves power over the full-rate baseline"
+    assert "[claims: 2 of 3 hold]" in out
+    assert f"FAILS: {saves_power.text}" in out
+    assert "predict/ewma strictly dominates reactive control" in out

@@ -1,8 +1,9 @@
 """Example scripts: syntax, imports and structure.
 
-Full example runs take minutes; the suite verifies they compile, import
-only public API that exists, and expose a ``main()`` — the cheap 90% of
-"the examples are not rotten".
+CI runs every example end to end; the suite verifies they compile,
+import only public API that exists, expose a ``main()`` and simulate
+only through ``SimulationSpec`` — the cheap 90% of "the examples are
+not rotten".
 """
 
 import ast
@@ -46,3 +47,13 @@ class TestExampleStructure:
                         assert hasattr(module, alias.name), (
                             f"{path.name} imports {alias.name} from "
                             f"{node.module}, which does not exist")
+
+    def test_simulates_only_through_specs(self, path):
+        # A spec is the one way to run a simulation (run_simulation or
+        # sweep); an example never wires a network up by hand.
+        source = path.read_text()
+        imported = {alias.name for node in ast.walk(ast.parse(source))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "FbflyNetwork" not in imported, path.name
+        assert ".run(until_ns=" not in source, path.name

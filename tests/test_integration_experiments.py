@@ -141,6 +141,30 @@ class TestAsymmetry:
         assert result.mean_hot_utilization > result.mean_cold_utilization
         assert "asymmetry" in result.format_table()
 
+    @pytest.mark.parametrize("ratios, median, p90", [
+        ([3.0], "3.00x", "3.00x"),
+        ([1.0, 3.0], "2.00x", "2.80x"),
+    ])
+    def test_rows_with_one_or_two_pairs(self, ratios, median, p90):
+        # A linear 90th percentile of one point is that point; of two,
+        # 90% of the way from the lower to the upper.
+        result = asymmetry.AsymmetryResult(
+            workload="search", pair_ratios=ratios, fraction_2x=0.5,
+            mean_hot_utilization=0.2, mean_cold_utilization=0.05)
+        assert result.rows() == [
+            ["median direction ratio", median, ""],
+            ["90th pct direction ratio", p90, ""],
+            ["pairs with >=2x imbalance", "50.0%", ""],
+            ["mean util (hot direction)", "20.0%", ""],
+            ["mean util (cold direction)", "5.0%", ""],
+        ]
+
+    def test_rows_with_no_pairs(self):
+        result = asymmetry.AsymmetryResult(
+            workload="search", pair_ratios=[], fraction_2x=0.0,
+            mean_hot_utilization=0.0, mean_cold_utilization=0.0)
+        assert result.rows() == [["(no loaded pairs)", "-", "-"]]
+
 
 class TestSavings:
     def test_projection_scales_the_full_budget(self):
